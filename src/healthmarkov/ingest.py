@@ -1,14 +1,15 @@
 """Streaming claims ingestion: monthly records -> annualized person-years.
 
-Input CSV (UTF-8, header required):
+Input CSV (UTF-8, header required; a leading byte-order mark, as
+spreadsheet programs write it, is skipped when reading from a path):
 
     person_id,sex,age,year,month,cost_yen
 
 with sex in {M, F}, month 1-12 and cost_yen a non-negative integer.  The
-parser is a generator with constant memory; aggregation into person-years
-holds one small accumulator per (person, year) and is where duplicate
-(person, year, month) rows are caught — a pure stream cannot see distant
-duplicates without remembering every row.
+parser is a generator with constant memory.  Aggregation into person-years
+is not: it holds every ClaimRecord, grouped by (person, year), until the
+stream ends, because a duplicate (person, year, month) row may arrive
+anywhere later in the file.
 
 Annual cost is mean observed monthly cost times 12, rounded half-up to
 integer yen, so part-year enrollees are scaled to a full-year equivalent.
@@ -28,9 +29,12 @@ CLAIMS_COLUMNS = ("person_id", "sex", "age", "year", "month", "cost_yen")
 YEAR_CONVENTIONS = ("fiscal", "calendar")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaimRecord:
-    """One monthly claims total for one person."""
+    """One monthly claims total for one person.
+
+    Slotted: aggregation holds every record of a claims file at once.
+    """
 
     person_id: str
     sex: str
@@ -46,7 +50,7 @@ def parse_claims(source) -> Iterator[ClaimRecord]:
     Malformed rows raise DataFormatError carrying the 1-based line number.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="", encoding="utf-8") as fh:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             yield from _parse_stream(fh)
     elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
         yield from _parse_stream(source)
@@ -160,6 +164,9 @@ def aggregate_person_years(
     if year_convention not in YEAR_CONVENTIONS:
         raise InvalidInputError(f"year convention must be one of {YEAR_CONVENTIONS}")
     groups: dict[tuple[str, int], list[ClaimRecord]] = {}
+    # per group, the set of (year, month) seen so far as a bit set: a group
+    # spans at most two calendar years, so bit (year - gyear) * 12 + month - 1
+    months_seen: dict[tuple[str, int], int] = {}
     sex_of: dict[str, str] = {}
     for rec in records:
         gyear = grouping_year(rec.year, rec.month, year_convention)
@@ -167,12 +174,14 @@ def aggregate_person_years(
         if prev_sex != rec.sex:
             raise DataFormatError(f"person {rec.person_id!r} appears with both sexes")
         key = (rec.person_id, gyear)
-        group = groups.setdefault(key, [])
-        if any(r.month == rec.month and r.year == rec.year for r in group):
+        month_bit = 1 << ((rec.year - gyear) * 12 + rec.month - 1)
+        seen = months_seen.get(key, 0)
+        if seen & month_bit:
             raise DuplicateRecordError(
                 f"duplicate record for person {rec.person_id!r}, year {rec.year}, month {rec.month}"
             )
-        group.append(rec)
+        months_seen[key] = seen | month_bit
+        groups.setdefault(key, []).append(rec)
 
     person_years = [
         annualize(group, thresholds=thresholds, year=gyear)

@@ -13,9 +13,38 @@ common age range.  Cell codes in the state matrix:
 Estimators only ever distinguish "observed" (>= 0) from "not observed";
 the -1 / -2 split exists so that attrition can be reported as its own
 category while years outside the data window stay invisible.
+
+Panel cache.  ``write_cache`` writes a CSV with the header
+``person_id,age,year,months_observed,annual_cost,state`` and one row per
+in-span cell; a missing-marker row has state ``MISSING``, months 0 and an
+empty cost.  ``read_cache`` parses columns, not rows.  A file spelled as
+write_cache spells it is read by one ``np.loadtxt`` call with a structured
+dtype, its person_id width sized from the data, and checked with
+vectorized masks.  Any other file (a malformed one, or one with fields
+that only ``int()`` or the csv module accept, such as ``1_000``, padded
+labels or bare carriage returns) is split by ``csv.reader`` and checked
+with the same masks: numpy reports neither the line of a short row nor
+the blank lines it skips.  Both feed ``_assemble``, the one function that
+builds a Panel from cells; ``build_panel`` is a thin adapter over it.
+
+Errors ``read_cache`` raises, in this order:
+
+- DataFormatError at the first offending line (1-based ``line``; blank
+  lines are skipped but counted), for that line's first failing check:
+  header (line 1), field count, integer age/year, state label, integer
+  months/cost (not checked on MISSING rows);
+- DuplicateRecordError for a repeated (person, year), EmptyCohortError
+  when no observed row is left, DataFormatError (no line) for a person
+  whose rows imply two birth years.
+
+Integer fields follow ``int()``: a sign, underscores, surrounding
+whitespace and non-ASCII digits are accepted.  A value too large for the
+panel's storage types raises OverflowError.
 """
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -28,7 +57,7 @@ from .errors import (
     EmptyCohortError,
     InvalidInputError,
 )
-from .states import MISSING, HealthState
+from .states import MISSING, STATE_LABELS, HealthState
 
 MISSING_CODE = -1
 ABSENT_CODE = -2
@@ -183,66 +212,256 @@ class Panel:
 
     def write_cache(self, path) -> int:
         """Write the canonical one-row-per-cell CSV; returns rows written."""
-        n_rows = 0
+        rows, cols = np.nonzero(self.states != ABSENT_CODE)
+        codes = self.states[rows, cols]
+        observed = codes >= 0
+        ages = self.age_min + cols
+        costs = self.costs[rows, cols].astype(object)
+        costs[~observed] = ""
+        table = zip(
+            map(str, self.person_ids[rows]),
+            ages.tolist(),
+            (self.birth_years[rows] + ages).tolist(),
+            np.where(observed, self.months[rows, cols], 0).tolist(),
+            costs.tolist(),
+            _CACHE_LABELS[codes].tolist(),
+        )
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(PANEL_CACHE_COLUMNS)
-            for p in range(self.n_persons):
-                pid = str(self.person_ids[p])
-                birth = int(self.birth_years[p])
-                row_states = self.states[p]
-                for c in np.where(row_states != ABSENT_CODE)[0]:
-                    age = self.age_min + int(c)
-                    code = int(row_states[c])
-                    if code >= 0:
-                        writer.writerow(
-                            [pid, age, birth + age, int(self.months[p, c]),
-                             int(self.costs[p, c]), HealthState(code + 1).name]
-                        )
-                    else:
-                        writer.writerow([pid, age, birth + age, 0, "", MISSING])
-                    n_rows += 1
-        return n_rows
+            writer.writerows(table)
+        return len(codes)
 
     @classmethod
     def read_cache(cls, path) -> "Panel":
-        """Rebuild a panel from its cache file."""
-        person_years = []
-        markers = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != PANEL_CACHE_COLUMNS:
-                raise DataFormatError(
-                    f"panel cache must start with header {','.join(PANEL_CACHE_COLUMNS)}", line=1
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(PANEL_CACHE_COLUMNS):
-                    raise DataFormatError(f"expected {len(PANEL_CACHE_COLUMNS)} fields", line=lineno)
-                pid, age_s, year_s, months_s, cost_s, state_s = (f.strip() for f in row)
-                try:
-                    age, year = int(age_s), int(year_s)
-                except ValueError:
-                    raise DataFormatError(f"bad age/year {age_s!r}/{year_s!r}", line=lineno) from None
-                if state_s == MISSING:
-                    markers.append(MissingMarker(pid, age, year))
-                    continue
-                try:
-                    state = HealthState[state_s]
-                except KeyError:
-                    raise DataFormatError(f"unknown state {state_s!r}", line=lineno) from None
-                try:
-                    months, cost = int(months_s), int(cost_s)
-                except ValueError:
-                    raise DataFormatError(f"bad months/cost {months_s!r}/{cost_s!r}", line=lineno) from None
-                person_years.append(PersonYear(pid, age, year, months, cost, state))
-        end_year = None
-        all_years = [py.year for py in person_years] + [m.year for m in markers]
-        if all_years:
-            end_year = max(all_years)
-        return build_panel(person_years, end_year=end_year)
+        """Rebuild a panel from its cache file (see the module docstring)."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        cells = _loadtxt_cells(raw)
+        if cells is None:
+            cells = _csv_cells(raw.decode("utf-8"))
+        pids, ages, years, codes, months, costs = cells
+        end_year = int(years.max()) if len(years) else None
+        obs = codes >= 0
+        return _assemble(pids[obs], ages[obs], years[obs], codes[obs], months[obs], costs[obs], end_year)
+
+
+# -- panel-cache parsing -----------------------------------------------------
+
+_CACHE_HEADER = ",".join(PANEL_CACHE_COLUMNS)
+_CACHE_HEADER_LINES = tuple((_CACHE_HEADER + end).encode() for end in ("\n", "\r\n"))
+
+#: Cache label of each cell code; code -1 (MISSING_CODE) indexes the last one.
+_CACHE_LABELS = np.array(STATE_LABELS + (MISSING,))
+
+#: Code _label_codes gives a label that is neither a state nor MISSING.
+_UNKNOWN_LABEL = -2
+
+#: Widest cost field the canonical reader converts itself: 18 digits fit int64.
+_COST_DIGITS = 18
+
+
+def _loadtxt_cells(raw: bytes):
+    """Cache cells via one ``np.loadtxt`` call, or None if the file needs _csv_cells.
+
+    Takes files as write_cache writes them: the exact header, integer
+    age/year/months that numpy parses, plain-digit costs on observed rows and
+    bare state labels.  Anything else returns None, including every malformed
+    file, so that _csv_cells alone decides errors and their line numbers.
+    """
+    if not raw.startswith(_CACHE_HEADER_LINES) or b"\0" in raw:
+        return None  # fixed-width numpy strings would drop trailing NULs
+    pid_width = _pid_width(raw)
+    dtype = np.dtype([
+        ("pid", f"U{pid_width + 1}"), ("age", "i8"), ("year", "i8"), ("months", "i8"),
+        ("cost", f"S{_COST_DIGITS + 1}"), ("state", "S8"),
+    ])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 parses "1.0" as an int with a warning
+            table = np.loadtxt(
+                io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""),
+                dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    if not len(table) or np.char.str_len(table["pid"]).max() > pid_width:
+        return None  # empty body, or a field reaching the width may be truncated
+    codes = _label_codes(table["state"])
+    costs, plain = _plain_digits(table["cost"])
+    if (codes == _UNKNOWN_LABEL).any() or not plain[codes >= 0].all():
+        return None
+    return np.char.strip(table["pid"]), table["age"], table["year"], codes, table["months"], costs
+
+
+def _pid_width(raw: bytes) -> int:
+    """Upper bound on the characters of a one-line person_id field below the header.
+
+    An unquoted first field ends at its line's first comma, a quoted one at
+    the end of its line at the latest; bytes bound characters from above.
+    """
+    b = np.frombuffer(raw, dtype=np.uint8)
+    newlines = np.flatnonzero(b == ord("\n"))
+    starts = newlines + 1
+    line_ends = np.append(newlines[1:], len(b))
+    commas = np.append(np.flatnonzero(b == ord(",")), len(b))
+    field_ends = np.minimum(commas[np.searchsorted(commas, starts)], line_ends)
+    quoted = b[np.minimum(starts, len(b) - 1)] == ord('"')
+    return int((np.where(quoted, line_ends, field_ends) - starts).max())
+
+
+def _label_codes(labels) -> np.ndarray:
+    """Cell code per state label (str or bytes): 0..4 for Q1..Q5, -1 for MISSING, else -2."""
+    labels = np.ascontiguousarray(labels)
+    codes = np.full(len(labels), _UNKNOWN_LABEL, dtype=np.int8)
+    for code, label in [*enumerate(STATE_LABELS), (MISSING_CODE, MISSING)]:
+        codes[labels == (label.encode() if labels.dtype.kind == "S" else label)] = code
+    return codes
+
+
+def _plain_digits(fields) -> tuple[np.ndarray, np.ndarray]:
+    """Values of byte strings of 1 to _COST_DIGITS ASCII digits, and which fields are such."""
+    n = np.char.str_len(fields)
+    plain = np.char.isdigit(fields) & (n <= _COST_DIGITS)
+    b = np.ascontiguousarray(fields).view(np.uint8).reshape(len(fields), -1)
+    values = np.zeros(len(fields), dtype=np.int64)
+    for j in range(int(n[plain].max(initial=0))):
+        values = np.where(j < n, values * 10 + (b[:, j] - ord("0")), values)
+    return values, plain
+
+
+def _int_or_none(s):
+    try:
+        return int(s)
+    except ValueError:
+        return None
+
+
+_to_int = np.frompyfunc(_int_or_none, 1, 1)
+
+
+def _csv_cells(text: str):
+    """Cache cells under the csv module's rules; DataFormatError at the first bad line.
+
+    Record splitting, quoting and line numbers are exactly those of
+    ``csv.reader``; the field checks are vectorized over the records before
+    the first one with a wrong field count.
+    """
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    if not records or tuple(h.strip() for h in records[0]) != PANEL_CACHE_COLUMNS:
+        raise DataFormatError(f"panel cache must start with header {_CACHE_HEADER}", line=1)
+    n_fields = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+    n_fields[0] = 0  # the header
+    n_columns = len(PANEL_CACHE_COLUMNS)
+    ragged = np.flatnonzero((n_fields != 0) & (n_fields != n_columns))
+    stop = ragged[0] if len(ragged) else len(records)
+    lines = np.flatnonzero(n_fields[:stop])  # 0-based record index; blank records count
+    fields = np.array(
+        [[f.strip() for f in records[i]] for i in lines], dtype=object
+    ).reshape(len(lines), n_columns)
+    pids, age_s, year_s, months_s, cost_s, state_s = fields.T
+
+    ages, years = _to_int(age_s), _to_int(year_s)
+    months, costs = _to_int(months_s), _to_int(cost_s)
+    codes = _label_codes(state_s)
+    observed = codes != MISSING_CODE
+    bad_age_year = np.equal(ages, None) | np.equal(years, None)
+    bad_state = codes == _UNKNOWN_LABEL
+    bad_amount = observed & (np.equal(months, None) | np.equal(costs, None))
+    bad = np.flatnonzero(bad_age_year | bad_state | bad_amount)
+    if len(bad):
+        r = bad[0]
+        line = int(lines[r]) + 1
+        if bad_age_year[r]:
+            raise DataFormatError(f"bad age/year {age_s[r]!r}/{year_s[r]!r}", line=line)
+        if bad_state[r]:
+            raise DataFormatError(f"unknown state {state_s[r]!r}", line=line)
+        raise DataFormatError(f"bad months/cost {months_s[r]!r}/{cost_s[r]!r}", line=line)
+    if len(ragged):
+        raise DataFormatError(f"expected {n_columns} fields", line=int(stop) + 1)
+    months[~observed] = 0
+    costs[~observed] = 0
+    return (
+        pids, ages.astype(np.int64), years.astype(np.int64), codes,
+        months.astype(np.int64), costs.astype(np.int64),
+    )
+
+
+# -- panel assembly ----------------------------------------------------------
+
+
+def _assemble(pids, ages, years, codes, months, costs, end_year=None, sex=None) -> Panel:
+    """Build a Panel from one entry per observed person-year; the only panel builder.
+
+    Columns are parallel 1-D arrays; codes are 0-based states.  Checks run in
+    this order: duplicate (person, year), first in input order; no entries;
+    end_year before the last observed year; then, by person id and age, an
+    entry whose age and year imply a different birth year than the person's
+    first entry.  Values outside the panel's storage types (months_observed
+    int8, annual_cost int64, birth year int32) raise OverflowError.
+    """
+    if not len(pids):
+        raise EmptyCohortError("no person-years to build a panel from")
+    order = np.argsort(pids, kind="stable")
+    sorted_pids = pids[order]
+    new_person = np.append(True, sorted_pids[1:] != sorted_pids[:-1])
+    ids = sorted_pids[new_person].astype(object)
+    person = np.empty(len(pids), dtype=np.intp)
+    person[order] = np.cumsum(new_person) - 1
+
+    by_year = np.lexsort((years, person))
+    repeat = (np.diff(person[by_year]) == 0) & (np.diff(years[by_year]) == 0)
+    if repeat.any():
+        k = by_year[1:][repeat].min()
+        raise DuplicateRecordError(f"duplicate person-year {(ids[person[k]], int(years[k]))}")
+
+    max_year = int(years.max())
+    if end_year is None:
+        end_year = max_year
+    elif end_year < max_year:
+        raise InvalidInputError(f"end_year {end_year} precedes the last observed year {max_year}")
+
+    by_age = np.lexsort((ages, person))
+    first = np.flatnonzero(np.append(True, np.diff(person[by_age]) != 0))
+    births = years - ages
+    birth = births[by_age[first]]
+    contradicts = births[by_age] != birth[person[by_age]]
+    if contradicts.any():
+        k = by_age[np.argmax(contradicts)]
+        raise DataFormatError(
+            f"person {ids[person[k]]!r}: age {int(ages[k])} in year {int(years[k])} contradicts "
+            f"earlier records (birth year {int(birth[person[k]])})"
+        )
+    _check_range(months, np.int8, "months_observed")
+    _check_range(birth, np.int32, "birth year")
+
+    entry_age = ages[by_age[first]]
+    last_age = end_year - birth
+    age_min = int(entry_age.min())
+    panel_ages = np.arange(age_min, int(last_age.max()) + 1)
+    in_panel = (panel_ages >= entry_age[:, None]) & (panel_ages <= last_age[:, None])
+    states = np.where(in_panel, MISSING_CODE, ABSENT_CODE).astype(np.int8)
+    cost_cells = np.zeros(states.shape, dtype=np.int64)
+    month_cells = np.zeros(states.shape, dtype=np.int8)
+    cols = ages - age_min
+    states[person, cols] = codes
+    cost_cells[person, cols] = costs
+    month_cells[person, cols] = months
+
+    sex_arr = None
+    if sex is not None:
+        try:
+            sex_arr = np.array([sex[pid] for pid in ids], dtype=object)
+        except KeyError as exc:
+            raise InvalidInputError(f"sex mapping is missing person {exc.args[0]!r}") from None
+
+    return Panel(ids, birth, age_min, states, cost_cells, month_cells, sex=sex_arr)
+
+
+def _check_range(values, dtype, name) -> None:
+    info = np.iinfo(dtype)
+    if len(values) and (values.min() < info.min or values.max() > info.max):
+        raise OverflowError(f"{name} outside {info.min}..{info.max}")
 
 
 def build_panel(person_years: Iterable[PersonYear], end_year: int | None = None, sex=None) -> Panel:
@@ -252,65 +471,17 @@ def build_panel(person_years: Iterable[PersonYear], end_year: int | None = None,
     final year (default: the latest observed year) become missing markers.
     sex, when given, maps person_id -> "M"/"F".
     """
-    by_person: dict[str, list[PersonYear]] = {}
-    seen: set[tuple[str, int]] = set()
-    for py in person_years:
-        key = (py.person_id, py.year)
-        if key in seen:
-            raise DuplicateRecordError(f"duplicate person-year {key}")
-        seen.add(key)
-        by_person.setdefault(py.person_id, []).append(py)
-    if not by_person:
-        raise EmptyCohortError("no person-years to build a panel from")
-
-    max_year = max(py.year for pys in by_person.values() for py in pys)
-    if end_year is None:
-        end_year = max_year
-    elif end_year < max_year:
-        raise InvalidInputError(f"end_year {end_year} precedes the last observed year {max_year}")
-
-    ids = sorted(by_person)
-    births = []
-    spans = []
-    for pid in ids:
-        entries = sorted(by_person[pid], key=lambda py: py.age)
-        birth = entries[0].year - entries[0].age
-        for py in entries:
-            if py.year - py.age != birth:
-                raise DataFormatError(
-                    f"person {pid!r}: age {py.age} in year {py.year} contradicts "
-                    f"earlier records (birth year {birth})"
-                )
-        ages = [py.age for py in entries]
-        if len(set(ages)) != len(ages):
-            raise DuplicateRecordError(f"person {pid!r} has duplicate ages")
-        births.append(birth)
-        spans.append((entries, birth, ages[0], end_year - birth))
-
-    age_min = min(s[2] for s in spans)
-    age_max = max(s[3] for s in spans)
-    n_ages = age_max - age_min + 1
-    n = len(ids)
-
-    states = np.full((n, n_ages), ABSENT_CODE, dtype=np.int8)
-    costs = np.zeros((n, n_ages), dtype=np.int64)
-    months = np.zeros((n, n_ages), dtype=np.int8)
-    for p, (entries, birth, entry_age, last_age) in enumerate(spans):
-        states[p, entry_age - age_min : last_age - age_min + 1] = MISSING_CODE
-        for py in entries:
-            c = py.age - age_min
-            states[p, c] = int(py.state) - 1
-            costs[p, c] = py.annual_cost
-            months[p, c] = py.months_observed
-
-    sex_arr = None
-    if sex is not None:
-        try:
-            sex_arr = np.array([sex[pid] for pid in ids], dtype=object)
-        except KeyError as exc:
-            raise InvalidInputError(f"sex mapping is missing person {exc.args[0]!r}") from None
-
-    return Panel(ids, births, age_min, states, costs, months, sex=sex_arr)
+    pys = list(person_years)
+    return _assemble(
+        np.array([py.person_id for py in pys], dtype=object),
+        np.array([py.age for py in pys], dtype=np.int64),
+        np.array([py.year for py in pys], dtype=np.int64),
+        np.array([int(py.state) - 1 for py in pys], dtype=np.int64),
+        np.array([py.months_observed for py in pys], dtype=np.int64),
+        np.array([py.annual_cost for py in pys], dtype=np.int64),
+        end_year=end_year,
+        sex=sex,
+    )
 
 
 def filter_cohort(

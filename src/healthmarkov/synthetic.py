@@ -327,24 +327,26 @@ def write_claims(panel: Panel, path, sex_default: str = "M", year_convention: st
     """
     if year_convention not in ("fiscal", "calendar"):
         raise InvalidInputError(f"unknown year convention {year_convention!r}")
+    if year_convention == "fiscal":
+        calendar = [(0, m) for m in range(4, 13)] + [(1, m) for m in range(1, 4)]
+    else:
+        calendar = [(0, m) for m in range(1, 13)]
+    if panel.sex is None:
+        sex_of = dict.fromkeys(map(str, panel.person_ids), sex_default)
+    else:
+        sex_of = dict(zip(map(str, panel.person_ids), map(str, panel.sex)))
     n_rows = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CLAIMS_COLUMNS)
         for py in panel.person_years():
-            sex = sex_default
-            if panel.sex is not None:
-                idx = int(np.searchsorted(panel.person_ids, py.person_id))
-                sex = str(panel.sex[idx])
+            sex = sex_of[py.person_id]
             base, extra = divmod(py.annual_cost, 12)
-            if year_convention == "fiscal":
-                calendar = [(py.year, m) for m in range(4, 13)] + [(py.year + 1, m) for m in range(1, 4)]
-            else:
-                calendar = [(py.year, m) for m in range(1, 13)]
-            for k, (cal_year, month) in enumerate(calendar):
-                cost = base + (1 if k < extra else 0)
-                writer.writerow([py.person_id, sex, py.age, cal_year, month, cost])
-                n_rows += 1
+            writer.writerows(
+                [py.person_id, sex, py.age, py.year + shift, month, base + (1 if k < extra else 0)]
+                for k, (shift, month) in enumerate(calendar)
+            )
+            n_rows += len(calendar)
     return n_rows
 
 

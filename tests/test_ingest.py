@@ -45,6 +45,12 @@ class TestParse:
         with pytest.raises(DataFormatError):
             list(parse_claims(io.StringIO("id,cost\n1,2\n")))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (HEADER + "a,M,40,2010,4,1000\n").encode("utf-8"))
+        assert list(parse_claims(path)) == [ClaimRecord("a", "M", 40, 2010, 4, 1000)]
+        assert list(parse_claims(str(path))) == [ClaimRecord("a", "M", 40, 2010, 4, 1000)]
+
     @pytest.mark.parametrize(
         "row",
         [
@@ -182,6 +188,32 @@ class TestAggregate:
     def test_duplicate_person_year_month(self):
         with pytest.raises(DuplicateRecordError):
             aggregate_person_years([rec(4, 1), rec(4, 2)])
+
+    def test_duplicate_in_a_later_group_fires_at_its_row(self):
+        records = [
+            rec(4, 1), rec(5, 1),                  # person a, fiscal 2010
+            rec(4, 1, pid="b"),                    # person b
+            rec(4, 1, year=2011),                  # person a, fiscal 2011
+            rec(6, 1, year=2011, pid="b"),
+            rec(5, 2),                             # repeats a, 2010, month 5
+            rec(7, 1),
+        ]
+        consumed = []
+
+        def stream():
+            for r in records:
+                consumed.append(r)
+                yield r
+
+        with pytest.raises(DuplicateRecordError) as err:
+            aggregate_person_years(stream())
+        assert len(consumed) == 6
+        assert "year 2010, month 5" in str(err.value)
+
+    def test_same_month_of_another_calendar_year_is_no_duplicate(self):
+        # fiscal 2010 holds March 2011; March 2010 belongs to fiscal 2009
+        person_years, _ = aggregate_person_years([rec(3, 1, year=2011), rec(3, 1, year=2010)])
+        assert [py.year for py in person_years] == [2009, 2010]
 
     def test_conflicting_sex(self):
         with pytest.raises(DataFormatError):

@@ -115,6 +115,58 @@ class TestCache:
         with pytest.raises(DataFormatError):
             Panel.read_cache(path)
 
+    HEADER = "person_id,age,year,months_observed,annual_cost,state\n"
+    GOOD = "a,30,2000,12,1000,Q1\n"
+
+    def _read_error(self, tmp_path, body):
+        path = tmp_path / "p.csv"
+        path.write_text(self.HEADER + body, encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            Panel.read_cache(path)
+        assert type(err.value) is DataFormatError
+        return err.value
+
+    def test_wrong_field_count(self, tmp_path):
+        err = self._read_error(tmp_path, self.GOOD + "a,31,2001,12,1000\n")
+        assert err.line == 3
+
+    def test_non_integer_age(self, tmp_path):
+        err = self._read_error(tmp_path, self.GOOD + "a,x31,2001,12,1000,Q1\n")
+        assert err.line == 3
+
+    def test_unknown_state_label(self, tmp_path):
+        err = self._read_error(tmp_path, self.GOOD + "a,31,2001,12,1000,Q6\n")
+        assert err.line == 3
+
+    def test_non_integer_cost_on_observed_row(self, tmp_path):
+        err = self._read_error(tmp_path, self.GOOD + "a,31,2001,12,1k,Q2\n")
+        assert err.line == 3
+
+    def test_blank_line_counts_before_bad_row(self, tmp_path):
+        err = self._read_error(tmp_path, self.GOOD + "\n" + "a,31,2001,12,1k,Q2\n")
+        assert err.line == 4
+
+    def test_first_offending_line_wins(self, tmp_path):
+        err = self._read_error(tmp_path, "a,30,2000,12,oops,Q1\na,31,2001\n")
+        assert err.line == 2
+
+    def test_checks_run_in_order_within_a_line(self, tmp_path):
+        err = self._read_error(tmp_path, "a,x,2000,12,oops,Q9\n")
+        assert err.line == 2
+        assert "age/year" in str(err)
+
+    def test_missing_row_skips_months_and_cost(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(self.HEADER + self.GOOD + "a,31,2001,?,?,MISSING\n", encoding="utf-8")
+        panel = Panel.read_cache(path)
+        assert [(m.age, m.year) for m in panel.markers()] == [(31, 2001)]
+
+    def test_integer_fields_follow_int(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(self.HEADER + '" a ", +30 ,2000,1_2,1_000,Q1\n', encoding="utf-8")
+        (entry,) = Panel.read_cache(path).person_years()
+        assert entry == PersonYear("a", 30, 2000, 12, 1_000, HealthState.Q1)
+
     def test_missing_rows_have_empty_cost(self, tmp_path):
         panel = build_panel([py("a", 30, 2000), py("a", 32, 2002)])
         path = tmp_path / "p.csv"
