@@ -222,7 +222,12 @@ def _ar_report(order):
     def run(cfg, panel):
         rows = []
         for age in range(panel.age_min + order, panel.age_max + 1):
-            fit = ar_regression(panel, age, order=order)
+            try:
+                fit = ar_regression(panel, age, order=order)
+            except DegenerateFitError:
+                # one collinear age leaves its row blank, not the whole report
+                rows.append([age, None] + [None, None] * order + [None, "degenerate"])
+                continue
             base = [age, fit.n]
             coefs = []
             for k in range(order):

@@ -58,6 +58,18 @@ def _target_codes(target) -> tuple[set[int], bool]:
     return codes, missing
 
 
+def _code_table(codes) -> np.ndarray:
+    """Membership of each cell code in ``codes``, indexed by ``code + 2``.
+
+    Entries 0 and 1 stand for the absent (-2) and missing (-1) markers and
+    are always False, so ``_code_table(codes)[col + 2]`` is the mask of
+    observed cells whose state lies in ``codes``.
+    """
+    table = np.zeros(N_STATES + 2, dtype=bool)
+    table[[code + 2 for code in codes]] = True
+    return table
+
+
 def five_year_groups(age_min: int, age_max: int) -> list[tuple[int, int]]:
     """Standard 5-year bins intersecting [age_min, age_max]."""
     lo = (age_min // 5) * 5
@@ -250,6 +262,8 @@ def shock_frequency(
 
     target_codes, target_missing = _target_codes(target)
     lag = len(cond_codes)
+    # tables[offset - 1] conditions the age offset years before t
+    tables = [_code_table(codes) for codes in reversed(cond_codes)]
     if ages is None:
         ages = range(panel.age_min + lag, panel.age_max + 1)
 
@@ -261,18 +275,16 @@ def shock_frequency(
         if not (panel.has_age(age) and panel.has_age(age - lag)):
             continue
         c = panel.column(age)
-        mask = np.ones(panel.n_persons, dtype=bool)
-        for offset, codes in enumerate(reversed(cond_codes), start=1):
-            col = panel.states[:, c - offset]
-            mask &= np.isin(col, list(codes)) & (col >= 0)
         now = panel.states[:, c]
-        mask &= now >= -1  # in-panel at t: observed or attrition marker
+        mask = now >= -1  # in-panel at t: observed or attrition marker
+        for offset, table in enumerate(tables, start=1):
+            mask &= table[panel.states[:, c - offset] + 2]
         denom = int(mask.sum())
         if denom == 0:
             continue
-        cat = np.where(now[mask] >= 0, now[mask], _MISSING_IDX).astype(np.int64)
-        counts = np.bincount(cat, minlength=N_STATES + 1)
-        share = counts / denom
+        # codes -1..4 tally at 1..6; the attrition category comes last
+        tally = np.bincount(now[mask] + 2, minlength=N_STATES + 2)
+        share = np.append(tally[2:], tally[1]) / denom
         hit = share[list(target_codes)].sum() if target_codes else 0.0
         if target_missing:
             hit += share[_MISSING_IDX]
@@ -478,7 +490,7 @@ def multi_year_state_frequency(
     target_codes, target_missing = _target_codes(target)
     if target_missing:
         raise InvalidInputError("retention targets are health states; attrition is excluded by design")
-    target_list = sorted(target_codes)
+    in_target = _code_table(target_codes)
     lag = len(start_codes) - 1
     if age_groups is None:
         age_groups = five_year_groups(panel.age_min, panel.age_max)
@@ -493,15 +505,13 @@ def multi_year_state_frequency(
             mask = panel.states[:, c] == start_codes[-1]
             if lag:
                 mask &= panel.states[:, c - 1] == start_codes[0]
-            if not mask.any():
+            reach = min(horizon, panel.age_max - age)
+            if reach < 1 or not mask.any():
                 continue
-            for k in range(1, horizon + 1):
-                if age + k > panel.age_max:
-                    break
-                future = panel.states[mask, c + k]
-                alive = future >= 0
-                totals[k - 1] += int(alive.sum())
-                hits[k - 1] += int(np.isin(future[alive], target_list).sum())
+            # column k - 1 holds the states k years on
+            future = panel.states[mask, c + 1 : c + 1 + reach]
+            totals[:reach] += np.count_nonzero(future >= 0, axis=0)
+            hits[:reach] += np.count_nonzero(in_target[future + 2], axis=0)
         values = np.full(horizon, np.nan)
         np.divide(hits, totals, out=values, where=totals > 0)
         out[group] = DecayPath(
@@ -549,20 +559,23 @@ def ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = 
     if not (panel.has_age(age) and panel.has_age(age - order)):
         return ARFit(age=age, order=order, available=False, n=0, log_transform=log_transform)
     c = panel.column(age)
-    cols = panel.states[:, c - order : c + 1]
-    complete = (cols >= 0).all(axis=1)
+    complete = panel.states[:, c] >= 0
+    for k in range(1, order + 1):
+        complete &= panel.states[:, c - k] >= 0
     n = int(complete.sum())
 
-    y = panel.costs[complete, c].astype(np.float64)
-    lags = [panel.costs[complete, c - k].astype(np.float64) for k in range(1, order + 1)]
+    # slicing the column first keeps the mask a one-dimensional selection
+    y = panel.costs[:, c][complete].astype(np.float64)
+    lags = [panel.costs[:, c - k][complete].astype(np.float64) for k in range(1, order + 1)]
     if log_transform:
         y = np.log1p(y)
         lags = [np.log1p(x) for x in lags]
 
     years = panel.birth_years[complete] + age
     base_year = panel.min_year
-    levels = sorted(set(years.tolist()) - {base_year})
-    if base_year not in set(years.tolist()) and levels:
+    sampled = np.unique(years).tolist()
+    levels = [lvl for lvl in sampled if lvl != base_year]
+    if base_year not in sampled and levels:
         levels = levels[1:]  # earliest sampled year becomes the effective base
     dummies = [(years == lvl).astype(np.float64) for lvl in levels]
 

@@ -54,7 +54,7 @@ def pair_label(pair) -> str:
 
 def current_cost_weights(costs: CostVector) -> np.ndarray:
     """25-vector weighting each pair by the representative cost of its current coordinate."""
-    return np.tile(costs.as_array(), N_STATES)
+    return costs.as_array()[np.arange(N_PAIRS) % N_STATES]
 
 
 @dataclass
@@ -164,6 +164,8 @@ def _operator_for_step(model, start_age, step) -> LiftedMatrix:
 
 
 def _apply(op: LiftedMatrix, v: np.ndarray) -> np.ndarray:
+    if op.supported.all():
+        return op.probs @ v
     active = v > MASS_EPS
     blocked = active & ~op.supported
     if blocked.any():

@@ -43,6 +43,7 @@ panel's storage types raises OverflowError.
 """
 
 import csv
+import functools
 import io
 import warnings
 from dataclasses import dataclass
@@ -90,7 +91,9 @@ class Panel:
     """Aligned per-person state/cost trajectories.
 
     Rows are canonically ordered by person_id so that every downstream
-    computation is independent of input order.
+    computation is independent of input order.  The arrays are not mutated
+    after construction (filters build a new Panel), so values derived from
+    them, such as ``min_year``, are computed once per panel.
     """
 
     def __init__(self, person_ids, birth_years, age_min, states, costs, months, sex=None):
@@ -161,7 +164,7 @@ class Panel:
     def has_age(self, age: int) -> bool:
         return self.age_min <= age <= self.age_max
 
-    @property
+    @functools.cached_property
     def min_year(self) -> int:
         """Earliest observed year; base level for year dummies."""
         observed = self.states >= 0

@@ -13,12 +13,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import HorizonError, InvalidInputError, UnsupportedCellError
-from .estimate import TransitionMatrix
-from .lifted import LiftedMatrix, pair_label, start_vector
+from .estimate import TransitionMatrix, _target_codes
+from .lifted import MASS_EPS, LiftedMatrix, pair_label, start_vector
 from .states import N_STATES, HealthState
-
-#: Probability mass below which an unsupported cell is considered unused.
-MASS_EPS = 1e-12
 
 
 def total_variation(p, q) -> float:
@@ -53,12 +50,9 @@ class ForecastDistribution:
 
 
 def _codes(target) -> list[int]:
-    if isinstance(target, (HealthState, int, str)):
-        target = [target]
-    codes = set()
-    for s in target:
-        state = HealthState[s] if isinstance(s, str) else HealthState(int(s))
-        codes.add(int(state) - 1)
+    codes, missing = _target_codes(target)
+    if missing:
+        raise InvalidInputError("persistency targets are health states; attrition is not modelled")
     return sorted(codes)
 
 
@@ -116,6 +110,8 @@ def _pooled_column(model: Mapping[int, LiftedMatrix], age: int, col: int) -> np.
 
 def _step_order1(model, age: int, v: np.ndarray, fallback: str | None) -> np.ndarray:
     op = _operator(model, age)
+    if op.supported.all():
+        return v @ op.probs
     active = v > MASS_EPS
     blocked = active & ~op.supported
     if not blocked.any():
@@ -131,6 +127,8 @@ def _step_order1(model, age: int, v: np.ndarray, fallback: str | None) -> np.nda
 
 def _step_order2(model, age: int, v: np.ndarray, fallback: str | None) -> np.ndarray:
     op = _operator(model, age)
+    if op.supported.all():
+        return op.probs @ v
     active = v > MASS_EPS
     blocked = active & ~op.supported
     if not blocked.any():

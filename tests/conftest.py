@@ -32,6 +32,11 @@ def panel_from_costs(costs, entry_age=30, entry_year=2000, sex=None):
     return make_panel(states, entry_age=entry_age, entry_year=entry_year, costs=costs, sex=sex)
 
 
+def collinear_cost_panel():
+    """Two ages at which every person has the same cost, so an AR(1) design is collinear."""
+    return panel_from_costs(np.full((50, 2), 10_000, dtype=np.int64), entry_age=40)
+
+
 def sticky_top_chain(
     entry_age=20,
     exit_age=60,

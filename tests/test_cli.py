@@ -8,6 +8,8 @@ import pytest
 from healthmarkov.cli import REPORTS, main
 from healthmarkov.panel import Panel
 
+from conftest import collinear_cost_panel
+
 HEADER = "person_id,sex,age,year,month,cost_yen\n"
 
 
@@ -151,6 +153,19 @@ class TestReport:
             assert len(row) == len(rows[0])
             for cell in row:
                 assert cell.lower() not in ("nan", "none", "inf", "-inf")
+
+    def test_degenerate_ar_age_is_a_marked_row(self, tmp_path):
+        collinear_cost_panel().write_cache(tmp_path / "panel.csv")
+        code = run(
+            "--output-dir", str(tmp_path),
+            "--set", f"input.panel={tmp_path / 'panel.csv'}",
+            "report", "k15",
+        )
+        assert code == 0
+        with open(tmp_path / "k15.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["age"], row["status"]) for row in rows] == [("41", "degenerate")]
+        assert rows[0]["lag1_coef"] == rows[0]["intercept"] == ""
 
     def test_k05_categories_sum_to_one(self, pipeline):
         assert run(

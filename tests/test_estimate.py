@@ -26,7 +26,7 @@ from healthmarkov.panel import Panel
 from healthmarkov.states import MISSING, HealthState
 from healthmarkov.synthetic import generate_panel, order1_consistent_chain, random_chain
 
-from conftest import make_panel, panel_from_costs, sticky_top_chain
+from conftest import collinear_cost_panel, make_panel, panel_from_costs, sticky_top_chain
 
 Q = HealthState
 
@@ -447,10 +447,8 @@ class TestARRegression:
 
     def test_degenerate_design(self):
         # identical lag values across persons make [1, lag] collinear
-        costs = np.full((50, 2), 10_000, dtype=np.int64)
-        panel = panel_from_costs(costs, entry_age=40)
         with pytest.raises(DegenerateFitError):
-            ar_regression(panel, 41, order=1)
+            ar_regression(collinear_cost_panel(), 41, order=1)
 
 
 class TestHelpers:

@@ -1,0 +1,181 @@
+"""Differential tests: the per-age estimators against their pre-rewrite reference.
+
+Generated panels mix every cell code (-2..4), all-absent columns, one to
+three birth cohorts and costs drawn from a few values (so equal lags and
+collinear designs occur).  Generated queries use one- and two-state
+conditions, targets with and without MISSING, horizons past the panel's
+last age and ages outside it.  Every result must equal
+reference_estimate's bit for bit (NaN in the same places), or both must
+raise the same error class with the same message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from healthmarkov.errors import EmptyCohortError
+from healthmarkov.estimate import ar_regression, multi_year_state_frequency, shock_frequency
+from healthmarkov.panel import Panel
+from healthmarkov.states import STATE_LABELS, HealthState
+
+from reference_estimate import (
+    reference_ar_regression,
+    reference_min_year,
+    reference_multi_year_state_frequency,
+    reference_shock_frequency,
+)
+
+# observed codes drawn more often than the two markers
+CODES = st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 0, 4, 2])
+COSTS = st.sampled_from([0, 1, 7, 7, 950, 41_000, 123_457, 9_000_000])
+STATE = st.one_of(st.sampled_from(STATE_LABELS), st.sampled_from(list(HealthState)),
+                  st.integers(1, 5))
+STATE_SET = st.one_of(STATE, st.sets(STATE, max_size=3))
+TARGET = st.one_of(STATE_SET, st.sets(st.one_of(STATE, st.just("MISSING"), st.just("missing")),
+                                      max_size=3))
+
+
+@st.composite
+def panels(draw):
+    n = draw(st.integers(0, 16))
+    n_ages = draw(st.integers(1, 7))
+    states = draw(hnp.arrays(np.int8, (n, n_ages), elements=CODES))
+    for col in range(n_ages):
+        if draw(st.integers(0, 6)) == 0:
+            states[:, col] = -2
+    costs = draw(hnp.arrays(np.int64, (n, n_ages), elements=COSTS))
+    cohorts = draw(st.lists(st.integers(1940, 1943), min_size=1, max_size=3, unique=True))
+    births = draw(st.lists(st.sampled_from(cohorts), min_size=n, max_size=n))
+    months = np.where(states >= 0, 12, 0)
+    return Panel([f"p{k:02d}" for k in range(n)], births, draw(st.integers(18, 21)),
+                 states, costs, months)
+
+
+def _outcome(func, *args, **kwargs):
+    try:
+        return func(*args, **kwargs)
+    except Exception as exc:  # the error itself is the compared outcome
+        return (type(exc), str(exc))
+
+
+def _same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_curve(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.ages, got.target) == (want.ages, want.target)
+    assert _same_array(got.values, want.values)
+    assert _same_array(got.denominators, want.denominators)
+    assert list(got.breakdown) == list(want.breakdown)
+    for label, share in want.breakdown.items():
+        assert _same_array(got.breakdown[label], share), label
+
+
+def assert_same_paths(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert list(got) == list(want)
+    for group, path in want.items():
+        other = got[group]
+        assert (other.age_group, other.years) == (path.age_group, path.years)
+        assert _same_array(other.values, path.values)
+        assert _same_array(other.denominators, path.denominators)
+
+
+def assert_same_fit(got, want):
+    # repr spells every float exactly, NaN included, and shows int vs numpy scalars
+    assert repr(got) == repr(want)
+
+
+def assert_same_min_year(panel):
+    want = _outcome(reference_min_year, panel)
+    for _ in range(2):
+        assert _outcome(lambda: panel.min_year) == want
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(panel=panels(), data=st.data())
+def test_estimators_match_reference(panel, data):
+    assert_same_min_year(panel)
+    lo, hi = panel.age_min, panel.age_max
+    some_ages = st.lists(st.integers(lo - 3, hi + 3), max_size=6)
+    groups = st.lists(st.tuples(st.integers(lo - 6, hi + 2), st.integers(lo - 2, hi + 6)),
+                      max_size=3)
+
+    for _ in range(2):
+        prior = data.draw(st.lists(STATE_SET, min_size=1, max_size=2)
+                          | st.lists(TARGET, min_size=0, max_size=3))
+        target = data.draw(TARGET)
+        ages = data.draw(st.none() | some_ages)
+        assert_same_curve(_outcome(shock_frequency, panel, prior, target, ages),
+                          _outcome(reference_shock_frequency, panel, prior, target, ages))
+
+        start = data.draw(st.lists(STATE, min_size=1, max_size=2)
+                          | st.lists(STATE, min_size=0, max_size=3))
+        target = data.draw(TARGET)
+        horizon = data.draw(st.integers(0, panel.n_ages + 3))
+        age_groups = data.draw(st.none() | groups)
+        assert_same_paths(
+            _outcome(multi_year_state_frequency, panel, start, target, horizon, age_groups),
+            _outcome(reference_multi_year_state_frequency, panel, start, target, horizon,
+                     age_groups))
+
+    for age in range(lo - 1, hi + 2):
+        order = data.draw(st.sampled_from([1, 1, 2, 2, 3]))
+        log_transform = data.draw(st.booleans())
+        assert_same_fit(_outcome(ar_regression, panel, age, order, log_transform),
+                        _outcome(reference_ar_regression, panel, age, order, log_transform))
+
+
+def test_dense_panel_matches_reference():
+    """A larger panel where AR fits are available, with year dummies and an absent base year."""
+    rng = np.random.default_rng(5)
+    n, n_ages = 400, 8
+    states = rng.choice([-2, -1, 0, 1, 2, 3, 4], p=[0.05, 0.05, 0.3, 0.2, 0.15, 0.1, 0.15],
+                        size=(n, n_ages)).astype(np.int8)
+    costs = rng.integers(0, 300_000, size=(n, n_ages))
+    births = rng.choice([1950, 1951, 1953, 1956], size=n)
+    panel = Panel([f"p{k:03d}" for k in range(n)], births, 30, states, costs,
+                  np.where(states >= 0, 12, 0))
+    assert_same_min_year(panel)
+
+    fits = []
+    for age in panel.ages:
+        for order in (1, 2):
+            for log_transform in (False, True):
+                got = _outcome(ar_regression, panel, age, order, log_transform)
+                assert_same_fit(got, _outcome(reference_ar_regression, panel, age, order,
+                                              log_transform))
+                fits.append(got)
+    available = [f for f in fits if not isinstance(f, tuple) and f.available]
+    assert available and all(f.year_effects for f in available)
+    # a complete case observed its lag a year earlier, so the panel's earliest
+    # year is never sampled and the earliest sampled year takes its place
+    assert all(f.base_year == 1980 and len(f.year_effects) == 3 for f in available)
+
+    for prior in (["Q1"], ["Q5"], ["Q1", "Q5"], [{"Q4", "Q5"}, "Q2"]):
+        for target in (["Q5"], ["Q4", "Q5"], ["Q5", "MISSING"], ["MISSING"]):
+            assert_same_curve(_outcome(shock_frequency, panel, prior, target),
+                              _outcome(reference_shock_frequency, panel, prior, target))
+    for start in (["Q5"], ["Q1", "Q5"], ["Q3", "Q3"]):
+        for target in (["Q5"], ["Q4", "Q5"], ["Q5", "MISSING"]):
+            assert_same_paths(
+                _outcome(multi_year_state_frequency, panel, start, target, 10),
+                _outcome(reference_multi_year_state_frequency, panel, start, target, 10))
+
+
+@pytest.mark.parametrize("states", [np.full((3, 4), -2), np.full((3, 4), -1),
+                                    np.zeros((0, 4)), np.zeros((3, 0))])
+def test_min_year_of_unobserved_panel_raises_every_time(states):
+    n, n_ages = states.shape
+    panel = Panel([f"p{k}" for k in range(n)], [1960] * n, 30, states,
+                  np.zeros((n, n_ages)), np.zeros((n, n_ages)))
+    for _ in range(3):
+        with pytest.raises(EmptyCohortError):
+            panel.min_year

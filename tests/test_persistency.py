@@ -158,6 +158,13 @@ class TestPersistencyDifference:
         c1 = persistency_difference(fam1, 25, 10, {Q.Q5})
         np.testing.assert_allclose(c2.differences, c1.differences, atol=1e-10)
 
+    def test_missing_target_is_invalid_input(self):
+        fam = matrix_family({age: np.full((5, 5), 0.2) for age in range(31, 34)})
+        with pytest.raises(InvalidInputError):
+            persistency_difference(fam, 30, 3, {"MISSING"})
+        with pytest.raises(InvalidInputError):
+            iterate_forward(fam, 30, Q.Q5, 3).target_mass(["Q5", "missing"])
+
     def test_order2_default_starts(self):
         truth = random_chain(24, entry_age=20, exit_age=40)
         fam = truth.lifted_family()
