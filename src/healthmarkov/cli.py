@@ -19,7 +19,6 @@ import os
 import sys
 import time
 
-from . import kernels
 from .config import OUTPUT_DIR_ENV, RunConfig, load_config, validate_config
 from .errors import (
     ConfigError,
@@ -186,9 +185,17 @@ _DIFF_HEADER = (
 )
 
 
-def _diff_report_order1(target):
+def _order1_family(cfg, panel):
+    return estimate_order1_family(panel)
+
+
+def _lifted_family(cfg, panel):
+    return lift_family(estimate_order2_family(panel), formula=cfg.lift_formula)
+
+
+def _diff_report(build_family, target):
     def run(cfg, panel):
-        family = estimate_order1_family(panel)
+        family = build_family(cfg, panel)
         rows = []
         for start_age in _diff_start_ages(cfg, family):
             curve = persistency_difference(family, start_age, cfg.horizon, target, fallback="pool")
@@ -201,21 +208,6 @@ def _diff_report_order1(target):
         return _DIFF_HEADER, rows
 
     return run
-
-
-def _diff_report_order2(cfg, panel):
-    tensors = estimate_order2_family(panel)
-    family = lift_family(tensors, formula=cfg.lift_formula)
-    rows = []
-    for start_age in _diff_start_ages(cfg, family):
-        curve = persistency_difference(family, start_age, cfg.horizon, {HealthState.Q5}, fallback="pool")
-        label = "+".join(curve.target)
-        for k, diff, worse, better in zip(
-            curve.years, curve.differences, curve.worse_mass, curve.better_mass
-        ):
-            rows.append([start_age, k, label, curve.order,
-                         float(diff), float(worse), float(better)])
-    return _DIFF_HEADER, rows
 
 
 def _ar_report(order):
@@ -247,8 +239,7 @@ def _ar_report(order):
 
 
 def _projection_rows(cfg, panel, q5_values):
-    tensors = estimate_order2_family(panel)
-    family = lift_family(tensors, formula=cfg.lift_formula)
+    family = _lifted_family(cfg, panel)
     starts = [(HealthState.Q1, HealthState.Q5), (HealthState.Q1, HealthState.Q1)]
     start_ages = cfg.start_ages or _feasible_start_ages(family, cfg.horizon)
     if not start_ages:
@@ -265,22 +256,16 @@ def _projection_rows(cfg, panel, q5_values):
     return results
 
 
-def _report_projection_base(cfg, panel):
-    results = _projection_rows(cfg, panel, cfg.q5_values[:1])
-    rows = [
-        [r.start_age, "->".join(s.name for s in r.start_pair), r.q5_value, r.cumulative]
-        for r in results
-    ]
-    return ("start_age", "start_pair", "q5_value", "cumulative_cost"), rows
+def _projection_report(q5_slice):
+    def run(cfg, panel):
+        results = _projection_rows(cfg, panel, cfg.q5_values[q5_slice])
+        rows = [
+            [r.start_age, "->".join(s.name for s in r.start_pair), r.q5_value, r.cumulative]
+            for r in results
+        ]
+        return ("start_age", "start_pair", "q5_value", "cumulative_cost"), rows
 
-
-def _report_projection_sweep(cfg, panel):
-    results = _projection_rows(cfg, panel, cfg.q5_values)
-    rows = [
-        [r.start_age, "->".join(s.name for s in r.start_pair), r.q5_value, r.cumulative]
-        for r in results
-    ]
-    return ("start_age", "start_pair", "q5_value", "cumulative_cost"), rows
+    return run
 
 
 def _report_fractions(cfg, panel):
@@ -338,13 +323,13 @@ REPORTS = {
     "k09": (_freq_target_report((("Q5",),), ("Q5",)), "per-age top-state retention one year on"),
     "k10": (_freq_target_report((("Q5",),), ("Q4", "Q5")), "per-age high-cost retention one year on"),
     "k11": (_freq_target_report((("Q1",), ("Q5",)), ("Q5",)), "top-state retention after a fresh arrival"),
-    "k12": (_diff_report_order1(("Q5",)), "first-order start-state difference curves, top state"),
-    "k13": (_diff_report_order1(("Q4", "Q5")), "first-order start-state difference curves, high-cost states"),
-    "k14": (_diff_report_order2, "pair-state start difference curves, top state"),
+    "k12": (_diff_report(_order1_family, ("Q5",)), "first-order start-state difference curves, top state"),
+    "k13": (_diff_report(_order1_family, ("Q4", "Q5")), "first-order start-state difference curves, high-cost states"),
+    "k14": (_diff_report(_lifted_family, ("Q5",)), "pair-state start difference curves, top state"),
     "k15": (_ar_report(1), "per-age cost autoregression, one lag"),
     "k16": (_ar_report(2), "per-age cost autoregression, two lags"),
-    "f02": (_report_projection_base, "cumulative projected cost, base top-state cost"),
-    "f03": (_report_projection_sweep, "cumulative projected cost across top-state costs"),
+    "f02": (_projection_report(slice(1)), "cumulative projected cost, base top-state cost"),
+    "f03": (_projection_report(slice(None)), "cumulative projected cost across top-state costs"),
     "table6": (_report_fractions, "state shares by 5-year age group"),
     "table7": (_report_path_costs, "arrival-year cost summaries for two transition paths"),
     "table8": (_report_exceedance, "share of fresh top-state arrivals above cost thresholds"),
@@ -372,7 +357,7 @@ def _cmd_synth(cfg: RunConfig, out_dir: str) -> dict:
     truth.to_json(truth_path)
     summary = panel.summary()
     summary.update({"claims_rows": n_rows, "claims": claims_path, "truth": truth_path,
-                    "seed": cfg.seed, "backend": kernels.backend()})
+                    "seed": cfg.seed})
     return summary
 
 
@@ -436,7 +421,6 @@ def _cmd_estimate(cfg: RunConfig, out_dir: str) -> dict:
         "ages_order1": len(order1),
         "ages_order2": len(order2),
         "outputs": [os.path.join(out_dir, f) for f in ("order1.csv", "order2.csv", "fractions.csv")],
-        "backend": kernels.backend(),
     }
 
 

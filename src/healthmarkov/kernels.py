@@ -1,45 +1,28 @@
 """Array kernels behind the estimators and the cohort simulator.
 
-Every kernel has a pure-numpy implementation and, when numba is importable
-and HEALTHMARKOV_NO_NUMBA is unset, an @njit twin compiled on first use.
-The two paths produce bit-identical outputs for identical inputs: they make
-the same float comparisons in the same order, so the selected backend never
-changes a result, only the runtime (see benchmarks/bench_kernels.py).
+The kernels are plain numpy: transition counting is one ``bincount`` per
+age, and the cohort simulator advances every person one age per step.
 
 State matrices are int8 with codes 0-4 for observed states and negative
 codes for unobserved cells; kernels skip negative cells.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    HAVE_NUMBA = False
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("HEALTHMARKOV_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-USE_NUMBA = HAVE_NUMBA and not _numba_disabled()
 
 
 def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend, always "numpy"."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
+def pair_counts(states: np.ndarray) -> np.ndarray:
+    """Count consecutive-age state pairs.
 
-
-def _pair_counts_numpy(states):
+    states: int8 (n_persons, n_ages).  Returns int64 (n_ages - 1, 5, 5)
+    where out[k, a, b] counts persons observed in state a at column k and
+    state b at column k + 1.
+    """
+    states = np.ascontiguousarray(states, dtype=np.int8)
     n_ages = states.shape[1]
     out = np.zeros((max(n_ages - 1, 0), 5, 5), dtype=np.int64)
     for k in range(n_ages - 1):
@@ -51,7 +34,9 @@ def _pair_counts_numpy(states):
     return out
 
 
-def _triple_counts_numpy(states):
+def triple_counts(states: np.ndarray) -> np.ndarray:
+    """Count consecutive-age state triples; int64 (n_ages - 2, 5, 5, 5)."""
+    states = np.ascontiguousarray(states, dtype=np.int8)
     n_ages = states.shape[1]
     out = np.zeros((max(n_ages - 2, 0), 5, 5, 5), dtype=np.int64)
     for k in range(n_ages - 2):
@@ -63,99 +48,6 @@ def _triple_counts_numpy(states):
             flat = (a[ok] * 5 + b[ok]) * 5 + c[ok]
             out[k] = np.bincount(flat, minlength=125).reshape(5, 5, 5)
     return out
-
-
-def _simulate_paths_numpy(first, second, cdf, u):
-    n, n_steps = u.shape
-    states = np.empty((n, n_steps + 2), dtype=np.int8)
-    states[:, 0] = first
-    states[:, 1] = second
-    for k in range(n_steps):
-        code = states[:, k].astype(np.intp) * 5 + states[:, k + 1]
-        cum = cdf[k, code, :]
-        nxt = (cum <= u[:, k, None]).sum(axis=1)
-        states[:, k + 2] = np.minimum(nxt, 4).astype(np.int8)
-    return states
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pair_counts_numba(states):  # pragma: no cover - compiled
-        n, n_ages = states.shape
-        out = np.zeros((max(n_ages - 1, 0), 5, 5), dtype=np.int64)
-        for p in range(n):
-            for k in range(n_ages - 1):
-                a = states[p, k]
-                b = states[p, k + 1]
-                if a >= 0 and b >= 0:
-                    out[k, a, b] += 1
-        return out
-
-    @njit(cache=True)
-    def _triple_counts_numba(states):  # pragma: no cover - compiled
-        n, n_ages = states.shape
-        out = np.zeros((max(n_ages - 2, 0), 5, 5, 5), dtype=np.int64)
-        for p in range(n):
-            for k in range(n_ages - 2):
-                a = states[p, k]
-                b = states[p, k + 1]
-                c = states[p, k + 2]
-                if a >= 0 and b >= 0 and c >= 0:
-                    out[k, a, b, c] += 1
-        return out
-
-    @njit(cache=True)
-    def _simulate_paths_numba(first, second, cdf, u):  # pragma: no cover - compiled
-        n = first.shape[0]
-        n_steps = u.shape[1]
-        states = np.empty((n, n_steps + 2), dtype=np.int8)
-        for p in range(n):
-            states[p, 0] = first[p]
-            states[p, 1] = second[p]
-            for k in range(n_steps):
-                code = int(states[p, k]) * 5 + int(states[p, k + 1])
-                up = u[p, k]
-                d = 0
-                for m in range(5):
-                    if cdf[k, code, m] <= up:
-                        d += 1
-                    else:
-                        break
-                if d > 4:
-                    d = 4
-                states[p, k + 2] = d
-        return states
-
-
-if USE_NUMBA:
-    _pair_counts_impl = _pair_counts_numba
-    _triple_counts_impl = _triple_counts_numba
-    _simulate_paths_impl = _simulate_paths_numba
-else:
-    _pair_counts_impl = _pair_counts_numpy
-    _triple_counts_impl = _triple_counts_numpy
-    _simulate_paths_impl = _simulate_paths_numpy
-
-
-def pair_counts(states: np.ndarray) -> np.ndarray:
-    """Count consecutive-age state pairs.
-
-    states: int8 (n_persons, n_ages).  Returns int64 (n_ages - 1, 5, 5)
-    where out[k, a, b] counts persons observed in state a at column k and
-    state b at column k + 1.
-    """
-    states = np.ascontiguousarray(states, dtype=np.int8)
-    return _pair_counts_impl(states)
-
-
-def triple_counts(states: np.ndarray) -> np.ndarray:
-    """Count consecutive-age state triples; int64 (n_ages - 2, 5, 5, 5)."""
-    states = np.ascontiguousarray(states, dtype=np.int8)
-    return _triple_counts_impl(states)
 
 
 def simulate_paths(first, second, cdf, u) -> np.ndarray:
@@ -175,4 +67,13 @@ def simulate_paths(first, second, cdf, u) -> np.ndarray:
     u = np.ascontiguousarray(u, dtype=np.float64)
     if cdf.shape[0] != u.shape[1]:
         raise ValueError(f"cdf has {cdf.shape[0]} steps but u has {u.shape[1]}")
-    return _simulate_paths_impl(first, second, cdf, u)
+    n, n_steps = u.shape
+    states = np.empty((n, n_steps + 2), dtype=np.int8)
+    states[:, 0] = first
+    states[:, 1] = second
+    for k in range(n_steps):
+        code = states[:, k].astype(np.intp) * 5 + states[:, k + 1]
+        cum = cdf[k, code, :]
+        nxt = (cum <= u[:, k, None]).sum(axis=1)
+        states[:, k + 2] = np.minimum(nxt, 4).astype(np.int8)
+    return states

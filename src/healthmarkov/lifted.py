@@ -151,30 +151,57 @@ def start_vector(start) -> np.ndarray:
     return v
 
 
-def _operator_for_step(model, start_age, step) -> LiftedMatrix:
-    if isinstance(model, LiftedMatrix):
-        return model
-    if start_age is None:
-        raise InvalidInputError("a per-age family needs start_age")
-    age = start_age + step
+def _operator(model: Mapping[int, object], age: int):
     if age not in model:
         last = max(model) if model else None
         raise HorizonError(f"no operator estimated for age {age}; last valid age is {last}")
     return model[age]
 
 
-def _apply(op: LiftedMatrix, v: np.ndarray) -> np.ndarray:
+def _bin_ages(age: int) -> range:
+    lo = (age // 5) * 5
+    return range(lo, lo + 5)
+
+
+def _pooled_column(model: Mapping[int, LiftedMatrix], age: int, col: int) -> np.ndarray:
+    """Lifted column pooled over the age's 5-year bin (needs stored counts)."""
+    i, j = divmod(col, N_STATES)
+    counts = np.zeros(N_STATES, dtype=np.int64)
+    for a in _bin_ages(age):
+        op = model.get(a)
+        if op is not None and op.counts is not None:
+            counts += op.counts[i, j]
+    if counts.sum() == 0:
+        raise UnsupportedCellError(
+            f"pair column {pair_label((i + 1, j + 1))} unsupported at age {age} even pooled over its 5-year bin"
+        )
+    column = np.zeros(N_PAIRS)
+    column[j * N_STATES : (j + 1) * N_STATES] = counts / counts.sum()
+    return column
+
+
+def _step_pairs(
+    model: Mapping[int, LiftedMatrix], age: int, v: np.ndarray, fallback: str | None = None
+) -> np.ndarray:
+    """Advance a pair distribution through the operator for ``age``.
+
+    Columns without support may carry no more than MASS_EPS of ``v``.
+    Mass on such a column raises UnsupportedCellError, unless
+    fallback="pool" substitutes the column pooled over the age's 5-year bin.
+    """
+    op = _operator(model, age)
     if op.supported.all():
         return op.probs @ v
-    active = v > MASS_EPS
-    blocked = active & ~op.supported
-    if blocked.any():
-        pairs = ", ".join(pair_label(pair_from_index(int(i))) for i in np.where(blocked)[0])
-        raise UnsupportedCellError(
-            f"probability mass reaches unsupported pair column(s) {pairs}"
-            + (f" at age {op.age}" if op.age is not None else "")
-        )
-    return op.probs @ v
+    blocked = (v > MASS_EPS) & ~op.supported
+    if not blocked.any():
+        return op.probs @ v
+    if fallback != "pool":
+        pairs = ", ".join(pair_label(pair_from_index(int(c))) for c in np.where(blocked)[0])
+        raise UnsupportedCellError(f"probability mass reaches unsupported pair column(s) {pairs} at age {age}")
+    probs = op.probs.copy()
+    for col in np.where(blocked)[0]:
+        probs[:, col] = _pooled_column(model, age, int(col))
+    return probs @ v
 
 
 def step_expectation(model, costs: CostVector, start, k: int, start_age: int | None = None) -> float:
@@ -187,8 +214,12 @@ def step_expectation(model, costs: CostVector, start, k: int, start_age: int | N
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     v = start_vector(start)
+    if isinstance(model, LiftedMatrix):
+        model, start_age = dict.fromkeys(range(1, k + 1), model), 0
+    elif start_age is None:
+        raise InvalidInputError("a per-age family needs start_age")
     for step in range(1, k + 1):
-        v = _apply(_operator_for_step(model, start_age, step), v)
+        v = _step_pairs(model, start_age + step, v)
     return float(current_cost_weights(costs) @ v)
 
 
@@ -227,13 +258,14 @@ def project_cumulative(
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    for step in range(1, horizon + 1):
-        _operator_for_step(family, start_age, step)
+    ages = [start_age + step for step in range(1, horizon + 1)]
+    for age in ages:
+        _operator(family, age)
     weights = current_cost_weights(costs)
     v = start_vector(start)
     per_period = []
-    for step in range(1, horizon + 1):
-        v = _apply(family[start_age + step], v)
+    for age in ages:
+        v = _step_pairs(family, age, v)
         per_period.append(float(weights @ v))
     start_pair = (HealthState(int(start[0])), HealthState(int(start[1])))
     return ProjectionResult(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import HorizonError, InvalidInputError, UnsupportedCellError
 from .estimate import TransitionMatrix, _target_codes
-from .lifted import MASS_EPS, LiftedMatrix, pair_label, start_vector
+from .lifted import MASS_EPS, LiftedMatrix, _bin_ages, _operator, _step_pairs, start_vector
 from .states import N_STATES, HealthState
 
 
@@ -38,6 +38,10 @@ class ForecastDistribution:
     order: int
 
     def at(self, age: int) -> np.ndarray:
+        if age not in self.ages:
+            raise HorizonError(
+                f"no forecast for age {age}; the forecast covers ages {self.ages[0]}..{self.ages[-1]}"
+            )
         return self.distributions[self.ages.index(age)]
 
     def target_mass(self, target) -> np.ndarray:
@@ -65,18 +69,6 @@ def _family_order(model: Mapping[int, object]) -> int:
     raise InvalidInputError(f"mixed or unknown operator family: {sorted(k.__name__ for k in kinds)}")
 
 
-def _operator(model: Mapping[int, object], age: int):
-    if age not in model:
-        last = max(model) if model else None
-        raise HorizonError(f"no operator estimated for age {age}; last valid age is {last}")
-    return model[age]
-
-
-def _bin_ages(age: int) -> range:
-    lo = (age // 5) * 5
-    return range(lo, lo + 5)
-
-
 def _pooled_row(model: Mapping[int, TransitionMatrix], age: int, row: int) -> np.ndarray:
     """Row distribution pooled over the age's 5-year bin, for fallback use."""
     counts = np.zeros(N_STATES, dtype=np.int64)
@@ -89,23 +81,6 @@ def _pooled_row(model: Mapping[int, TransitionMatrix], age: int, row: int) -> np
             f"state row {HealthState(row + 1).name} unsupported at age {age} even pooled over its 5-year bin"
         )
     return counts / counts.sum()
-
-
-def _pooled_column(model: Mapping[int, LiftedMatrix], age: int, col: int) -> np.ndarray:
-    """Lifted column pooled over the age's 5-year bin (needs stored counts)."""
-    i, j = divmod(col, N_STATES)
-    counts = np.zeros(N_STATES, dtype=np.int64)
-    for a in _bin_ages(age):
-        op = model.get(a)
-        if op is not None and op.counts is not None:
-            counts += op.counts[i, j]
-    if counts.sum() == 0:
-        raise UnsupportedCellError(
-            f"pair column {pair_label((i + 1, j + 1))} unsupported at age {age} even pooled over its 5-year bin"
-        )
-    column = np.zeros(N_STATES * N_STATES)
-    column[j * N_STATES : (j + 1) * N_STATES] = counts / counts.sum()
-    return column
 
 
 def _step_order1(model, age: int, v: np.ndarray, fallback: str | None) -> np.ndarray:
@@ -123,26 +98,6 @@ def _step_order1(model, age: int, v: np.ndarray, fallback: str | None) -> np.nda
     for row in np.where(blocked)[0]:
         probs[row] = _pooled_row(model, age, int(row))
     return v @ probs
-
-
-def _step_order2(model, age: int, v: np.ndarray, fallback: str | None) -> np.ndarray:
-    op = _operator(model, age)
-    if op.supported.all():
-        return op.probs @ v
-    active = v > MASS_EPS
-    blocked = active & ~op.supported
-    if not blocked.any():
-        return op.probs @ v
-    if fallback != "pool":
-        names = ", ".join(
-            pair_label((int(cidx) // N_STATES + 1, int(cidx) % N_STATES + 1))
-            for cidx in np.where(blocked)[0]
-        )
-        raise UnsupportedCellError(f"mass reaches unsupported pair column(s) {names} at age {age}")
-    probs = op.probs.copy()
-    for col in np.where(blocked)[0]:
-        probs[:, col] = _pooled_column(model, age, int(col))
-    return probs @ v
 
 
 def iterate_forward(
@@ -177,7 +132,7 @@ def iterate_forward(
         previous, current = start_condition
         v = start_vector((previous, current))
         conditioning = (HealthState(int(previous)), HealthState(int(current)))
-        stepper = _step_order2
+        stepper = _step_pairs
 
     rows = [v]
     for k in range(1, horizon + 1):

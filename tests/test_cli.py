@@ -283,22 +283,30 @@ class TestSelftest:
         assert "PASS" in out
 
 
-class TestCrossBackend:
-    def test_synth_bytes_identical_with_fallback_kernels(self, tmp_path):
+class TestCrossProcess:
+    def test_pipeline_bytes_identical_across_hash_seeds(self, tmp_path):
+        # string hashing is salted per process; no output may depend on it
         import subprocess
         import sys
 
-        outs = {}
-        for name, extra_env in (("jit", {}), ("fallback", {"HEALTHMARKOV_NO_NUMBA": "1"})):
-            out = tmp_path / name
-            env = dict(os.environ, **extra_env)
-            proc = subprocess.run(
-                [sys.executable, "-m", "healthmarkov.cli", *synth_args(out, n=120, seed=5)],
-                env=env, capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs[name] = (out / "claims.csv").read_bytes()
-        assert outs["jit"] == outs["fallback"]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        outputs = {}
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"seed{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+            for argv in (
+                synth_args(out, n=120, seed=5),
+                ["--output-dir", str(out), "--set", f"input.claims={out / 'claims.csv'}", "ingest"],
+                ["--output-dir", str(out), "--set", f"input.panel={out / 'panel.csv'}",
+                 "--set", "project.horizon=4", "--set", "project.start_ages=[25]", "report", "f02"],
+            ):
+                proc = subprocess.run([sys.executable, "-m", "healthmarkov.cli", *argv],
+                                      env=env, capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+            outputs[hash_seed] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(outputs["1"]) == ["claims.csv", "f02.csv", "panel.csv", "truth.json"]
+        assert outputs["1"] == outputs["2"]
 
 
 class TestDeterminism:

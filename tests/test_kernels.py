@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from healthmarkov import kernels
 
@@ -49,27 +48,6 @@ def test_counts_on_empty_width():
     one_col = np.zeros((3, 1), dtype=np.int8)
     assert kernels.pair_counts(one_col).shape == (0, 5, 5)
     assert kernels.triple_counts(one_col).shape == (0, 5, 5, 5)
-
-
-def test_numpy_and_numba_agree(rng):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    states = random_states(rng, n=500, n_ages=9)
-    np.testing.assert_array_equal(
-        kernels._pair_counts_numpy(states), kernels._pair_counts_numba(states)
-    )
-    np.testing.assert_array_equal(
-        kernels._triple_counts_numpy(states), kernels._triple_counts_numba(states)
-    )
-    first = rng.integers(0, 5, size=400).astype(np.int8)
-    second = rng.integers(0, 5, size=400).astype(np.int8)
-    probs = rng.dirichlet([1.0] * 5, size=(6, 25))
-    cdf = np.cumsum(probs, axis=2)
-    u = rng.random((400, 6))
-    np.testing.assert_array_equal(
-        kernels._simulate_paths_numpy(first, second, cdf, u),
-        kernels._simulate_paths_numba(first, second, cdf, u),
-    )
 
 
 def test_simulate_deterministic_chain():

@@ -1,0 +1,171 @@
+"""Differential tests: the single pair-state stepper against the two it replaced.
+
+Generated families lift sparse count tensors, so some (previous, current)
+columns have no support and mass can reach them.  Families come with and
+without stored counts (pooling needs them), with gaps between ages, and
+queried at start ages and horizons that run past the last age.
+``project_cumulative``, ``step_expectation`` (per-age family and a single
+LiftedMatrix) and order-2 ``iterate_forward`` (fallback None and "pool")
+must give the values of reference_lifted's steppers bit for bit, or raise
+the same error class.  ``project_cumulative`` and ``iterate_forward`` must
+also fail with one and the same message for the same blocked cell.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from healthmarkov.errors import InvalidInputError, UnsupportedCellError
+from healthmarkov.estimate import TransitionTensor
+from healthmarkov.lifted import lift, project_cumulative, start_vector, step_expectation
+from healthmarkov.persistency import iterate_forward
+from healthmarkov.states import CostVector, HealthState
+
+from reference_lifted import (
+    reference_operator,
+    reference_project_cumulative,
+    reference_step_expectation,
+    reference_step_order2,
+)
+
+PAIR = st.tuples(st.sampled_from(list(HealthState)), st.sampled_from(list(HealthState)))
+COSTS = st.sampled_from([267_000.0, 500_000.0, 1.5e6]).map(lambda q5: CostVector.from_thresholds(q5_value=q5))
+# a count of 10**7 next to single counts puts masses below MASS_EPS on some pairs
+COUNTS = np.array([0, 0, 1, 2, 7, 10**7])
+
+
+def lifted_matrix(rng, age):
+    counts = rng.choice(COUNTS, size=(5, 5, 5))
+    # whole (previous, current) slices unobserved, or every slice observed
+    keep = (rng.random((5, 5)) < 0.75) | (rng.random() < 0.25)
+    counts *= keep[:, :, None]
+    counts[keep & (counts.sum(axis=2) == 0), 0] = 1
+    if not counts.any():
+        counts[0, 0, 0] = 1
+    totals = counts.sum(axis=2, keepdims=True)
+    probs = np.divide(counts, totals, out=np.zeros((5, 5, 5)), where=totals > 0)
+    op = lift(TransitionTensor(age=age, probs=probs, counts=counts), age=age)
+    if rng.random() < 0.5:
+        op.age = None
+    return op
+
+
+@st.composite
+def families(draw):
+    lo = draw(st.integers(18, 28))
+    ages = list(range(lo, lo + draw(st.sampled_from([1, 2, 4, 6, 8, 10, 12]))))
+    if len(ages) > 2 and draw(st.integers(0, 4)) == 0:
+        ages.remove(draw(st.sampled_from(ages[1:-1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = {age: lifted_matrix(rng, age) for age in ages}
+    if draw(st.booleans()):
+        for op in family.values():
+            op.counts = None
+    return family
+
+
+@st.composite
+def horizons(draw, span):
+    """Mostly 1..span+1 (the last one runs past the family), sometimes the invalid 0."""
+    return draw(st.integers(1, span + 1)) if draw(st.sampled_from([True] * 9 + [False])) else 0
+
+
+def _outcome(func, *args, **kwargs):
+    try:
+        return func(*args, **kwargs)
+    except Exception as exc:  # the error itself is the compared outcome
+        return exc
+
+
+def _same_class(got, want) -> bool:
+    return isinstance(want, Exception) and type(got) is type(want)
+
+
+def reference_iterate_order2(model, start_age, start, horizon, fallback):
+    """Rows of order-2 ``iterate_forward``: its horizon checks, then the old stepper per age."""
+    if horizon < 1:
+        raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
+    for k in range(1, horizon + 1):
+        reference_operator(model, start_age + k)
+    v = start_vector(start)
+    rows = [v]
+    for k in range(1, horizon + 1):
+        v = reference_step_order2(model, start_age + k, v, fallback)
+        rows.append(v)
+    return np.vstack(rows)
+
+
+def assert_same_projection(got, want):
+    if isinstance(want, Exception):
+        assert _same_class(got, want), (got, want)
+    else:
+        # repr spells every float exactly and shows int vs numpy scalars
+        assert repr(got) == repr(want)
+
+
+def assert_same_expectation(got, want):
+    if isinstance(want, Exception):
+        assert _same_class(got, want), (got, want)
+    else:
+        assert type(got) is float and repr(got) == repr(want)
+
+
+def assert_same_rows(got, want):
+    if isinstance(want, Exception):
+        assert _same_class(got, want), (got, want)
+    else:
+        rows = got.distributions
+        assert rows.dtype == want.dtype and rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+
+
+def test_stepper_matches_reference():
+    seen = set()
+
+    @settings(max_examples=250, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(family=families(), data=st.data())
+    def check(family, data):
+        lo, hi = min(family), max(family)
+        seen.add(("counts", next(iter(family.values())).counts is not None))
+        seen.add(("all supported", all(op.supported.all() for op in family.values())))
+        for _ in range(3):
+            start_age = data.draw(st.integers(lo - 1, hi))
+            start = data.draw(PAIR)
+            horizon = data.draw(horizons(hi - start_age))
+            costs = data.draw(COSTS)
+
+            projected = _outcome(project_cumulative, family, costs, start_age, start, horizon)
+            assert_same_projection(
+                projected,
+                _outcome(reference_project_cumulative, family, costs, start_age, start, horizon))
+            assert_same_expectation(
+                _outcome(step_expectation, family, costs, start, horizon, start_age),
+                _outcome(reference_step_expectation, family, costs, start, horizon, start_age))
+
+            forecasts = {}
+            for fallback in (None, "pool"):
+                forecasts[fallback] = _outcome(iterate_forward, family, start_age, start, horizon, fallback)
+                assert_same_rows(
+                    forecasts[fallback],
+                    _outcome(reference_iterate_order2, family, start_age, start, horizon, fallback))
+                seen.add((fallback, type(forecasts[fallback]).__name__))
+            blocked = forecasts[None]
+            seen.add(("pooled a blocked column", type(blocked) is UnsupportedCellError
+                      and not isinstance(forecasts["pool"], Exception)))
+            # one stepper, one failure: same class and message from both entry points
+            assert isinstance(projected, Exception) == isinstance(blocked, Exception)
+            if isinstance(projected, Exception):
+                assert (type(blocked), str(blocked)) == (type(projected), str(projected))
+
+        single = data.draw(st.sampled_from(list(family.values())))
+        start, k, costs = data.draw(PAIR), data.draw(st.integers(0, 8)), data.draw(COSTS)
+        start_age = data.draw(st.none() | st.integers(lo, hi))
+        assert_same_expectation(_outcome(step_expectation, single, costs, start, k, start_age),
+                                _outcome(reference_step_expectation, single, costs, start, k, start_age))
+
+    check()
+    # the generated cases reach supported, blocked, pooled and out-of-horizon steps
+    assert {(None, "ForecastDistribution"), (None, "UnsupportedCellError"), (None, "HorizonError"),
+            ("pool", "ForecastDistribution"), ("pool", "UnsupportedCellError"),
+            ("pooled a blocked column", True), ("counts", True), ("counts", False),
+            ("all supported", True), ("all supported", False)} <= seen
