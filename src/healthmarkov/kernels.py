@@ -1,7 +1,10 @@
 """Array kernels behind the estimators and the cohort simulator.
 
-The kernels are plain numpy: transition counting is one ``bincount`` per
-age, and the cohort simulator advances every person one age per step.
+The kernels are plain numpy.  Transition counting copies the state matrix
+once to age-major int8 order, so each age is one contiguous row; per age
+it forms the pair or triple code in int8 arithmetic and runs one
+``bincount``.  No int64 copy of the whole matrix is made.  The cohort
+simulator advances every person one age per step.
 
 State matrices are int8 with codes 0-4 for observed states and negative
 codes for unobserved cells; kernels skip negative cells.
@@ -9,10 +12,50 @@ codes for unobserved cells; kernels skip negative cells.
 
 import numpy as np
 
+from .states import N_STATES
+
 
 def backend() -> str:
     """Name of the kernel backend, always "numpy"."""
     return "numpy"
+
+
+#: Persons per block when copying a state matrix to age-major order; a
+#: block of rows is transposed while it sits in cache.
+_BLOCK = 1024
+
+
+def _age_major(states) -> np.ndarray:
+    """int8 (n_ages, n_persons) copy of an (n_persons, n_ages) state matrix."""
+    states = np.asarray(states)
+    out = np.empty(states.shape[::-1], dtype=np.int8)
+    for lo in range(0, states.shape[0], _BLOCK):
+        out[:, lo : lo + _BLOCK] = states[lo : lo + _BLOCK].T
+    return out
+
+
+def _window_counts(states, width: int) -> np.ndarray:
+    """Count the state codes of every window of ``width`` consecutive ages.
+
+    Returns int64 (n_ages - width + 1, 5 ** width); window code
+    sum_j 5 ** (width - 1 - j) * state_j is at most 124 for width 3, so it
+    is formed in int8.  A window with a negative cell gets code -1 (its
+    states' bitwise or has the sign bit set), which reads as 255 unsigned
+    and falls outside the counted codes; the wrapped code of such a window
+    is never looked at.
+    """
+    t = _age_major(states)
+    n_codes = N_STATES ** width
+    out = np.zeros((max(t.shape[0] - width + 1, 0), n_codes), dtype=np.int64)
+    for k in range(out.shape[0]):
+        code = t[k]
+        seen = t[k]
+        for row in t[k + 1 : k + width]:
+            code = code * np.int8(N_STATES) + row
+            seen = seen | row
+        code = code | (seen >> 7)
+        out[k] = np.bincount(code.view(np.uint8), minlength=256)[:n_codes]
+    return out
 
 
 def pair_counts(states: np.ndarray) -> np.ndarray:
@@ -22,32 +65,12 @@ def pair_counts(states: np.ndarray) -> np.ndarray:
     where out[k, a, b] counts persons observed in state a at column k and
     state b at column k + 1.
     """
-    states = np.ascontiguousarray(states, dtype=np.int8)
-    n_ages = states.shape[1]
-    out = np.zeros((max(n_ages - 1, 0), 5, 5), dtype=np.int64)
-    for k in range(n_ages - 1):
-        a = states[:, k].astype(np.int64)
-        b = states[:, k + 1].astype(np.int64)
-        ok = (a >= 0) & (b >= 0)
-        if ok.any():
-            out[k] = np.bincount(a[ok] * 5 + b[ok], minlength=25).reshape(5, 5)
-    return out
+    return _window_counts(states, 2).reshape(-1, N_STATES, N_STATES)
 
 
 def triple_counts(states: np.ndarray) -> np.ndarray:
     """Count consecutive-age state triples; int64 (n_ages - 2, 5, 5, 5)."""
-    states = np.ascontiguousarray(states, dtype=np.int8)
-    n_ages = states.shape[1]
-    out = np.zeros((max(n_ages - 2, 0), 5, 5, 5), dtype=np.int64)
-    for k in range(n_ages - 2):
-        a = states[:, k].astype(np.int64)
-        b = states[:, k + 1].astype(np.int64)
-        c = states[:, k + 2].astype(np.int64)
-        ok = (a >= 0) & (b >= 0) & (c >= 0)
-        if ok.any():
-            flat = (a[ok] * 5 + b[ok]) * 5 + c[ok]
-            out[k] = np.bincount(flat, minlength=125).reshape(5, 5, 5)
-    return out
+    return _window_counts(states, 3).reshape(-1, N_STATES, N_STATES, N_STATES)
 
 
 def simulate_paths(first, second, cdf, u) -> np.ndarray:

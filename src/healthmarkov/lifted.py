@@ -20,6 +20,7 @@ equivalence of this algebra with exhaustive path enumeration is asserted
 by the oracle tests rather than argued from notation.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -57,13 +58,18 @@ def current_cost_weights(costs: CostVector) -> np.ndarray:
     return costs.as_array()[np.arange(N_PAIRS) % N_STATES]
 
 
-@dataclass
+@dataclass(eq=False)
 class LiftedMatrix:
     """One age's 25x25 pair-state operator.
 
     ``supported`` flags the columns (start pairs) whose conditional slice
     had estimation support; ``counts`` keeps the underlying 5x5x5 counts
     when the matrix came from an estimate, enabling age-group pooling.
+
+    An operator is not mutated after construction: ``project_cumulative``
+    remembers forward passes by operator identity (operators compare and
+    hash by identity), so an operator changed in place would keep
+    yielding the distributions of its old values.
     """
 
     probs: np.ndarray
@@ -244,6 +250,31 @@ class ProjectionResult:
         }
 
 
+#: Forward passes ``project_cumulative`` remembers.  At least the number
+#: of (start age, start pair) keys of one Q5 sweep: f03 cycles through all
+#: of them once per Q5 value, and a smaller LRU would never hit.  The memo
+#: keeps the operators of its passes alive until they are evicted.
+_FORWARD_PASSES = 512
+
+
+@functools.lru_cache(maxsize=_FORWARD_PASSES)
+def _forward_pass(ops: tuple, start_age: int, col: int) -> tuple[np.ndarray, ...]:
+    """Pair distributions after each of ``ops`` (ages start_age + 1, ...) from pair ``col``.
+
+    Memoized by operator identity, start age and start pair.  A pass that
+    raises is not remembered, so it raises again, with its message, on the
+    next call.
+    """
+    model = {start_age + step: op for step, op in enumerate(ops, 1)}
+    v = np.zeros(N_PAIRS)
+    v[col] = 1.0
+    steps = []
+    for age in model:
+        v = _step_pairs(model, age, v)
+        steps.append(v)
+    return tuple(steps)
+
+
 def project_cumulative(
     family: Mapping[int, LiftedMatrix],
     costs: CostVector,
@@ -255,18 +286,14 @@ def project_cumulative(
 
     Uses the age-specific operators for start_age + 1 .. start_age + horizon
     in sequence; a missing age raises HorizonError before any arithmetic.
+    The pair distributions do not depend on ``costs``, so a sweep over cost
+    vectors steps each (operators, start pair) once and only re-weights.
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    ages = [start_age + step for step in range(1, horizon + 1)]
-    for age in ages:
-        _operator(family, age)
+    ops = tuple(_operator(family, start_age + step) for step in range(1, horizon + 1))
     weights = current_cost_weights(costs)
-    v = start_vector(start)
-    per_period = []
-    for age in ages:
-        v = _step_pairs(family, age, v)
-        per_period.append(float(weights @ v))
+    per_period = [float(weights @ v) for v in _forward_pass(ops, start_age, pair_index(*start))]
     start_pair = (HealthState(int(start[0])), HealthState(int(start[1])))
     return ProjectionResult(
         start_age=start_age,

@@ -98,8 +98,8 @@ def classify_costs(costs, thresholds: StateThresholds = DEFAULT_THRESHOLDS) -> n
 class CostVector:
     """Representative annual cost (yen) per state, Q1 first.
 
-    Values must be non-decreasing and strictly positive from Q2 up; Q1 may
-    be zero.  The projectors are linear in this vector.
+    Values must be finite, non-decreasing and strictly positive from Q2
+    up; Q1 may be zero.  The projectors are linear in this vector.
     """
 
     values: tuple[float, float, float, float, float]
@@ -108,6 +108,8 @@ class CostVector:
         vals = tuple(float(v) for v in self.values)
         if len(vals) != N_STATES:
             raise ConfigError(f"expected {N_STATES} representative costs, got {len(vals)}")
+        if not np.isfinite(vals).all():
+            raise ConfigError(f"representative costs must be finite, got {vals}")
         if any(v <= 0 for v in vals[1:]) or vals[0] < 0:
             raise ConfigError("representative costs must be positive (Q1 may be zero)")
         if any(b < a for a, b in zip(vals, vals[1:])):

@@ -169,3 +169,45 @@ def test_stepper_matches_reference():
             ("pool", "ForecastDistribution"), ("pool", "UnsupportedCellError"),
             ("pooled a blocked column", True), ("counts", True), ("counts", False),
             ("all supported", True), ("all supported", False)} <= seen
+
+
+def test_cost_sweep_matches_reference():
+    """Cost vectors swept in interleaved order over two families with the same ages.
+
+    ``project_cumulative`` remembers forward passes by operator identity
+    and start pair; every repeated (family, start age, start pair, horizon)
+    query here is answered from that memo after its first cost vector.
+    """
+    seen = set()
+    sweep = [CostVector.from_thresholds(q5_value=q5) for q5 in (267_000.0, 500_000.0, 1.5e6, 2_257_000.0)]
+
+    @settings(max_examples=120, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(family=families(), data=st.data())
+    def check(family, data):
+        lo, hi = min(family), max(family)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # same age keys, other operators
+        other = {age: lifted_matrix(rng, age) for age in family}
+        queries = [(data.draw(st.integers(lo - 1, hi)), data.draw(PAIR)) for _ in range(3)]
+        queries = [(start_age, start, data.draw(horizons(hi - start_age))) for start_age, start in queries]
+        failures = {}
+        for costs in sweep:
+            for name, fam in (("family", family), ("other", other)):
+                for start_age, start, horizon in queries:
+                    got = _outcome(project_cumulative, fam, costs, start_age, start, horizon)
+                    want = _outcome(reference_project_cumulative, fam, costs, start_age, start, horizon)
+                    assert_same_projection(got, want)
+                    key = (name, start_age, start, horizon)
+                    if isinstance(got, Exception):
+                        outcome = (type(got), str(got))
+                        # a failed pass is not remembered: same class and message every time
+                        assert failures.setdefault(key, outcome) == outcome
+                        seen.add(("repeated failure", type(got).__name__, costs is not sweep[0]))
+                    else:
+                        seen.add(("repeated success", costs is not sweep[0]))
+
+    check()
+    assert {("repeated success", True), ("repeated failure", "UnsupportedCellError", True),
+            ("repeated failure", "HorizonError", True),
+            ("repeated failure", "InvalidInputError", True)} <= seen

@@ -3,7 +3,9 @@
 perfbench/tracing.py wraps functions by module and attribute name, and
 perfbench/run.py writes ``kernels.backend()`` into every run record.  A
 rename of either would otherwise surface only in the benchmark's own
-smoke run.  This test reads perfbench and changes nothing in it.
+smoke run.  The benchmark also counts one ``project_cumulative`` span per
+f02/f03 row, which the f03 test below holds the program to.  These tests
+read perfbench and change nothing in it.
 """
 
 import importlib
@@ -39,3 +41,27 @@ def test_tracer_binds_every_target_and_restores_them(tracing):
         tracer.uninstall()
     assert (estimate.ar_regression, cli.ar_regression, cli.REPORTS) == originals
     assert callable(kernels.backend)
+
+
+def test_one_projection_span_per_f03_row(tracing):
+    # perfbench counts one project_cumulative span per f02/f03 row; the
+    # forward-pass memo below that call must not merge or split them
+    import healthmarkov.cli as cli
+    from healthmarkov.config import RunConfig
+    from healthmarkov.synthetic import generate_panel
+
+    from conftest import sticky_top_chain
+
+    panel = generate_panel(sticky_top_chain(entry_age=20, exit_age=36, seed=3), 400)
+    cfg = RunConfig(q5_values=(267_000, 500_000, 1_000_000), start_ages=(22, 23, 25))
+    tracer = tracing.Tracer("t")
+    try:
+        tracer.install()
+        header, rows = cli.REPORTS["f03"][0](cfg, panel)
+    finally:
+        tracer.uninstall()
+    spans = [r for r in tracer.records() if "lifted.projections" in r["counts"]]
+    assert len(rows) == 3 * 3 * 2
+    assert len(spans) == len(rows)
+    assert all(r["metric"] == "lifted.project_s" for r in spans)
+    assert all(r["counts"] == {"lifted.projections": 1, "lifted.matvecs": cfg.horizon} for r in spans)

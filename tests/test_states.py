@@ -122,3 +122,17 @@ class TestCostVector:
     def test_q1_zero_allowed(self):
         cv = CostVector((0.0, 1.0, 2.0, 3.0, 4.0))
         assert cv[HealthState.Q1] == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", range(5))
+    def test_rejects_non_finite(self, bad, position):
+        # NaN passes every ordering check, and inf is non-decreasing at the top
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        values[position] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            CostVector(tuple(values))
+
+    @pytest.mark.parametrize("q5", [float("nan"), float("inf")])
+    def test_from_thresholds_rejects_non_finite_q5(self, q5):
+        with pytest.raises(ConfigError, match="finite"):
+            CostVector.from_thresholds(q5_value=q5)
