@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -317,36 +318,102 @@ def generate_panel(
     return Panel(ids, births, entry_age, states, costs, months, sex=sex)
 
 
+#: Panel cells (persons x ages, row-major) per write_claims block.  A
+#: block's rows are formatted and written together, so memory stays bounded
+#: by the block, not by the file; a block may end inside one person.
+_CLAIMS_BLOCK_CELLS = 1 << 12
+
+
+def _claims_sexes(panel: Panel, sex_default) -> list[str]:
+    """Each person's sex as written to claims; rejects what ingest would."""
+    if panel.sex is None:
+        if str(sex_default) not in ("M", "F"):
+            raise InvalidInputError(f"sex_default must be 'M' or 'F', got {sex_default!r}")
+        return [str(sex_default)] * panel.n_persons
+    sexes = [str(s) for s in panel.sex]
+    for p, text in enumerate(sexes):
+        if text not in ("M", "F"):
+            raise InvalidInputError(
+                f"person {str(panel.person_ids[p])!r} has sex {panel.sex[p]!r}; claims need 'M' or 'F'"
+            )
+    return sexes
+
+
+def _month_templates(year_convention: str) -> np.ndarray:
+    """The 12 claims rows of one person-year, one template per cost remainder.
+
+    Template ``r`` takes the row heads ``person_id,sex,age,year,`` for the
+    person-year's year and the next one, then the costs base and base + 1;
+    its first ``r`` months cost base + 1, the rest base.
+    """
+    if year_convention == "fiscal":
+        calendar = [(0, m) for m in range(4, 13)] + [(1, m) for m in range(1, 4)]
+    else:
+        calendar = [(0, m) for m in range(1, 13)]
+    return np.array(
+        [
+            "".join(
+                f"{{{shift}}}{month},{{{3 if k < extra else 2}}}\r\n"
+                for k, (shift, month) in enumerate(calendar)
+            )
+            for extra in range(12)
+        ],
+        dtype=object,
+    )
+
+
+def _row_prefixes(person_ids, sexes) -> np.ndarray:
+    """``person_id,sex,`` per person, quoted exactly as csv.writer quotes them."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(zip(map(str, person_ids), sexes))
+    return np.array([line[:-2] + "," for line in lines], dtype=object)
+
+
 def write_claims(panel: Panel, path, sex_default: str = "M", year_convention: str = "fiscal") -> int:
     """Write the panel as monthly claims rows; returns rows written.
 
     Each observed person-year becomes 12 monthly rows whose costs sum to
     the annual cost (remainder spread over the first months), aligned with
     the grouping convention so ingestion reassembles the exact same
-    person-years.  Missing markers produce no rows.
+    person-years.  Missing markers produce no rows.  Rows are always 12
+    per person-year, whatever ``months_observed`` says, so a panel with
+    fewer observed months comes back from ingest with 12.
+
+    Every sex value (``panel.sex``, or ``sex_default`` when the panel has
+    none) must be "M" or "F"; otherwise InvalidInputError is raised and no
+    file is created.  Rows are formatted from the panel's arrays, one block
+    of ``_CLAIMS_BLOCK_CELLS`` (person, age) cells at a time, so memory is
+    bounded by the block and not by the file.
     """
     if year_convention not in ("fiscal", "calendar"):
         raise InvalidInputError(f"unknown year convention {year_convention!r}")
-    if year_convention == "fiscal":
-        calendar = [(0, m) for m in range(4, 13)] + [(1, m) for m in range(1, 4)]
-    else:
-        calendar = [(0, m) for m in range(1, 13)]
-    if panel.sex is None:
-        sex_of = dict.fromkeys(map(str, panel.person_ids), sex_default)
-    else:
-        sex_of = dict(zip(map(str, panel.person_ids), map(str, panel.sex)))
+    sexes = _claims_sexes(panel, sex_default)
+    templates = _month_templates(year_convention)
+    head = "{}{},{},".format  # person_id,sex, prefix, age and year -> head of a row
+    cells = panel.states.reshape(-1)
     n_rows = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLAIMS_COLUMNS)
-        for py in panel.person_years():
-            sex = sex_of[py.person_id]
-            base, extra = divmod(py.annual_cost, 12)
-            writer.writerows(
-                [py.person_id, sex, py.age, py.year + shift, month, base + (1 if k < extra else 0)]
-                for k, (shift, month) in enumerate(calendar)
-            )
-            n_rows += len(calendar)
+        csv.writer(fh).writerow(CLAIMS_COLUMNS)
+        for start in range(0, cells.size, _CLAIMS_BLOCK_CELLS):
+            flat = start + np.flatnonzero(cells[start : start + _CLAIMS_BLOCK_CELLS] >= 0)
+            if flat.size == 0:
+                continue
+            persons, cols = np.divmod(flat, panel.n_ages)
+            first, last = int(persons[0]), int(persons[-1]) + 1
+            prefixes = _row_prefixes(panel.person_ids[first:last], sexes[first:last])
+            prefixes = prefixes[persons - first].tolist()
+            ages = panel.age_min + cols
+            years = panel.birth_years[persons] + ages
+            base, extra = np.divmod(panel.costs[persons, cols], 12)
+            fh.writelines(map(
+                str.format,
+                templates[extra].tolist(),
+                map(head, prefixes, ages.tolist(), years.tolist()),
+                map(head, prefixes, ages.tolist(), (years + 1).tolist()),
+                base.tolist(),
+                (base + 1).tolist(),
+            ))
+            n_rows += 12 * flat.size
     return n_rows
 
 

@@ -4,11 +4,14 @@ perfbench/tracing.py wraps functions by module and attribute name, and
 perfbench/run.py writes ``kernels.backend()`` into every run record.  A
 rename of either would otherwise surface only in the benchmark's own
 smoke run.  The benchmark also counts one ``project_cumulative`` span per
-f02/f03 row, which the f03 test below holds the program to.  These tests
+f02/f03 row, and takes ``synthetic.claims_rows`` from the return value of
+``write_claims``; the tests below hold the program to both.  These tests
 read perfbench and change nothing in it.
 """
 
+import csv
 import importlib
+import json
 import os
 import sys
 
@@ -65,3 +68,24 @@ def test_one_projection_span_per_f03_row(tracing):
     assert len(spans) == len(rows)
     assert all(r["metric"] == "lifted.project_s" for r in spans)
     assert all(r["counts"] == {"lifted.projections": 1, "lifted.matvecs": cfg.horizon} for r in spans)
+
+
+def test_one_write_claims_span_counts_every_claims_row(tracing, tmp_path, capsys):
+    # perfbench counts claims rows from write_claims' return value, once per synth
+    import healthmarkov.cli as cli
+
+    out = tmp_path / "out"
+    tracer = tracing.Tracer("t")
+    try:
+        tracer.install()
+        assert cli.main(["--output-dir", str(out), "--set", "synth.n_persons=30", "--set", "seed=4",
+                         "--set", "synth.attrition=0.2", "synth"]) == 0
+    finally:
+        tracer.uninstall()
+    summary = json.loads(capsys.readouterr().out)
+    spans = [r for r in tracer.records() if r["metric"] == "synthetic.write_claims_s"]
+    assert len(spans) == 1
+    with open(out / "claims.csv", newline="", encoding="utf-8") as fh:
+        data_lines = sum(1 for _ in csv.reader(fh)) - 1
+    assert spans[0]["counts"] == {"synthetic.claims_rows": summary["claims_rows"]}
+    assert summary["claims_rows"] == data_lines > 0

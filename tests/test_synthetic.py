@@ -1,12 +1,15 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from healthmarkov import synthetic
 from healthmarkov.errors import ConfigError, HorizonError, InvalidInputError
 from healthmarkov.estimate import estimate_order2
 from healthmarkov.ingest import load_claims_panel
 from healthmarkov.lifted import project_cumulative
+from healthmarkov.panel import Panel
 from healthmarkov.states import CostVector, HealthState, classify_costs
 from healthmarkov.synthetic import (
     GroundTruthChain,
@@ -116,6 +119,43 @@ class TestClaimsRoundTrip:
         path = tmp_path / "claims.csv"
         n_rows = write_claims(panel, path)
         assert n_rows == 12 * sum(1 for _ in panel.person_years())
+
+    def test_fewer_observed_months_come_back_as_12(self, tmp_path):
+        panel = generate_panel(random_chain(79, entry_age=25, exit_age=28), 5)
+        months = np.where(panel.states >= 0, 7, 0)
+        short = Panel(panel.person_ids, panel.birth_years, panel.age_min, panel.states,
+                      panel.costs, months, sex=panel.sex)
+        path = tmp_path / "claims.csv"
+        write_claims(short, path)
+        again = load_claims_panel(path)
+        np.testing.assert_array_equal(again.months, panel.months)
+        np.testing.assert_array_equal(again.costs, panel.costs)
+
+    @pytest.mark.parametrize(
+        "sex, sex_default",
+        [([None, None], "M"), (["M", None], "M"), (["F", "X"], "M"), (["m", "F"], "M"),
+         (None, None), (None, "U"), (None, "")],
+    )
+    def test_sex_that_ingest_rejects_is_refused_before_writing(self, tmp_path, sex, sex_default):
+        panel = generate_panel(random_chain(80, entry_age=25, exit_age=27), 2)
+        panel.sex = None if sex is None else np.array(sex, dtype=object)
+        path = tmp_path / "claims.csv"
+        with pytest.raises(InvalidInputError, match="'M' or 'F'"):
+            write_claims(panel, path, sex_default=sex_default)
+        assert not path.exists()
+
+    def test_memory_is_bounded_by_the_block_not_the_file(self, tmp_path):
+        # fully observed cells, eight blocks' worth; an unblocked writer holds every row at once
+        panel = generate_panel(random_chain(81, entry_age=20, exit_age=59), 820)
+        path = tmp_path / "claims.csv"
+        tracemalloc.start()
+        try:
+            write_claims(panel, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+        assert panel.states.size >= 8 * synthetic._CLAIMS_BLOCK_CELLS
 
 
 class TestSerialization:
