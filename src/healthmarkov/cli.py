@@ -19,6 +19,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .config import OUTPUT_DIR_ENV, RunConfig, load_config, validate_config
 from .errors import (
     ConfigError,
@@ -380,38 +382,20 @@ def _cmd_estimate(cfg: RunConfig, out_dir: str) -> dict:
     if not order1:
         raise EmptyCohortError("no consecutive observed ages; nothing to estimate")
 
-    rows1 = []
-    for age in sorted(order1):
-        m = order1[age]
-        low = m.low_support(cfg.min_count)
-        for a in range(5):
-            for b in range(5):
-                available = bool(m.supported[a])
-                rows1.append([
-                    age, STATE_LABELS[a], STATE_LABELS[b], int(m.counts[a, b]),
-                    float(m.probs[a, b]) if available else None,
-                    "ok" if available and not low[a] else ("low_support" if available else "unavailable"),
-                ])
-    _write_csv(os.path.join(out_dir, "order1.csv"),
-               ("age", "from_state", "to_state", "count", "prob", "status"), rows1)
-
-    rows2 = []
-    for age in sorted(order2):
-        t = order2[age]
-        low = t.low_support(cfg.min_count)
-        for a in range(5):
-            for b in range(5):
-                available = bool(t.supported[a, b])
-                status = "ok" if available and not low[a, b] else ("low_support" if available else "unavailable")
-                for c in range(5):
-                    rows2.append([
-                        age, STATE_LABELS[a], STATE_LABELS[b], STATE_LABELS[c],
-                        int(t.counts[a, b, c]),
-                        float(t.probs[a, b, c]) if available else None,
-                        status,
-                    ])
-    _write_csv(os.path.join(out_dir, "order2.csv"),
-               ("age", "state_t_minus_2", "state_t_minus_1", "to_state", "count", "prob", "status"), rows2)
+    tables = (
+        ("order1.csv", ("age", "from_state", "to_state", "count", "prob", "status"), order1),
+        ("order2.csv", ("age", "state_t_minus_2", "state_t_minus_1", "to_state", "count", "prob", "status"),
+         order2),
+    )
+    for name, header, family in tables:
+        rows = []
+        for age in sorted(family):
+            est = family[age]
+            for cell in np.ndindex(est.counts.shape):
+                n = int(est.totals[cell[:-1]])
+                rows.append([age, *(STATE_LABELS[s] for s in cell), int(est.counts[cell]),
+                             float(est.probs[cell]) if n else None, _status(n, cfg.min_count)])
+        _write_csv(os.path.join(out_dir, name), header, rows)
 
     header, rows = _report_fractions(cfg, panel)
     _write_csv(os.path.join(out_dir, "fractions.csv"), header, rows)

@@ -21,6 +21,9 @@ OUTPUT_DIR_ENV = "HEALTHMARKOV_OUTPUT_DIR"
 
 
 def _as_int(v):
+    # int() would truncate 2.5 to 2 and read true as 1
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(v)}")
     return int(v)
 
 
@@ -39,7 +42,7 @@ def _as_opt_str(v):
 def _as_int_list(v):
     if isinstance(v, str):
         v = [p for p in v.replace(",", " ").split() if p]
-    return tuple(int(x) for x in v)
+    return tuple(_as_int(x) for x in v)
 
 
 def _as_opt_int_list(v):

@@ -9,6 +9,10 @@ among panel survivors, and per-age autoregressions of annual cost.
 Probabilities are always formed from pooled counts, never by averaging
 probabilities; cells with zero support carry an explicit flag instead of
 a sentinel value.
+
+The chain order is a value, not a fork: one counting, estimating and
+pooling body serves order one (``TransitionMatrix``, counted over pairs of
+ages) and order two (``TransitionTensor``, over triples), on one base type.
 """
 
 from dataclasses import dataclass, field
@@ -85,45 +89,50 @@ def group_label(group: tuple[int, int]) -> str:
 
 
 @dataclass
-class TransitionMatrix:
+class _TransitionEstimate:
+    """Transition counts into one age and their probabilities, for either chain order.
+
+    The last axis is the state at ``age``, the leading axes the conditioning
+    states, oldest first; ``totals`` sums counts over the last axis.
+    """
+
+    age: int
+    probs: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        self.totals = self.counts.sum(axis=-1)
+
+    @property
+    def supported(self) -> np.ndarray:
+        return self.totals > 0
+
+    def low_support(self, min_count: int = DEFAULT_MIN_COUNT) -> np.ndarray:
+        return self.supported & (self.totals < min_count)
+
+
+class TransitionMatrix(_TransitionEstimate):
     """First-order estimate at one age: rows = state at age-1, cols = state at age."""
 
-    age: int
-    probs: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.row_totals = self.counts.sum(axis=1)
-
     @property
-    def supported(self) -> np.ndarray:
-        return self.row_totals > 0
-
-    def low_support(self, min_count: int = DEFAULT_MIN_COUNT) -> np.ndarray:
-        return self.supported & (self.row_totals < min_count)
+    def row_totals(self) -> np.ndarray:
+        return self.totals
 
 
-@dataclass
-class TransitionTensor:
+class TransitionTensor(_TransitionEstimate):
     """Second-order estimate at one age: probs[i, j, k] = p(state k at age | i at age-2, j at age-1)."""
 
-    age: int
-    probs: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.pair_totals = self.counts.sum(axis=2)
-
     @property
-    def supported(self) -> np.ndarray:
-        return self.pair_totals > 0
-
-    def low_support(self, min_count: int = DEFAULT_MIN_COUNT) -> np.ndarray:
-        return self.supported & (self.pair_totals < min_count)
+    def pair_totals(self) -> np.ndarray:
+        return self.totals
 
     def marginal_counts(self) -> np.ndarray:
         """Pair counts summed over the oldest conditioning state."""
         return self.counts.sum(axis=0)
+
+
+#: Estimate type and what it counts, per chain order.
+_ORDERS = {1: (TransitionMatrix, "pairs"), 2: (TransitionTensor, "triples")}
 
 
 def _normalize_counts(counts: np.ndarray) -> np.ndarray:
@@ -133,69 +142,73 @@ def _normalize_counts(counts: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _transition_counts(states: np.ndarray, order: int) -> np.ndarray:
+    # looked up per call, so the kernel bound to the module at call time runs
+    count = kernels.pair_counts if order == 1 else kernels.triple_counts
+    return count(states)
+
+
+def _estimate(panel: Panel, age: int, order: int) -> _TransitionEstimate:
+    kind, noun = _ORDERS[order]
+    if not (panel.has_age(age) and panel.has_age(age - order)):
+        raise EmptyCohortError(f"panel covers {panel.age_min}..{panel.age_max}, no {noun} into age {age}")
+    c = panel.column(age)
+    counts = _transition_counts(panel.states[:, c - order : c + 1], order)[0]
+    if counts.sum() == 0:
+        raise EmptyCohortError(f"no observed {noun} into age {age}")
+    return kind(age=age, probs=_normalize_counts(counts), counts=counts)
+
+
+def _estimate_family(panel: Panel, ages: Iterable[int] | None, order: int) -> dict:
+    kind, _ = _ORDERS[order]
+    all_counts = _transition_counts(panel.states, order)
+    if ages is None:
+        ages = range(panel.age_min + order, panel.age_max + 1)
+    out = {}
+    for age in ages:
+        k = age - panel.age_min - order
+        if 0 <= k < all_counts.shape[0] and all_counts[k].sum() > 0:
+            out[age] = kind(age=age, probs=_normalize_counts(all_counts[k]), counts=all_counts[k])
+    return out
+
+
+def _pool(family: Mapping[int, _TransitionEstimate], ages: Iterable[int], age: int | None, order: int):
+    picked = [family[a].counts for a in ages if a in family]
+    if not picked:
+        raise EmptyCohortError(f"no estimates among ages {list(ages)}")
+    counts = np.sum(picked, axis=0)
+    kind, _ = _ORDERS[order]
+    return kind(age=age if age is not None else -1, probs=_normalize_counts(counts), counts=counts)
+
+
 def estimate_order1(panel: Panel, age: int) -> TransitionMatrix:
     """Estimate the transition matrix into ``age`` from observed (age-1, age) pairs."""
-    if not (panel.has_age(age) and panel.has_age(age - 1)):
-        raise EmptyCohortError(f"panel covers {panel.age_min}..{panel.age_max}, no pairs into age {age}")
-    c = panel.column(age)
-    counts = kernels.pair_counts(panel.states[:, c - 1 : c + 1])[0]
-    if counts.sum() == 0:
-        raise EmptyCohortError(f"no observed transitions into age {age}")
-    return TransitionMatrix(age=age, probs=_normalize_counts(counts), counts=counts)
+    return _estimate(panel, age, 1)
 
 
 def estimate_order2(panel: Panel, age: int) -> TransitionTensor:
     """Estimate the pair-conditional tensor into ``age`` from observed triples."""
-    if not (panel.has_age(age) and panel.has_age(age - 2)):
-        raise EmptyCohortError(f"panel covers {panel.age_min}..{panel.age_max}, no triples into age {age}")
-    c = panel.column(age)
-    counts = kernels.triple_counts(panel.states[:, c - 2 : c + 1])[0]
-    if counts.sum() == 0:
-        raise EmptyCohortError(f"no observed triples into age {age}")
-    return TransitionTensor(age=age, probs=_normalize_counts(counts), counts=counts)
+    return _estimate(panel, age, 2)
 
 
 def estimate_order1_family(panel: Panel, ages: Iterable[int] | None = None) -> dict[int, TransitionMatrix]:
     """Per-age matrices for every age with data (one counting pass)."""
-    all_counts = kernels.pair_counts(panel.states)
-    if ages is None:
-        ages = range(panel.age_min + 1, panel.age_max + 1)
-    out = {}
-    for age in ages:
-        k = age - panel.age_min - 1
-        if 0 <= k < all_counts.shape[0] and all_counts[k].sum() > 0:
-            out[age] = TransitionMatrix(age=age, probs=_normalize_counts(all_counts[k]), counts=all_counts[k])
-    return out
+    return _estimate_family(panel, ages, 1)
 
 
 def estimate_order2_family(panel: Panel, ages: Iterable[int] | None = None) -> dict[int, TransitionTensor]:
     """Per-age tensors for every age with data (one counting pass)."""
-    all_counts = kernels.triple_counts(panel.states)
-    if ages is None:
-        ages = range(panel.age_min + 2, panel.age_max + 1)
-    out = {}
-    for age in ages:
-        k = age - panel.age_min - 2
-        if 0 <= k < all_counts.shape[0] and all_counts[k].sum() > 0:
-            out[age] = TransitionTensor(age=age, probs=_normalize_counts(all_counts[k]), counts=all_counts[k])
-    return out
+    return _estimate_family(panel, ages, 2)
 
 
 def pool_order1(family: Mapping[int, TransitionMatrix], ages: Iterable[int], age: int | None = None) -> TransitionMatrix:
     """Pool counts (not probabilities) over several single-age estimates."""
-    picked = [family[a].counts for a in ages if a in family]
-    if not picked:
-        raise EmptyCohortError(f"no estimates among ages {list(ages)}")
-    counts = np.sum(picked, axis=0)
-    return TransitionMatrix(age=age if age is not None else -1, probs=_normalize_counts(counts), counts=counts)
+    return _pool(family, ages, age, 1)
 
 
 def pool_order2(family: Mapping[int, TransitionTensor], ages: Iterable[int], age: int | None = None) -> TransitionTensor:
-    picked = [family[a].counts for a in ages if a in family]
-    if not picked:
-        raise EmptyCohortError(f"no estimates among ages {list(ages)}")
-    counts = np.sum(picked, axis=0)
-    return TransitionTensor(age=age if age is not None else -1, probs=_normalize_counts(counts), counts=counts)
+    """Pool counts (not probabilities) over several single-age estimates."""
+    return _pool(family, ages, age, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ because tiling the 5-vector of per-state costs across the previous-major
 layout weights each pair by the cost of its current coordinate.  The
 equivalence of this algebra with exhaustive path enumeration is asserted
 by the oracle tests rather than argued from notation.
+
+One stepper, one bin pooler and one forward loop advance every
+distribution in the package: pairs through lifted matrices, and states
+through first-order ``TransitionMatrix`` operators read as ``probs.T``.
+Both index ``supported`` by the coordinate of the distribution.
 """
 
 import functools
@@ -169,45 +174,77 @@ def _bin_ages(age: int) -> range:
     return range(lo, lo + 5)
 
 
-def _pooled_column(model: Mapping[int, LiftedMatrix], age: int, col: int) -> np.ndarray:
-    """Lifted column pooled over the age's 5-year bin (needs stored counts)."""
-    i, j = divmod(col, N_STATES)
+def _cell_kind(n: int) -> str:
+    """What a coordinate of an n-vector is: a lifted pair column or a first-order state row."""
+    return "pair column" if n == N_PAIRS else "state row"
+
+
+def _cell_name(n: int, c: int) -> str:
+    return pair_label(pair_from_index(c)) if n == N_PAIRS else HealthState(c + 1).name
+
+
+def _pooled(model: Mapping[int, object], age: int, c: int) -> np.ndarray:
+    """Next-state distribution out of coordinate ``c``, pooled over the age's 5-year bin.
+
+    ``c`` is state row c of first-order counts, or pair (i, j) = divmod(c, 5) of 5x5x5 counts.
+    """
     counts = np.zeros(N_STATES, dtype=np.int64)
     for a in _bin_ages(age):
         op = model.get(a)
         if op is not None and op.counts is not None:
-            counts += op.counts[i, j]
+            counts += op.counts.reshape(-1, N_STATES)[c]
     if counts.sum() == 0:
+        n = model[age].supported.size
         raise UnsupportedCellError(
-            f"pair column {pair_label((i + 1, j + 1))} unsupported at age {age} even pooled over its 5-year bin"
+            f"{_cell_kind(n)} {_cell_name(n, c)} unsupported at age {age} even pooled over its 5-year bin"
         )
-    column = np.zeros(N_PAIRS)
-    column[j * N_STATES : (j + 1) * N_STATES] = counts / counts.sum()
-    return column
+    return counts / counts.sum()
 
 
-def _step_pairs(
-    model: Mapping[int, LiftedMatrix], age: int, v: np.ndarray, fallback: str | None = None
-) -> np.ndarray:
-    """Advance a pair distribution through the operator for ``age``.
+def _columns(op, probs: np.ndarray) -> np.ndarray:
+    """``probs`` of ``op`` as a column map: column c is the next distribution out of coordinate c."""
+    return probs if isinstance(op, LiftedMatrix) else probs.T
 
-    Columns without support may carry no more than MASS_EPS of ``v``.
-    Mass on such a column raises UnsupportedCellError, unless
-    fallback="pool" substitutes the column pooled over the age's 5-year bin.
+
+def _step(model: Mapping[int, object], age: int, v: np.ndarray, fallback: str | None = None) -> np.ndarray:
+    """Advance a state (first-order) or pair (lifted) distribution through the operator for ``age``.
+
+    Coordinates without support may carry no more than MASS_EPS of ``v``.
+    Mass on such a coordinate raises UnsupportedCellError, unless
+    fallback="pool" substitutes the distribution pooled over the age's
+    5-year bin.
     """
     op = _operator(model, age)
-    if op.supported.all():
-        return op.probs @ v
     blocked = (v > MASS_EPS) & ~op.supported
     if not blocked.any():
-        return op.probs @ v
+        return _columns(op, op.probs) @ v
+    cells = np.where(blocked)[0]
     if fallback != "pool":
-        pairs = ", ".join(pair_label(pair_from_index(int(c))) for c in np.where(blocked)[0])
-        raise UnsupportedCellError(f"probability mass reaches unsupported pair column(s) {pairs} at age {age}")
-    probs = op.probs.copy()
-    for col in np.where(blocked)[0]:
-        probs[:, col] = _pooled_column(model, age, int(col))
+        names = ", ".join(_cell_name(v.size, int(c)) for c in cells)
+        raise UnsupportedCellError(
+            f"probability mass reaches unsupported {_cell_kind(v.size)}(s) {names} at age {age}"
+        )
+    # copy before transposing: a C-order copy of a transposed first-order
+    # matrix changes the last bits of the product
+    probs = _columns(op, op.probs.copy())
+    for c in cells:
+        # moves out of pair (i, j) land on pairs (j, .); out of a state, on any state
+        lo = (N_STATES * int(c)) % v.size
+        probs[lo : lo + N_STATES, c] = _pooled(model, age, int(c))
     return probs @ v
+
+
+def _forward(model: Mapping[int, object], start_age: int, v: np.ndarray, horizon: int,
+             fallback: str | None = None) -> list[np.ndarray]:
+    """Distributions after each of ``horizon`` steps from ``v`` at ``start_age``.
+
+    Each step looks up its own operator: a missing age raises only after the steps before it.
+    """
+    steps = []
+    for age in range(start_age + 1, start_age + horizon + 1):
+        v = _step(model, age, v, fallback)
+        steps.append(v)
+    return steps
 
 
 def step_expectation(model, costs: CostVector, start, k: int, start_age: int | None = None) -> float:
@@ -224,9 +261,7 @@ def step_expectation(model, costs: CostVector, start, k: int, start_age: int | N
         model, start_age = dict.fromkeys(range(1, k + 1), model), 0
     elif start_age is None:
         raise InvalidInputError("a per-age family needs start_age")
-    for step in range(1, k + 1):
-        v = _step_pairs(model, start_age + step, v)
-    return float(current_cost_weights(costs) @ v)
+    return float(current_cost_weights(costs) @ _forward(model, start_age, v, k)[-1])
 
 
 @dataclass
@@ -268,11 +303,7 @@ def _forward_pass(ops: tuple, start_age: int, col: int) -> tuple[np.ndarray, ...
     model = {start_age + step: op for step, op in enumerate(ops, 1)}
     v = np.zeros(N_PAIRS)
     v[col] = 1.0
-    steps = []
-    for age in model:
-        v = _step_pairs(model, age, v)
-        steps.append(v)
-    return tuple(steps)
+    return tuple(_forward(model, start_age, v, len(ops)))
 
 
 def project_cumulative(

@@ -121,6 +121,10 @@ class Panel:
             months = months[order]
             if sex is not None:
                 sex = sex[order]
+        # sorted, so a repeated id sits next to its twin
+        repeated = np.flatnonzero(person_ids[1:] == person_ids[:-1])
+        if repeated.size:
+            raise InvalidInputError(f"person id {person_ids[repeated[0]]!r} appears in more than one row")
 
         if states.size:
             bad = (states < ABSENT_CODE) | (states > 4)
@@ -495,9 +499,9 @@ def filter_cohort(
 ) -> Panel:
     """Restrict a panel to one sex and/or an observation-age window.
 
-    Persons with no observed entry left in the window are dropped; an empty
-    result is a valid (zero-person) panel only when some person remains,
-    otherwise EmptyCohortError.
+    Persons with no observed entry left in the window are dropped; when
+    no person remains, EmptyCohortError is raised instead of returning an
+    empty panel.
     """
     lo = panel.age_min if age_min is None else int(age_min)
     hi = panel.age_max if age_max is None else int(age_max)

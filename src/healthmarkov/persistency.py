@@ -5,6 +5,10 @@ matrices), iterate an indicator start distribution through future ages and
 measure how much extra probability mass a bad start leaves on a target
 state set, year by year.  The difference decays to zero as the start
 condition washes out; how slowly it decays is the persistency of a shock.
+
+Both chain orders run through the lifted module's one forward loop, so
+first-order curves (k12/k13) and pair-state curves (k14) are stepped,
+checked and pooled by the same code; only the starts depend on the order.
 """
 
 from dataclasses import dataclass
@@ -12,9 +16,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import HorizonError, InvalidInputError, UnsupportedCellError
+from .errors import HorizonError, InvalidInputError
 from .estimate import TransitionMatrix, _target_codes
-from .lifted import MASS_EPS, LiftedMatrix, _bin_ages, _operator, _step_pairs, start_vector
+from .lifted import LiftedMatrix, _forward, _operator
 from .states import N_STATES, HealthState
 
 
@@ -47,9 +51,7 @@ class ForecastDistribution:
     def target_mass(self, target) -> np.ndarray:
         """Mass on a set of states per future age (current coordinate for pairs)."""
         codes = _codes(target)
-        if self.order == 1:
-            return self.distributions[:, codes].sum(axis=1)
-        cols = [i * N_STATES + j for i in range(N_STATES) for j in codes]
+        cols = [c for c in range(self.distributions.shape[1]) if c % N_STATES in codes]
         return self.distributions[:, cols].sum(axis=1)
 
 
@@ -67,37 +69,6 @@ def _family_order(model: Mapping[int, object]) -> int:
     if kinds <= {LiftedMatrix}:
         return 2
     raise InvalidInputError(f"mixed or unknown operator family: {sorted(k.__name__ for k in kinds)}")
-
-
-def _pooled_row(model: Mapping[int, TransitionMatrix], age: int, row: int) -> np.ndarray:
-    """Row distribution pooled over the age's 5-year bin, for fallback use."""
-    counts = np.zeros(N_STATES, dtype=np.int64)
-    for a in _bin_ages(age):
-        op = model.get(a)
-        if op is not None:
-            counts += op.counts[row]
-    if counts.sum() == 0:
-        raise UnsupportedCellError(
-            f"state row {HealthState(row + 1).name} unsupported at age {age} even pooled over its 5-year bin"
-        )
-    return counts / counts.sum()
-
-
-def _step_order1(model, age: int, v: np.ndarray, fallback: str | None) -> np.ndarray:
-    op = _operator(model, age)
-    if op.supported.all():
-        return v @ op.probs
-    active = v > MASS_EPS
-    blocked = active & ~op.supported
-    if not blocked.any():
-        return v @ op.probs
-    if fallback != "pool":
-        names = ", ".join(HealthState(int(r) + 1).name for r in np.where(blocked)[0])
-        raise UnsupportedCellError(f"mass reaches unsupported state row(s) {names} at age {age}")
-    probs = op.probs.copy()
-    for row in np.where(blocked)[0]:
-        probs[row] = _pooled_row(model, age, int(row))
-    return v @ probs
 
 
 def iterate_forward(
@@ -122,27 +93,17 @@ def iterate_forward(
     for k in range(1, horizon + 1):
         _operator(model, start_age + k)
 
-    if order == 1:
-        state = HealthState(int(start_condition))
-        v = np.zeros(N_STATES)
-        v[int(state) - 1] = 1.0
-        conditioning = (state,)
-        stepper = _step_order1
-    else:
-        previous, current = start_condition
-        v = start_vector((previous, current))
-        conditioning = (HealthState(int(previous)), HealthState(int(current)))
-        stepper = _step_pairs
+    starts = (start_condition,) if order == 1 else tuple(start_condition)
+    conditioning = tuple(HealthState(int(s)) for s in starts)
+    # indicator of the start state, or of the start pair in previous-major order
+    v = np.zeros(N_STATES ** order)
+    v[np.ravel_multi_index([int(s) - 1 for s in conditioning], (N_STATES,) * order)] = 1.0
 
-    rows = [v]
-    for k in range(1, horizon + 1):
-        v = stepper(model, start_age + k, v, fallback)
-        rows.append(v)
     return ForecastDistribution(
         start_age=start_age,
         conditioning=conditioning,
         ages=list(range(start_age, start_age + horizon + 1)),
-        distributions=np.vstack(rows),
+        distributions=np.vstack([v] + _forward(model, start_age, v, horizon, fallback)),
         order=order,
     )
 

@@ -269,6 +269,28 @@ class TestConfigPlumbing:
     def test_unknown_key_rejected(self, tmp_path):
         assert run("--output-dir", str(tmp_path), "--set", "nope=1", "synth") == 2
 
+    @pytest.mark.parametrize("pair", [
+        "project.horizon=2.5",
+        "estimate.min_count=true",
+        "project.q5_values=[267000.9, 500000]",
+        "cohort.age_max=59.99",
+        "project.start_ages=[25, false]",
+        "project.horizon=1e400",
+    ])
+    def test_non_integer_value_for_integer_key_is_usage_error(self, tmp_path, capsys, pair):
+        out = tmp_path / "o"
+        assert run("--set", pair, *synth_args(out, n=5)) == 2
+        assert "expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_values_and_integer_strings_parse(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("--output-dir", str(out), "--set", "synth.n_persons=7.0", "--set", 'seed="3"',
+                   "--set", "project.horizon=4.0", "--set", 'project.q5_values="267000, 500000"',
+                   "synth") == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["persons"], summary["seed"]) == (7, 3)
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"
         monkeypatch.setenv("HEALTHMARKOV_OUTPUT_DIR", str(env_out))
@@ -319,13 +341,19 @@ class TestDeterminism:
                        "--set", f"input.claims={out / 'claims.csv'}", "ingest") == 0
             assert run("--output-dir", str(out),
                        "--set", f"input.panel={out / 'panel.csv'}", "estimate") == 0
+            for target in ("f02", "k12", "k13", "k14"):
+                assert run("--output-dir", str(out),
+                           "--set", f"input.panel={out / 'panel.csv'}",
+                           "--set", "project.horizon=4", "--set", "project.start_ages=[25]",
+                           "report", target) == 0
             assert run("--output-dir", str(out),
                        "--set", f"input.panel={out / 'panel.csv'}",
                        "--set", "project.horizon=4", "--set", "project.start_ages=[25]",
-                       "report", "f02") == 0
+                       "--set", "project.q5_values=[267000, 1000000]", "project") == 0
             outputs[name] = {
                 p.name: p.read_bytes() for p in out.iterdir() if p.suffix in (".csv", ".json")
             }
         assert outputs["r1"].keys() == outputs["r2"].keys()
+        assert {"k12.csv", "k13.csv", "k14.csv", "projections.json"} <= outputs["r1"].keys()
         for key in outputs["r1"]:
             assert outputs["r1"][key] == outputs["r2"][key], key

@@ -4,9 +4,11 @@ perfbench/tracing.py wraps functions by module and attribute name, and
 perfbench/run.py writes ``kernels.backend()`` into every run record.  A
 rename of either would otherwise surface only in the benchmark's own
 smoke run.  The benchmark also counts one ``project_cumulative`` span per
-f02/f03 row, and takes ``synthetic.claims_rows`` from the return value of
-``write_claims``; the tests below hold the program to both.  These tests
-read perfbench and change nothing in it.
+f02/f03 row, takes ``synthetic.claims_rows`` from the return value of
+``write_claims``, times each estimate family's counting kernel under the
+kernel's own name, and counts one ``persistency_difference`` curve per
+difference-curve start age; the tests below hold the program to these.
+These tests read perfbench and change nothing in it.
 """
 
 import csv
@@ -89,3 +91,41 @@ def test_one_write_claims_span_counts_every_claims_row(tracing, tmp_path, capsys
         data_lines = sum(1 for _ in csv.reader(fh)) - 1
     assert spans[0]["counts"] == {"synthetic.claims_rows": summary["claims_rows"]}
     assert summary["claims_rows"] == data_lines > 0
+
+
+def test_counting_kernels_and_k12_curves_are_traced(tracing):
+    # each family calls its kernel through the kernels module, where the tracer binds it
+    import healthmarkov.cli as cli
+    import healthmarkov.estimate as estimate
+    from healthmarkov.config import RunConfig
+    from healthmarkov.synthetic import generate_panel
+
+    from conftest import sticky_top_chain
+
+    panel = generate_panel(sticky_top_chain(entry_age=20, exit_age=36, seed=3), 400)
+    cfg = RunConfig(start_ages=(22, 23, 25))
+    tracer = tracing.Tracer("t")
+    try:
+        tracer.install()
+        estimate.estimate_order1_family(panel)
+        estimate.estimate_order2_family(panel)
+        family_spans = tracer.records()
+        header, rows = cli.REPORTS["k12"][0](cfg, panel)
+        report_spans = tracer.records()[len(family_spans):]
+    finally:
+        tracer.uninstall()
+
+    kernel_spans = [r for r in family_spans if r["metric"].startswith("kernels.")]
+    assert sorted(r["metric"] for r in kernel_spans) == ["kernels.pair_counts_s", "kernels.triple_counts_s"]
+    by_id = {r["id"]: r for r in family_spans}
+    for r in kernel_spans:
+        assert by_id[r["parent"]]["metric"] == "estimate.family_s"
+        assert r["counts"] == {"kernels.cells": panel.states.size}
+
+    start_ages = {row[0] for row in rows}
+    curves = sum(r["counts"].get("persistency.curves", 0) for r in report_spans)
+    steps = sum(r["counts"].get("persistency.steps", 0) for r in report_spans)
+    assert start_ages == set(cfg.start_ages)
+    assert curves == len(start_ages)
+    assert steps == 2 * curves * cfg.horizon
+    assert [r["metric"] for r in report_spans if r["metric"].startswith("kernels.")] == ["kernels.pair_counts_s"]

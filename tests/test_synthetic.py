@@ -144,6 +144,17 @@ class TestClaimsRoundTrip:
             write_claims(panel, path, sex_default=sex_default)
         assert not path.exists()
 
+    @pytest.mark.parametrize("ids, sex", [(["a", "a"], ["M", "F"]), (["a", "b", "a"], ["M", "M", "M"]),
+                                          ([7, 3, 7], None)])
+    def test_duplicate_person_ids_never_reach_the_claims_file(self, tmp_path, ids, sex):
+        # two persons under one id would write a file that ingest rejects
+        template = generate_panel(random_chain(82, entry_age=25, exit_age=27), len(ids))
+        path = tmp_path / "claims.csv"
+        with pytest.raises(InvalidInputError, match=f"person id {ids[0]!r} appears in more than one row"):
+            write_claims(Panel(ids, template.birth_years, template.age_min, template.states,
+                               template.costs, template.months, sex=sex), path)
+        assert not path.exists()
+
     def test_memory_is_bounded_by_the_block_not_the_file(self, tmp_path):
         # fully observed cells, eight blocks' worth; an unblocked writer holds every row at once
         panel = generate_panel(random_chain(81, entry_age=20, exit_age=59), 820)
