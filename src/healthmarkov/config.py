@@ -11,6 +11,7 @@ Example config file (JSON, flat):
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -28,7 +29,13 @@ def _as_int(v):
 
 
 def _as_float(v):
-    return float(v)
+    # float() would read true as 1.0 and accept nan and inf
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number, got {json.dumps(v)}")
+    value = float(v)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return value
 
 
 def _as_str(v):

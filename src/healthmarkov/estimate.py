@@ -173,9 +173,10 @@ def _estimate_family(panel: Panel, ages: Iterable[int] | None, order: int) -> di
 
 
 def _pool(family: Mapping[int, _TransitionEstimate], ages: Iterable[int], age: int | None, order: int):
+    ages = list(ages)  # read twice: to pick counts and to name the ages in the error
     picked = [family[a].counts for a in ages if a in family]
     if not picked:
-        raise EmptyCohortError(f"no estimates among ages {list(ages)}")
+        raise EmptyCohortError(f"no estimates among ages {ages}")
     counts = np.sum(picked, axis=0)
     kind, _ = _ORDERS[order]
     return kind(age=age if age is not None else -1, probs=_normalize_counts(counts), counts=counts)
@@ -584,13 +585,16 @@ def ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = 
         y = np.log1p(y)
         lags = [np.log1p(x) for x in lags]
 
-    years = panel.birth_years[complete] + age
+    # at one age, calendar year and birth cohort determine each other
+    births, cohort = panel.cohort_index
+    cohort = cohort[complete]
+    years = births + age
     base_year = panel.min_year
-    sampled = np.unique(years).tolist()
-    levels = [lvl for lvl in sampled if lvl != base_year]
-    if base_year not in sampled and levels:
+    sampled = np.flatnonzero(np.bincount(cohort, minlength=len(births)))
+    levels = [k for k in sampled if years[k] != base_year]
+    if base_year not in years[sampled] and levels:
         levels = levels[1:]  # earliest sampled year becomes the effective base
-    dummies = [(years == lvl).astype(np.float64) for lvl in levels]
+    dummies = [(cohort == k).astype(np.float64) for k in levels]
 
     n_params = 1 + order + len(dummies)
     if n < n_params + 1:
@@ -614,7 +618,7 @@ def ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = 
         lag_coefficients=tuple(float(b) for b in beta[1 : 1 + order]),
         lag_se=tuple(float(s) for s in se[1 : 1 + order]),
         intercept=float(beta[0]),
-        year_effects={lvl: float(b) for lvl, b in zip(levels, beta[1 + order :])},
+        year_effects={int(years[k]): float(b) for k, b in zip(levels, beta[1 + order :])},
         base_year=base_year,
         log_transform=log_transform,
     )

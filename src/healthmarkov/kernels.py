@@ -1,10 +1,12 @@
 """Array kernels behind the estimators and the cohort simulator.
 
-The kernels are plain numpy.  Transition counting copies the state matrix
-once to age-major int8 order, so each age is one contiguous row; per age
-it forms the pair or triple code in int8 arithmetic and runs one
-``bincount``.  No int64 copy of the whole matrix is made.  The cohort
-simulator advances every person one age per step.
+The kernels are plain numpy.  Transition counting reads the state matrix
+age-major, so each age is one contiguous row: for a panel's column-major
+int8 states that is a transposed view, not a copy (any other layout or
+dtype is copied once).  Per age it forms the pair or triple code in int8
+arithmetic and runs one ``bincount``.  No int64 copy of the whole matrix
+is made.  The cohort simulator advances every person one age per step and
+writes one contiguous age column per step.
 
 State matrices are int8 with codes 0-4 for observed states and negative
 codes for unobserved cells; kernels skip negative cells.
@@ -20,18 +22,12 @@ def backend() -> str:
     return "numpy"
 
 
-#: Persons per block when copying a state matrix to age-major order; a
-#: block of rows is transposed while it sits in cache.
-_BLOCK = 1024
-
-
 def _age_major(states) -> np.ndarray:
-    """int8 (n_ages, n_persons) copy of an (n_persons, n_ages) state matrix."""
-    states = np.asarray(states)
-    out = np.empty(states.shape[::-1], dtype=np.int8)
-    for lo in range(0, states.shape[0], _BLOCK):
-        out[:, lo : lo + _BLOCK] = states[lo : lo + _BLOCK].T
-    return out
+    """C-contiguous int8 (n_ages, n_persons) form of an (n_persons, n_ages) state matrix.
+
+    A view when ``states`` is already column-major int8, as a panel's is.
+    """
+    return np.ascontiguousarray(np.asarray(states).T, dtype=np.int8)
 
 
 def _window_counts(states, width: int) -> np.ndarray:
@@ -81,8 +77,8 @@ def simulate_paths(first, second, cdf, u) -> np.ndarray:
          pair code 5 * previous + current.
     u:   float64 (n, n_steps) uniform draws, one per person per step.
 
-    Returns int8 (n, n_steps + 2) state codes; column k + 2 is the draw
-    with u[:, k] against cdf[k].
+    Returns int8 (n, n_steps + 2) state codes, column-major; column k + 2
+    is the draw with u[:, k] against cdf[k].
     """
     first = np.ascontiguousarray(first, dtype=np.int8)
     second = np.ascontiguousarray(second, dtype=np.int8)
@@ -91,7 +87,7 @@ def simulate_paths(first, second, cdf, u) -> np.ndarray:
     if cdf.shape[0] != u.shape[1]:
         raise ValueError(f"cdf has {cdf.shape[0]} steps but u has {u.shape[1]}")
     n, n_steps = u.shape
-    states = np.empty((n, n_steps + 2), dtype=np.int8)
+    states = np.empty((n, n_steps + 2), dtype=np.int8, order="F")
     states[:, 0] = first
     states[:, 1] = second
     for k in range(n_steps):

@@ -1,7 +1,9 @@
 """Longitudinal panel of per-person annual cost states.
 
 A Panel stores one row per person and one column per age, dense over the
-common age range.  Cell codes in the state matrix:
+common age range.  The state, cost and month matrices are column-major
+(Fortran order): one age of every person is one contiguous column, which
+is what the per-age estimators read.  Cell codes in the state matrix:
 
     0..4   observed state (Q1..Q5 as 0-based codes)
     -1     in-panel year with no observed months (missing marker): a gap
@@ -91,7 +93,9 @@ class Panel:
     """Aligned per-person state/cost trajectories.
 
     Rows are canonically ordered by person_id so that every downstream
-    computation is independent of input order.  The arrays are not mutated
+    computation is independent of input order.  ``states``, ``costs`` and
+    ``months`` are stored column-major whatever layout the caller passes,
+    so ``states[:, c]`` is contiguous.  The arrays are not mutated
     after construction (filters build a new Panel), so values derived from
     them, such as ``min_year``, are computed once per panel.
     """
@@ -99,9 +103,9 @@ class Panel:
     def __init__(self, person_ids, birth_years, age_min, states, costs, months, sex=None):
         person_ids = np.asarray(person_ids, dtype=object)
         birth_years = np.asarray(birth_years, dtype=np.int32)
-        states = np.asarray(states, dtype=np.int8)
-        costs = np.asarray(costs, dtype=np.int64)
-        months = np.asarray(months, dtype=np.int8)
+        states = np.asfortranarray(states, dtype=np.int8)
+        costs = np.asfortranarray(costs, dtype=np.int64)
+        months = np.asfortranarray(months, dtype=np.int8)
         n = person_ids.shape[0]
         if not (birth_years.shape[0] == states.shape[0] == costs.shape[0] == months.shape[0] == n):
             raise InvalidInputError("panel arrays disagree on the number of persons")
@@ -116,9 +120,9 @@ class Panel:
         if not np.array_equal(order, np.arange(n)):
             person_ids = person_ids[order]
             birth_years = birth_years[order]
-            states = states[order]
-            costs = costs[order]
-            months = months[order]
+            states = _take_persons(states, order)
+            costs = _take_persons(costs, order)
+            months = _take_persons(months, order)
             if sex is not None:
                 sex = sex[order]
         # sorted, so a repeated id sits next to its twin
@@ -130,8 +134,8 @@ class Panel:
             bad = (states < ABSENT_CODE) | (states > 4)
             if bad.any():
                 raise InvalidInputError("state codes must lie in {-2, -1, 0..4}")
-            observed = states >= 0
-            if (costs[observed] < 0).any():
+            # elementwise, not a boolean gather, which would walk a column-major matrix by rows
+            if ((costs < 0) & (states >= 0)).any():
                 raise InvalidInputError("observed annual costs must be >= 0")
 
         self.person_ids = person_ids
@@ -176,6 +180,11 @@ class Panel:
             raise EmptyCohortError("panel has no observations")
         years = self.birth_years[:, None] + (self.age_min + np.arange(self.n_ages))[None, :]
         return int(years[observed].min())
+
+    @functools.cached_property
+    def cohort_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct birth years, ascending, and each person's index into them."""
+        return np.unique(self.birth_years, return_inverse=True)
 
     # -- iteration / serialization -----------------------------------------
 
@@ -446,10 +455,11 @@ def _assemble(pids, ages, years, codes, months, costs, end_year=None, sex=None) 
     last_age = end_year - birth
     age_min = int(entry_age.min())
     panel_ages = np.arange(age_min, int(last_age.max()) + 1)
-    in_panel = (panel_ages >= entry_age[:, None]) & (panel_ages <= last_age[:, None])
-    states = np.where(in_panel, MISSING_CODE, ABSENT_CODE).astype(np.int8)
-    cost_cells = np.zeros(states.shape, dtype=np.int64)
-    month_cells = np.zeros(states.shape, dtype=np.int8)
+    # built age-major and transposed, so the matrices come out column-major
+    in_panel = (panel_ages[:, None] >= entry_age) & (panel_ages[:, None] <= last_age)
+    states = np.where(in_panel.T, np.int8(MISSING_CODE), np.int8(ABSENT_CODE))
+    cost_cells = np.zeros(states.shape, dtype=np.int64, order="F")
+    month_cells = np.zeros(states.shape, dtype=np.int8, order="F")
     cols = ages - age_min
     states[person, cols] = codes
     cost_cells[person, cols] = costs
@@ -520,19 +530,27 @@ def filter_cohort(
             raise ConfigError("panel carries no sex information (cache files do not store it)")
         keep &= panel.sex == sex
 
-    c0 = lo - panel.age_min
-    c1 = hi - panel.age_min + 1
-    states = panel.states[:, c0:c1]
-    keep &= (states >= 0).any(axis=1)
+    window = slice(lo - panel.age_min, hi - panel.age_min + 1)
+    keep &= (panel.states[:, window] >= 0).any(axis=1)
     if not keep.any():
         raise EmptyCohortError("no persons match the cohort filter")
 
+    persons = np.flatnonzero(keep)
     return Panel(
         panel.person_ids[keep],
         panel.birth_years[keep],
         lo,
-        states[keep].copy(),
-        panel.costs[keep, c0:c1].copy(),
-        panel.months[keep, c0:c1].copy(),
+        _take_persons(panel.states[:, window], persons),
+        _take_persons(panel.costs[:, window], persons),
+        _take_persons(panel.months[:, window], persons),
         sex=None if panel.sex is None else panel.sex[keep],
     )
+
+
+def _take_persons(matrix, persons) -> np.ndarray:
+    """The rows ``persons`` of a column-major matrix, as one column-major copy.
+
+    ``matrix[persons]`` would copy into row-major order, and converting
+    that back would copy a second time.
+    """
+    return np.take(matrix.T, persons, axis=1).T

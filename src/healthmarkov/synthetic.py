@@ -78,12 +78,13 @@ class GroundTruthChain:
             raise ConfigError("initial_pairs must be a 25-vector")
         if self.attrition.shape != (span,):
             raise ConfigError(f"expected {span} attrition probabilities, got {self.attrition.shape}")
-        if abs(self.initial_pairs.sum() - 1.0) > 1e-9 or (self.initial_pairs < 0).any():
+        # each check is written so that a NaN fails it
+        if not (abs(self.initial_pairs.sum() - 1.0) <= 1e-9 and (self.initial_pairs >= 0).all()):
             raise ConfigError("initial_pairs must be a probability distribution")
         sums = self.tensors.sum(axis=3)
-        if (np.abs(sums - 1.0) > 1e-9).any() or (self.tensors < 0).any():
+        if not ((np.abs(sums - 1.0) <= 1e-9).all() and (self.tensors >= 0).all()):
             raise ConfigError("every tensor slice must be a probability distribution")
-        if ((self.attrition < 0) | (self.attrition > 1)).any():
+        if not ((self.attrition >= 0) & (self.attrition <= 1)).all():
             raise ConfigError("attrition probabilities must lie in [0, 1]")
         if self.cost_model not in COST_MODELS:
             raise ConfigError(f"cost_model must be one of {COST_MODELS}")
@@ -233,12 +234,11 @@ def _representative_ints(thresholds: StateThresholds, q5_upper: int) -> np.ndarr
 
 def _sample_costs(truth: GroundTruthChain, states: np.ndarray, rng) -> np.ndarray:
     """Costs for observed cells; every draw classifies back to its state."""
-    costs = np.zeros(states.shape, dtype=np.int64)
     reps = _representative_ints(truth.thresholds, truth.q5_upper)
     if truth.cost_model == "midpoint":
-        observed = states >= 0
-        costs[observed] = reps[states[observed].astype(np.int64)]
-        return costs
+        # looked up by code + 2, so that the unobserved codes -2 and -1 cost 0
+        return np.append([0, 0], reps)[states + 2]
+    costs = np.zeros(states.shape, dtype=np.int64, order="F")
     for code in range(N_STATES):
         cells = states == code
         n = int(cells.sum())
@@ -253,7 +253,7 @@ def _sample_costs(truth: GroundTruthChain, states: np.ndarray, rng) -> np.ndarra
             mu = np.log(max((hi - lo) / 8.0, 1.0))
             raw = np.floor(rng.lognormal(mu, truth.lognormal_sigma, size=n)).astype(np.int64)
             draws = lo + np.minimum(raw, hi - lo)
-        costs[cells] = draws
+        costs[cells] = draws  # fills cells in person-major order whatever the storage order
     return costs
 
 
@@ -307,10 +307,10 @@ def generate_panel(
     first_drop = np.where(any_drop, dropped.argmax(axis=1), n_ages - 1)
     col_idx = np.arange(n_ages)[None, :]
     marker = any_drop[:, None] & (col_idx >= (first_drop + 1)[:, None])
-    states = np.where(marker, np.int8(-1), states)
+    states[marker] = -1
 
     costs = _sample_costs(truth, states, rng)
-    months = np.where(states >= 0, 12, 0).astype(np.int8)
+    months = (states >= 0) * np.int8(12)
 
     ids = np.array([f"p{k:07d}" for k in range(n_persons)], dtype=object)
     births = np.full(n_persons, truth.entry_year - entry_age, dtype=np.int32)
@@ -318,7 +318,7 @@ def generate_panel(
     return Panel(ids, births, entry_age, states, costs, months, sex=sex)
 
 
-#: Panel cells (persons x ages, row-major) per write_claims block.  A
+#: Panel cells (persons x ages, person-major) per write_claims block.  A
 #: block's rows are formatted and written together, so memory stays bounded
 #: by the block, not by the file; a block may end inside one person.
 _CLAIMS_BLOCK_CELLS = 1 << 12
@@ -390,7 +390,7 @@ def write_claims(panel: Panel, path, sex_default: str = "M", year_convention: st
     sexes = _claims_sexes(panel, sex_default)
     templates = _month_templates(year_convention)
     head = "{}{},{},".format  # person_id,sex, prefix, age and year -> head of a row
-    cells = panel.states.reshape(-1)
+    cells = panel.states.reshape(-1)  # person-major: one int8 copy of the column-major matrix
     n_rows = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(CLAIMS_COLUMNS)

@@ -283,6 +283,22 @@ class TestConfigPlumbing:
         assert "expected an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pair, message", [
+        ("synth.alpha=nan", "expected a finite number"),
+        ("synth.alpha=inf", "expected a finite number"),
+        ("synth.alpha=-Infinity", "expected a finite number"),
+        ("synth.attrition=NaN", "expected a finite number"),
+        ("synth.alpha=true", "expected a number, got true"),
+        ("synth.attrition=false", "expected a number, got false"),
+    ])
+    def test_boolean_or_non_finite_value_for_float_key_is_usage_error(self, tmp_path, capsys,
+                                                                      pair, message):
+        out = tmp_path / "o"
+        # last, so that synth_args' own attrition does not override it
+        assert run(*synth_args(out, n=5)[:-1], "--set", pair, "synth") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_values_and_integer_strings_parse(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run("--output-dir", str(out), "--set", "synth.n_persons=7.0", "--set", 'seed="3"',

@@ -460,3 +460,11 @@ class TestHelpers:
         family = estimate_order1_family(panel)
         pooled = pool_order1(family, [31, 32, 33])
         assert pooled.counts.sum() == 8 * 3
+
+    def test_pool_reads_a_generator_of_ages_once(self):
+        panel = cycle_panel(n=8, n_ages=5)
+        family = estimate_order1_family(panel)
+        pooled = pool_order1(family, (a for a in [31, 32, 33]))
+        assert pooled.counts.sum() == 8 * 3
+        with pytest.raises(EmptyCohortError, match=r"no estimates among ages \[40, 41\]"):
+            pool_order1({}, (a for a in [40, 41]))

@@ -4,9 +4,8 @@
 reference_kernels' column-at-a-time versions return: the same values,
 dtype and shape.  Generated state matrices hold observed codes 0..4 and
 every negative int8 code, -128..-1 (all of which are unobserved), in
-matrices of 0 persons up to a few blocks of ``kernels._BLOCK`` persons
-and of 0 to 9 ages, passed C-ordered, Fortran-ordered, as strided views
-or as int64.
+matrices of 0 to 2,055 persons and of 0 to 9 ages, passed C-ordered,
+Fortran-ordered, as strided views or as int64.
 """
 
 import numpy as np
@@ -17,11 +16,12 @@ from healthmarkov import kernels
 from reference_kernels import reference_pair_counts, reference_triple_counts
 
 NEGATIVE = np.arange(-128, 0)
+BLOCK = 1024
 
 
 @st.composite
 def state_matrices(draw):
-    n = draw(st.sampled_from([0, 1, 2, 5, 40, kernels._BLOCK - 1, kernels._BLOCK + 3, 2 * kernels._BLOCK + 7]))
+    n = draw(st.sampled_from([0, 1, 2, 5, 40, BLOCK - 1, BLOCK + 3, 2 * BLOCK + 7]))
     n_ages = draw(st.integers(0, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     states = rng.integers(0, 5, size=(n, n_ages)).astype(np.int8)

@@ -188,6 +188,20 @@ class TestSerialization:
             GroundTruthChain.from_json(io.StringIO(doc))
 
 
+class TestChainValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("initial_pairs", np.nan),
+        ("tensors", np.nan),
+        ("attrition", np.nan),
+    ])
+    def test_nan_probabilities_rejected(self, field, value):
+        truth = random_chain(3, entry_age=20, exit_age=24)
+        values = getattr(truth, field).copy()
+        values.flat[0] = value
+        with pytest.raises(ConfigError):
+            GroundTruthChain(**{**truth.__dict__, field: values})
+
+
 class TestEnumerateExpectation:
     def test_absorbing_chain(self):
         truth = absorbing_chain()
