@@ -226,11 +226,14 @@ def state_fractions(panel: Panel, age_group: tuple[int, int]) -> tuple[np.ndarra
     if hi < lo:
         raise EmptyCohortError(f"panel does not cover ages {age_group}")
     block = panel.states[:, lo - panel.age_min : hi - panel.age_min + 1]
-    observed = block[block >= 0]
-    if observed.size == 0:
+    # one pass per code over the int8 cells, in storage order; a bincount
+    # would first widen every cell to intp
+    cells = block.ravel(order="K")
+    counts = np.array([np.count_nonzero(cells == code) for code in range(N_STATES)])
+    n_observed = int(counts.sum())
+    if n_observed == 0:
         raise EmptyCohortError(f"no observations in ages {age_group}")
-    counts = np.bincount(observed.astype(np.int64), minlength=N_STATES)
-    return counts / counts.sum(), int(observed.size)
+    return counts / n_observed, n_observed
 
 
 @dataclass

@@ -174,12 +174,17 @@ class Panel:
 
     @functools.cached_property
     def min_year(self) -> int:
-        """Earliest observed year; base level for year dummies."""
+        """Earliest observed year; base level for year dummies.
+
+        A person's years rise with age, so their earliest observed year is
+        their birth year plus the age of their first observed column.
+        """
         observed = self.states >= 0
-        if not observed.any():
+        seen = observed.any(axis=1)
+        if not seen.any():
             raise EmptyCohortError("panel has no observations")
-        years = self.birth_years[:, None] + (self.age_min + np.arange(self.n_ages))[None, :]
-        return int(years[observed].min())
+        first = observed.argmax(axis=1)
+        return int((self.birth_years[seen] + first[seen]).min()) + self.age_min
 
     @functools.cached_property
     def cohort_index(self) -> tuple[np.ndarray, np.ndarray]:

@@ -188,6 +188,24 @@ class TestStateFractions:
         fractions, _ = state_fractions(panel, (20, 29))
         assert abs(fractions.sum() - 1.0) < 1e-12
 
+    def test_equal_to_a_gather_of_the_observed_cells(self):
+        rng = np.random.default_rng(7)
+        states = rng.integers(-2, 5, size=(500, 9)).astype(np.int8)
+        panel = make_panel(states, entry_age=20)
+        for group in [(20, 28), (22, 24), (25, 25), (18, 21), (27, 40)]:
+            lo, hi = max(group[0], 20), min(group[1], 28)
+            block = states[:, lo - 20 : hi - 20 + 1]
+            observed = block[block >= 0]
+            counts = np.bincount(observed, minlength=5)
+            fractions, n = state_fractions(panel, group)
+            assert n == observed.size
+            assert fractions.tobytes() == (counts / counts.sum()).tobytes()
+
+    def test_group_of_markers_only_is_empty(self):
+        panel = make_panel([[0, -1, -2, 1], [2, -2, -1, 3]], entry_age=20)
+        with pytest.raises(EmptyCohortError, match="no observations"):
+            state_fractions(panel, (21, 22))
+
 
 class TestShockFrequency:
     def test_categories_sum_to_one(self):

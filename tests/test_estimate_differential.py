@@ -179,3 +179,26 @@ def test_min_year_of_unobserved_panel_raises_every_time(states):
     for _ in range(3):
         with pytest.raises(EmptyCohortError):
             panel.min_year
+
+
+def test_min_year_comes_from_each_persons_first_observed_column():
+    # the earliest-born person is first observed late and the earliest
+    # observed column belongs to the latest cohort; the middle one sets it
+    states = np.array([[-2, -1, -1, 3], [-1, 0, 2, 2], [4, -2, 1, -1], [-2, -2, -2, -2]])
+    panel = Panel(["a", "b", "c", "d"], [1940, 1941, 1944, 1900], 20, states,
+                  np.zeros((4, 4)), np.where(states >= 0, 12, 0))
+    assert panel.min_year == reference_min_year(panel) == 1941 + 20 + 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_min_year_matches_reference_on_multi_cohort_panels(seed):
+    rng = np.random.default_rng(seed)
+    n, n_ages = rng.integers(50, 400), rng.integers(1, 45)
+    unobserved = rng.choice([0.0, 0.5, 0.95])
+    states = np.where(rng.random((n, n_ages)) < unobserved, rng.choice([-2, -1], (n, n_ages)),
+                      rng.integers(0, 5, (n, n_ages))).astype(np.int8)
+    births = rng.integers(1920, 2000, n)
+    panel = Panel([f"p{k:03d}" for k in range(n)], births, int(rng.integers(0, 60)), states,
+                  np.zeros((n, n_ages)), np.where(states >= 0, 12, 0))
+    assert len(panel.cohort_index[0]) > 1
+    assert_same_min_year(panel)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from healthmarkov import kernels
 
@@ -83,3 +84,70 @@ def test_simulate_guards_float_tail():
     u = np.array([[np.nextafter(1.0, 0.0)]])
     got = kernels.simulate_paths(np.zeros(1, np.int8), np.zeros(1, np.int8), cdf, u)
     assert got[0, 2] == 4
+
+
+def _valid_cdf(n_steps=2):
+    return np.cumsum(np.full((n_steps, 25, 5), 0.2), axis=2)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ([-1], [4]),  # would wrap to pair code -1 and step as (Q5,Q5)
+        ([0], [9]),  # would step as pair (Q2,Q5)
+        ([5], [0]),
+        ([0], [-2]),
+        ([0.5], [1]),
+        ([0, 1], [1]),  # first holds two codes for one draw row
+        ([0], [[1]]),
+        ([], [1]),
+    ],
+)
+def test_simulate_rejects_bad_entry_codes(first, second):
+    with pytest.raises(ValueError, match="first|second"):
+        kernels.simulate_paths(first, second, _valid_cdf(), np.full((1, 2), 0.5))
+
+
+def test_simulate_rejects_entry_codes_that_broadcast():
+    # one code for three persons used to fill every row
+    with pytest.raises(ValueError, match="first must hold 3 state codes"):
+        kernels.simulate_paths([0], [1, 1, 1], _valid_cdf(), np.full((3, 2), 0.5))
+
+
+@pytest.mark.parametrize(
+    "cdf",
+    [
+        _valid_cdf()[:, :24],  # 24 pair rows
+        _valid_cdf()[:, :, :4],
+        np.concatenate([_valid_cdf(), np.ones((2, 25, 1))], axis=2),
+        _valid_cdf(3),  # one step more than u has
+        _valid_cdf(1),
+        _valid_cdf()[0],
+    ],
+)
+def test_simulate_rejects_misshapen_cdf(cdf):
+    with pytest.raises(ValueError, match="cdf must be shaped"):
+        kernels.simulate_paths([0], [1], cdf, np.full((1, 2), 0.5))
+
+
+@pytest.mark.parametrize(
+    "cell, value",
+    [
+        ((0, 7, 1), np.nan),
+        ((1, 24, 4), np.nan),
+        ((0, 0, 0), np.nan),
+        ((0, 7, 2), 0.1),  # below the edge before it
+        ((1, 24, 4), 0.5),
+        ((0, 0, 0), 0.9),  # above the edge after it
+    ],
+)
+def test_simulate_rejects_decreasing_or_nan_cdf_rows(cell, value):
+    cdf = _valid_cdf()
+    cdf[cell] = value
+    with pytest.raises(ValueError, match="must not decrease or hold NaN"):
+        kernels.simulate_paths([0], [1], cdf, np.full((1, 2), 0.5))
+
+
+def test_simulate_rejects_draws_that_are_not_a_matrix():
+    with pytest.raises(ValueError, match="u must be"):
+        kernels.simulate_paths([0], [1], _valid_cdf(), np.full(2, 0.5))

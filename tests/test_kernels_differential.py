@@ -1,4 +1,4 @@
-"""Differential test: the age-major int8 counting kernels against the column kernels they replaced.
+"""Differential tests: the rewritten kernels against the versions they replaced.
 
 ``kernels.pair_counts`` and ``kernels.triple_counts`` must return what
 reference_kernels' column-at-a-time versions return: the same values,
@@ -6,6 +6,12 @@ dtype and shape.  Generated state matrices hold observed codes 0..4 and
 every negative int8 code, -128..-1 (all of which are unobserved), in
 matrices of 0 to 2,055 persons and of 0 to 9 ages, passed C-ordered,
 Fortran-ordered, as strided views or as int64.
+
+``kernels.simulate_paths`` must return what the whole-row simulator
+returned, element for element, in int8 and column-major, for every cdf
+whose rows do not decrease: sparse Dirichlet rows that repeat edges,
+last edges just below and at 1.0, and draws equal to, or one ulp either
+side of, an edge of the person's own pair.
 """
 
 import numpy as np
@@ -13,7 +19,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from healthmarkov import kernels
 
-from reference_kernels import reference_pair_counts, reference_triple_counts
+from reference_kernels import (
+    reference_pair_counts,
+    reference_simulate_paths,
+    reference_triple_counts,
+)
 
 NEGATIVE = np.arange(-128, 0)
 BLOCK = 1024
@@ -82,3 +92,73 @@ def test_every_negative_code_is_skipped_in_every_position():
     assert_same_counts(triples, reference_triple_counts(states))
     assert triples.sum() == 1 and triples[0, 4, 2, 3] == 1
     assert pairs[0, 4, 2] == 1 + len(NEGATIVE) and pairs[1, 2, 3] == 1 + len(NEGATIVE)
+
+
+SIM_BLOCK = kernels._SIMULATE_BLOCK
+#: How a draw placed on an edge is moved: one ulp down, not at all, one ulp up.
+NUDGES = {"below": -np.inf, "equal": None, "above": np.inf}
+
+
+@st.composite
+def simulations(draw):
+    """(first, second, cdf, u) and the set of cases it reaches."""
+    n = draw(st.sampled_from([1, 2, 7, 300, SIM_BLOCK - 1, SIM_BLOCK + 3]))
+    n_steps = draw(st.sampled_from([0, 1, 2, 5, 38]))
+    alpha = draw(st.sampled_from([0.05, 1.0, 20.0]))
+    tail = draw(st.sampled_from(["cumsum", "below 1", "1.0"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reached = {("n", min(n, 2)), ("steps", min(n_steps, 2)), ("n over a block", n > SIM_BLOCK)}
+
+    cdf = np.cumsum(rng.dirichlet(np.full(5, alpha), size=(n_steps, 25)), axis=2)
+    if tail != "cumsum":
+        last = np.nextafter(1.0, 0.0) if tail == "below 1" else 1.0
+        cdf = np.minimum(cdf, last)
+        cdf[:, :, 4] = last
+    if (np.diff(cdf, axis=2) == 0).any():
+        reached.add(("repeated edge", alpha))
+
+    first = rng.integers(0, 5, n).astype(draw(st.sampled_from([np.int8, np.int64])))
+    second = rng.integers(0, 5, n).astype(first.dtype)
+    u = rng.random((n, n_steps))
+    on_edge = rng.random((n, n_steps)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    prev, cur = first, second
+    for k in range(n_steps):
+        # the draws before step k settle each person's pair at step k, so a
+        # draw can be put on an edge of that pair's row
+        code = prev.astype(np.intp) * 5 + cur
+        rows = np.flatnonzero(on_edge[:, k])
+        edge = rng.integers(0, 5, rows.size)
+        nudge = rng.choice(list(NUDGES), rows.size)
+        values = cdf[k, code[rows], edge]
+        for how, direction in NUDGES.items():
+            if direction is not None:
+                values[nudge == how] = np.nextafter(values[nudge == how], direction)
+        u[rows, k] = values
+        reached.update(("draw", how, tail if j == 4 else "lower edge") for how, j in zip(nudge, edge))
+        prev, cur = cur, reference_simulate_paths(prev, cur, cdf[k : k + 1], u[:, k : k + 1])[:, 2]
+    if draw(st.booleans()):
+        u = np.asfortranarray(u)
+    return (first, second, cdf, u), reached
+
+
+def test_simulate_paths_matches_reference():
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(case=simulations())
+    def check(case):
+        args, reached = case
+        seen.update(reached)
+        got = kernels.simulate_paths(*args)
+        want = reference_simulate_paths(*args)
+        assert got.dtype == want.dtype == np.int8
+        assert got.shape == want.shape and got.flags.f_contiguous
+        assert np.array_equal(got, want)
+
+    check()
+    assert {("n", 1), ("n", 2), ("n over a block", True)} <= seen
+    assert {("steps", 0), ("steps", 1), ("steps", 2)} <= seen
+    assert ("repeated edge", 0.05) in seen
+    edges = ("lower edge", "cumsum", "below 1", "1.0")  # a lower edge, or the last edge by its tail
+    assert {("draw", how, edge) for how in NUDGES for edge in edges} <= seen

@@ -6,8 +6,9 @@ rename of either would otherwise surface only in the benchmark's own
 smoke run.  The benchmark also counts one ``project_cumulative`` span per
 f02/f03 row, takes ``synthetic.claims_rows`` from the return value of
 ``write_claims``, times each estimate family's counting kernel under the
-kernel's own name, and counts one ``persistency_difference`` curve per
-difference-curve start age; the tests below hold the program to these.
+kernel's own name, times the cohort simulator as one ``simulate_paths``
+span per simulated panel, and counts one ``persistency_difference`` curve
+per difference-curve start age; the tests below hold the program to these.
 These tests read perfbench and change nothing in it.
 """
 
@@ -91,6 +92,27 @@ def test_one_write_claims_span_counts_every_claims_row(tracing, tmp_path, capsys
         data_lines = sum(1 for _ in csv.reader(fh)) - 1
     assert spans[0]["counts"] == {"synthetic.claims_rows": summary["claims_rows"]}
     assert summary["claims_rows"] == data_lines > 0
+
+
+def test_one_simulate_paths_span_per_generated_panel(tracing):
+    # generate_panel calls the simulator through the kernels module, once per panel
+    import healthmarkov.synthetic as synthetic
+
+    from conftest import sticky_top_chain
+
+    truth = sticky_top_chain(entry_age=20, exit_age=36, seed=3)
+    tracer = tracing.Tracer("t")
+    try:
+        tracer.install()
+        panel = synthetic.generate_panel(truth, 9_000)
+    finally:
+        tracer.uninstall()
+    records = tracer.records()
+    spans = [r for r in records if r["metric"] == "kernels.simulate_paths_s"]
+    assert panel.n_ages > 2  # at least one simulated step
+    assert len(spans) == 1
+    by_id = {r["id"]: r for r in records}
+    assert by_id[spans[0]["parent"]]["metric"] == "synthetic.generate_panel_s"
 
 
 def test_counting_kernels_and_k12_curves_are_traced(tracing):
