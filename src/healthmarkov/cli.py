@@ -367,11 +367,13 @@ def _cmd_ingest(cfg: RunConfig, out_dir: str) -> dict:
     panel = load_claims_panel(
         cfg.claims_path, thresholds=cfg.thresholds, year_convention=cfg.year_convention
     )
+    # every claims row is one observed month of one person-year
+    claims_rows = int(panel.months.sum(dtype=np.int64))
     panel = filter_cohort(panel, sex=cfg.sex, age_min=cfg.age_min, age_max=cfg.age_max)
     cache_path = os.path.join(out_dir, "panel.csv")
     rows = panel.write_cache(cache_path)
     summary = panel.summary()
-    summary.update({"cache_rows": rows, "panel": cache_path})
+    summary.update({"cache_rows": rows, "claims_rows": claims_rows, "panel": cache_path})
     return summary
 
 

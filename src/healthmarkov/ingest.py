@@ -7,9 +7,10 @@ spreadsheet programs write it, is skipped when reading from a path):
 
 with sex in {M, F}, month 1-12 and cost_yen a non-negative integer.  The
 parser is a generator with constant memory.  Aggregation into person-years
-is not: it holds every ClaimRecord, grouped by (person, year), until the
-stream ends, because a duplicate (person, year, month) row may arrive
-anywhere later in the file.
+keeps one small accumulator per (person, year) until the stream ends,
+because a duplicate (person, year, month) row may arrive anywhere later in
+the file; it holds no record.  Annual costs and states are then computed
+for all person-years at once.
 
 Annual cost is mean observed monthly cost times 12, rounded half-up to
 integer yen, so part-year enrollees are scaled to a full-year equivalent.
@@ -20,21 +21,22 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+
 from .errors import DataFormatError, DuplicateRecordError, InvalidInputError
 from .panel import Panel, PersonYear, build_panel
-from .states import DEFAULT_THRESHOLDS, StateThresholds, classify_cost
+from .states import DEFAULT_THRESHOLDS, HealthState, StateThresholds, classify_cost, classify_costs
 
 CLAIMS_COLUMNS = ("person_id", "sex", "age", "year", "month", "cost_yen")
 
 YEAR_CONVENTIONS = ("fiscal", "calendar")
 
+#: HealthState by 0-based state code.
+_STATES = tuple(HealthState)
+
 
 @dataclass(frozen=True, slots=True)
 class ClaimRecord:
-    """One monthly claims total for one person.
-
-    Slotted: aggregation holds every record of a claims file at once.
-    """
+    """One monthly claims total for one person."""
 
     person_id: str
     sex: str
@@ -47,10 +49,12 @@ class ClaimRecord:
 def parse_claims(source) -> Iterator[ClaimRecord]:
     """Yield validated ClaimRecords from a path or text stream, in input order.
 
-    Malformed rows raise DataFormatError carrying the 1-based line number.
+    Malformed rows raise DataFormatError carrying the 1-based line number;
+    so do bytes that are not UTF-8 and rows the csv module cannot split.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="", encoding="utf-8-sig") as fh:
+        # undecodable bytes become lone surrogates, which fail their row's checks
+        with open(source, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
             yield from _parse_stream(fh)
     elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
         yield from _parse_stream(source)
@@ -60,36 +64,53 @@ def parse_claims(source) -> Iterator[ClaimRecord]:
 
 def _parse_stream(fh) -> Iterator[ClaimRecord]:
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != CLAIMS_COLUMNS:
-        raise DataFormatError(
-            f"claims file must start with header {','.join(CLAIMS_COLUMNS)}", line=1
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CLAIMS_COLUMNS):
+    n_fields = len(CLAIMS_COLUMNS)
+    lineno = 0  # the last record read; a csv error belongs to the next one
+    try:
+        header = next(reader, None)
+        lineno = 1
+        if header is None or tuple(h.strip() for h in header) != CLAIMS_COLUMNS:
             raise DataFormatError(
-                f"expected {len(CLAIMS_COLUMNS)} fields, got {len(row)}", line=lineno
+                f"claims file must start with header {','.join(CLAIMS_COLUMNS)}", line=1
             )
-        pid, sex, age_s, year_s, month_s, cost_s = (f.strip() for f in row)
-        if not pid:
-            raise DataFormatError("empty person_id", line=lineno)
-        if sex not in ("M", "F"):
-            raise DataFormatError(f"sex must be M or F, got {sex!r}", line=lineno)
-        try:
-            age, year, month, cost = int(age_s), int(year_s), int(month_s), int(cost_s)
-        except ValueError:
-            raise DataFormatError(
-                f"age/year/month/cost must be integers, got {row!r}", line=lineno
-            ) from None
-        if not 0 <= age <= 120:
-            raise DataFormatError(f"age {age} outside 0..120", line=lineno)
-        if not 1 <= month <= 12:
-            raise DataFormatError(f"month {month} outside 1..12", line=lineno)
-        if cost < 0:
-            raise DataFormatError(f"negative cost {cost}", line=lineno)
-        yield ClaimRecord(pid, sex, age, year, month, cost)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != n_fields:
+                if not row:
+                    continue
+                raise DataFormatError(f"expected {n_fields} fields, got {len(row)}", line=lineno)
+            pid, sex, age_s, year_s, month_s, cost_s = row
+            pid = pid.strip()
+            if not pid:
+                raise DataFormatError("empty person_id", line=lineno)
+            if not pid.isascii():
+                try:
+                    pid.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataFormatError(
+                        f"person_id {pid!r} holds bytes that are not UTF-8", line=lineno
+                    ) from None
+            if sex not in ("M", "F"):
+                sex = sex.strip()
+                if sex not in ("M", "F"):
+                    raise DataFormatError(f"sex must be M or F, got {sex!r}", line=lineno)
+            try:
+                age, year, month, cost = int(age_s), int(year_s), int(month_s), int(cost_s)
+            except ValueError:
+                try:  # str.strip also drops \x1c-\x1f, which int() refuses
+                    age, year, month, cost = (int(f.strip()) for f in row[2:])
+                except ValueError:
+                    raise DataFormatError(
+                        f"age/year/month/cost must be integers, got {row!r}", line=lineno
+                    ) from None
+            if not 0 <= age <= 120:
+                raise DataFormatError(f"age {age} outside 0..120", line=lineno)
+            if not 1 <= month <= 12:
+                raise DataFormatError(f"month {month} outside 1..12", line=lineno)
+            if cost < 0:
+                raise DataFormatError(f"negative cost {cost}", line=lineno)
+            yield ClaimRecord(pid, sex, age, year, month, cost)
+    except csv.Error as exc:
+        raise DataFormatError(f"unreadable CSV record: {exc}", line=lineno + 1) from None
 
 
 def grouping_year(year: int, month: int, convention: str = "fiscal") -> int:
@@ -101,10 +122,18 @@ def grouping_year(year: int, month: int, convention: str = "fiscal") -> int:
     raise InvalidInputError(f"year convention must be one of {YEAR_CONVENTIONS}, got {convention!r}")
 
 
-def round_half_up_ratio(numerator: int, denominator: int) -> int:
-    """Exact half-up rounding of numerator/denominator for non-negative ints."""
-    q, r = divmod(numerator, denominator)
-    return q + (1 if 2 * r >= denominator else 0)
+def round_half_up_ratio(numerator, denominator):
+    """Exact half-up rounding of numerator/denominator.
+
+    Works on ints and elementwise on int64 or object arrays; the
+    denominator must be positive.
+    """
+    return (2 * numerator + denominator) // (2 * denominator)
+
+
+def _annual_cost(total, months):
+    """Mean monthly cost times 12, rounded half-up to integer yen."""
+    return round_half_up_ratio(12 * total, months)
 
 
 def annualize(
@@ -139,8 +168,7 @@ def annualize(
                 "records span calendar years; pass the grouping year explicitly"
             )
         year = years.pop()
-    total = sum(r.cost for r in records)
-    annual = round_half_up_ratio(total * 12, len(records))
+    annual = _annual_cost(sum(r.cost for r in records), len(records))
     return PersonYear(
         person_id=records[0].person_id,
         age=max(r.age for r in records),
@@ -158,34 +186,45 @@ def aggregate_person_years(
 ) -> tuple[list[PersonYear], dict[str, str]]:
     """Group monthly records into PersonYears; returns (person_years, sex map).
 
-    Duplicate (person, year, month) rows and contradictory sex values are
-    rejected here, where the per-group accumulators make both visible.
+    Person-years come sorted by (person_id, year).  A contradictory sex
+    value or a duplicate (person, year, month) row raises as soon as its
+    record arrives.  Each (person, grouping year) keeps one accumulator,
+    [months seen, cost total, highest age]; annual costs and states are
+    computed for all of them once the stream ends.
     """
     if year_convention not in YEAR_CONVENTIONS:
         raise InvalidInputError(f"year convention must be one of {YEAR_CONVENTIONS}")
-    groups: dict[tuple[str, int], list[ClaimRecord]] = {}
-    # per group, the set of (year, month) seen so far as a bit set: a group
-    # spans at most two calendar years, so bit (year - gyear) * 12 + month - 1
-    months_seen: dict[tuple[str, int], int] = {}
+    # months seen form a bit set: a group spans at most two calendar years,
+    # so bit (year - gyear) * 12 + month - 1
+    groups: dict[tuple[str, int], list[int]] = {}
     sex_of: dict[str, str] = {}
     for rec in records:
-        gyear = grouping_year(rec.year, rec.month, year_convention)
-        prev_sex = sex_of.setdefault(rec.person_id, rec.sex)
-        if prev_sex != rec.sex:
-            raise DataFormatError(f"person {rec.person_id!r} appears with both sexes")
-        key = (rec.person_id, gyear)
-        month_bit = 1 << ((rec.year - gyear) * 12 + rec.month - 1)
-        seen = months_seen.get(key, 0)
-        if seen & month_bit:
+        pid, year, month = rec.person_id, rec.year, rec.month
+        if sex_of.setdefault(pid, rec.sex) != rec.sex:
+            raise DataFormatError(f"person {pid!r} appears with both sexes")
+        gyear = grouping_year(year, month, year_convention)
+        acc = groups.get((pid, gyear))
+        if acc is None:
+            acc = groups[pid, gyear] = [0, 0, rec.age]
+        month_bit = 1 << ((year - gyear) * 12 + month - 1)
+        if acc[0] & month_bit:
             raise DuplicateRecordError(
-                f"duplicate record for person {rec.person_id!r}, year {rec.year}, month {rec.month}"
+                f"duplicate record for person {pid!r}, year {year}, month {month}"
             )
-        months_seen[key] = seen | month_bit
-        groups.setdefault(key, []).append(rec)
+        acc[0] |= month_bit
+        acc[1] += rec.cost
+        if rec.age > acc[2]:
+            acc[2] = rec.age
 
+    keys = sorted(groups)
+    accs = [groups[key] for key in keys]
+    del groups
+    months = [acc[0].bit_count() for acc in accs]
+    annual = [_annual_cost(acc[1], n) for acc, n in zip(accs, months)]
+    codes = classify_costs(annual, thresholds)
     person_years = [
-        annualize(group, thresholds=thresholds, year=gyear)
-        for (pid, gyear), group in sorted(groups.items())
+        PersonYear(pid, acc[2], gyear, n, cost, _STATES[code])
+        for (pid, gyear), acc, n, cost, code in zip(keys, accs, months, annual, codes.tolist())
     ]
     return person_years, sex_of
 

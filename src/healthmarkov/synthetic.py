@@ -257,6 +257,11 @@ def _sample_costs(truth: GroundTruthChain, states: np.ndarray, rng) -> np.ndarra
     return costs
 
 
+def _person_ids(numbers: range) -> np.ndarray:
+    """Object array of the ids f"p{k:07d}", formatted in one pass over ``numbers``."""
+    return np.array(("p%07d\n" * len(numbers) % tuple(numbers)).split("\n")[:-1], dtype=object)
+
+
 def generate_panel(
     truth: GroundTruthChain,
     n_persons: int,
@@ -312,7 +317,7 @@ def generate_panel(
     costs = _sample_costs(truth, states, rng)
     months = (states >= 0) * np.int8(12)
 
-    ids = np.array([f"p{k:07d}" for k in range(n_persons)], dtype=object)
+    ids = _person_ids(range(n_persons))
     births = np.full(n_persons, truth.entry_year - entry_age, dtype=np.int32)
     sex = np.array(["M"] * n_persons, dtype=object)
     return Panel(ids, births, entry_age, states, costs, months, sex=sex)

@@ -85,6 +85,25 @@ class TestIngest:
         assert run("--output-dir", str(tmp_path),
                    "--set", f"input.claims={path}", "ingest") == 3
 
+    def test_summary_counts_every_claims_row(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*synth_args(out, n=60, attrition=0.2)) == 0
+        synth = json.loads(capsys.readouterr().out)
+        assert run("--output-dir", str(out), "--set", f"input.claims={out / 'claims.csv'}",
+                   "--set", "cohort.age_max=25", "ingest") == 0
+        ingest = json.loads(capsys.readouterr().out)
+        # counted before the cohort filter, which here drops ages 26..32
+        assert ingest["claims_rows"] == synth["claims_rows"] > 12 * ingest["person_years"]
+
+    @pytest.mark.parametrize("row", [b"b\xff\xfe,M,40,2010,5,1", b"b," + b"9" * 200_000 + b",40,2010,5,1"],
+                             ids=["not utf-8", "field past the csv limit"])
+    def test_unreadable_row_is_data_error_at_its_line(self, tmp_path, capsys, row):
+        path = tmp_path / "claims.csv"
+        path.write_bytes(HEADER.encode() + b"a,M,40,2010,4,1\n" + row + b"\n")
+        assert run("--output-dir", str(tmp_path), "--set", f"input.claims={path}", "ingest") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 3: ") and "Traceback" not in err
+
     def test_empty_cohort_after_filter(self, tmp_path):
         path = tmp_path / "claims.csv"
         rows = "".join(f"a,F,40,2010,{m},100\n" for m in range(4, 13))

@@ -1,5 +1,7 @@
 import io
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from healthmarkov.ingest import (
     parse_claims,
     round_half_up_ratio,
 )
+from healthmarkov.panel import build_panel
 from healthmarkov.states import HealthState
 
 HEADER = "person_id,sex,age,year,month,cost_yen\n"
@@ -67,6 +70,45 @@ class TestParse:
         with pytest.raises(DataFormatError) as err:
             list(parse_claims(claims(row + "\n")))
         assert err.value.line == 2
+
+    def test_bytes_that_are_not_utf8_fail_at_their_line(self, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_bytes((HEADER + "a,M,40,2010,4,1000\n\n").encode() + b"b\xff\xfe,M,40,2010,4,5\n")
+        records = parse_claims(path)
+        assert next(records) == ClaimRecord("a", "M", 40, 2010, 4, 1000)
+        with pytest.raises(DataFormatError, match="not UTF-8") as err:
+            next(records)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("row", [b"a,M\xff,40,2010,4,5", b"a,M,40,2010,4,5\xff"])
+    def test_bytes_that_are_not_utf8_in_other_fields_fail_their_check(self, tmp_path, row):
+        path = tmp_path / "claims.csv"
+        path.write_bytes(HEADER.encode() + row + b"\n")
+        with pytest.raises(DataFormatError) as err:
+            list(parse_claims(path))
+        assert err.value.line == 2
+
+    def test_header_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_bytes(b"\xffperson_id,sex,age,year,month,cost_yen\n")
+        with pytest.raises(DataFormatError) as err:
+            list(parse_claims(path))
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("at_line", [1, 2, 4])
+    def test_field_past_the_csv_limit_fails_at_its_line(self, at_line):
+        lines = [HEADER.rstrip("\n"), "a,M,40,2010,4,1000", "", "a,M,40,2010,5,1000"]
+        lines[at_line - 1] = "x" * 200_000 + lines[at_line - 1]
+        records = parse_claims(io.StringIO("\n".join(lines) + "\n"))
+        with pytest.raises(DataFormatError, match="field larger than field limit") as err:
+            for _ in range(3):
+                next(records)
+        assert err.value.line == at_line
+
+    def test_numbers_keep_every_separator_strip_removes(self):
+        # int() alone refuses \x1c-\x1f around a number; str.strip removes them
+        rows = list(parse_claims(claims(" a ,\x1cM, \x1c40\x1f,2010 ,\x1e4,\t1000\n")))
+        assert rows == [ClaimRecord("a", "M", 40, 2010, 4, 1000)]
 
     def test_parser_is_lazy(self):
         # consuming one record must not validate the rest of the file
@@ -174,6 +216,14 @@ class TestRoundHalfUp:
     def test_cases(self, num, den, expected):
         assert round_half_up_ratio(num, den) == expected
 
+    def test_arrays_round_like_ints(self):
+        num = [0, 1, 3, 7, 9, 10, 12 * 35, 2**61, 2**70 + 1]
+        den = [5, 2, 2, 2, 4, 4, 9, 7, 3]
+        want = [round_half_up_ratio(n, d) for n, d in zip(num, den)]
+        got = round_half_up_ratio(np.array(num[:-1]), np.array(den[:-1]))
+        assert got.dtype == np.int64 and got.tolist() == want[:-1]
+        assert round_half_up_ratio(np.array(num, dtype=object), np.array(den)).tolist() == want
+
 
 class TestAggregate:
     def test_fiscal_grouping_collects_both_calendar_years(self):
@@ -218,6 +268,54 @@ class TestAggregate:
     def test_conflicting_sex(self):
         with pytest.raises(DataFormatError):
             aggregate_person_years([rec(4, 1), rec(5, 1, sex="F")])
+
+    def test_person_years_sort_by_id_then_year(self):
+        records = [rec(4, 1, pid="b"), rec(4, 1, pid="a", year=2011), rec(4, 1, pid="B"),
+                   rec(4, 1, pid="a"), rec(1, 1, pid="a", year=2010)]
+        person_years, sex_of = aggregate_person_years(records)
+        assert [(py.person_id, py.year) for py in person_years] == [
+            ("B", 2010), ("a", 2009), ("a", 2010), ("a", 2011), ("b", 2010)
+        ]
+        assert list(sex_of) == ["b", "a", "B"]
+
+    def test_costs_past_int64_stay_exact_until_the_panel(self):
+        big = 2**63 // 12 + 5  # 12 * big does not fit int64
+        records = [rec(4, big), rec(4, 10, pid="b"), rec(5, 0, pid="b")]
+        person_years, sex_of = aggregate_person_years(records)
+        assert [py.annual_cost for py in person_years] == [12 * big, 60]
+        assert [py.state for py in person_years] == [HealthState.Q5, HealthState.Q1]
+        with pytest.raises(OverflowError):
+            build_panel(person_years, sex=sex_of)
+
+    def test_year_past_int64_stays_exact_until_the_panel(self):
+        person_years, sex_of = aggregate_person_years([rec(6, 1, year=2**64)])
+        assert person_years[0].year == 2**64
+        with pytest.raises(OverflowError):
+            build_panel(person_years, sex=sex_of)
+
+    def test_a_later_duplicate_wins_over_a_cost_past_int64(self):
+        with pytest.raises(DuplicateRecordError):
+            aggregate_person_years([rec(4, 2**80), rec(5, 1), rec(4, 1)])
+
+    def test_empty_stream(self):
+        assert aggregate_person_years([]) == ([], {})
+
+    def test_memory_is_held_per_person_year_not_per_row(self, tmp_path):
+        from healthmarkov.synthetic import generate_panel, random_chain, write_claims
+
+        panel = generate_panel(random_chain(11, entry_age=20, exit_age=60, attrition=0.02), 150)
+        path = tmp_path / "claims.csv"
+        rows = write_claims(panel, path)
+        tracemalloc.start()
+        try:
+            person_years, _ = aggregate_person_years(parse_claims(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding every ClaimRecord until the stream ends took about 240 bytes per row
+        assert rows >= 50_000
+        assert sum(py.months_observed for py in person_years) == rows
+        assert peak <= 120 * rows
 
 
 class TestMillionRowStream:

@@ -1,0 +1,197 @@
+"""Differential test: claims parsing and aggregation against the versions they replaced.
+
+``parse_claims`` followed by ``aggregate_person_years`` must do what
+reference_ingest's row parser and record-holding aggregation did: the
+same PersonYears, the same sex map in the same order, or the same error
+class, message and line, raised after the same number of records.
+Generated claims files hold runs of consecutive months that straddle
+calendar and fiscal years, duplicates in the same and in a later group,
+contradictory sexes, malformed and blank rows, a byte-order mark, ids
+that need quoting, padded fields, and costs and years past int64.
+"""
+
+import csv
+import io
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from healthmarkov.errors import DuplicateRecordError
+from healthmarkov.ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS, aggregate_person_years, parse_claims
+from healthmarkov.states import DEFAULT_THRESHOLDS, StateThresholds
+
+from reference_ingest import reference_aggregate_person_years, reference_parse_stream
+
+IDS = ["a", "B", "b", "p0000001", "p0000010", "a,b", 'say "hi"', "x\ny", "é", " padded "]
+PADS = ["", "", "", " ", "\t", "\x1c"]
+BIG = [2**59, 2**63 // 12 + 1, 2**63, 2**70, 10**400]
+BIG_YEAR = 2**64
+MALFORMED = [
+    ["a", "X", "40", "2010", "4", "1"],
+    ["a", "M", "121", "2010", "4", "1"],
+    ["a", "M", "40", "2010", "0", "1"],
+    ["a", "M", "40", "2010", "13", "1"],
+    ["a", "M", "40", "2010", "4", "-1"],
+    ["a", "M", "40", "2010", "4", "ten"],
+    ["a", "M", "40", "2010", "4"],
+    ["a", "M", "40", "2010", "4", "1", "extra"],
+    ["", "M", "40", "2010", "4", "1"],
+]
+
+
+def reference_parse(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        yield from reference_parse_stream(fh)
+
+
+def run(parse, aggregate, path, convention, thresholds):
+    """(outcome, records consumed before it) of parse -> aggregate."""
+    records = []
+
+    def counted(stream):
+        for rec in stream:
+            records.append(rec)
+            yield rec
+
+    try:
+        person_years, sex_of = aggregate(counted(parse(path)), thresholds=thresholds,
+                                         year_convention=convention)
+    except Exception as exc:  # every error, its class and message are compared
+        return ("error", type(exc), str(exc), getattr(exc, "line", None)), records
+    return ("ok", person_years, list(sex_of.items())), records
+
+
+@st.composite
+def claims_files(draw):
+    convention = draw(st.sampled_from(YEAR_CONVENTIONS))
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True))
+    sex_of = {pid: draw(st.sampled_from("MF")) for pid in ids}
+    lines = []  # field lists, or None for a blank line
+    labels = set()
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["run"] * 6 + ["duplicate", "other sex", "malformed", "blank"]))
+        records = [f for f in lines if f is not None and len(f) == 6 and f[0] in sex_of]
+        if kind == "run":
+            # consecutive months from (year, month), as a claims extract lists them
+            pid = draw(st.sampled_from(ids))
+            year = draw(st.sampled_from([2009, 2010, 2011, 2011, BIG_YEAR]))
+            month = draw(st.integers(1, 12))
+            age = draw(st.integers(0, 119))
+            for k in range(draw(st.integers(1, 14))):
+                y, m = year + (month - 1 + k) // 12, (month - 1 + k) % 12 + 1
+                cost = draw(st.sampled_from(BIG) if draw(st.integers(0, 9)) == 0 else st.integers(0, 400_000))
+                lines.append([pid, sex_of[pid], str(age + (k > 0 and m == 1)), str(y), str(m), str(cost)])
+        elif kind == "duplicate" and records:
+            # the last row's month again, or an earlier row's
+            pid, sex, age, y, m, _ = draw(st.sampled_from([records[-1], records[0], *records]))
+            lines.append([pid, sex, age, y, m, str(draw(st.integers(0, 9)))])
+        elif kind == "other sex" and records:
+            pid = records[-1][0]
+            lines.append([pid, "F" if sex_of[pid] == "M" else "M", "30", "2010", "6", "1"])
+        elif kind == "malformed":
+            lines.append(list(draw(st.sampled_from(MALFORMED))))
+        elif kind == "blank":
+            lines.append(None)
+    header = draw(st.sampled_from(["canonical"] * 10 + ["padded", "wrong", "absent"]))
+    if header != "absent":
+        names = list(CLAIMS_COLUMNS)
+        if header == "padded":
+            names = [f" {n} " for n in names]
+        elif header == "wrong":
+            names[2] = "age_years"
+        lines.insert(0, names)
+    if draw(st.booleans()):  # pad fields with what str.strip removes
+        lines = [f if f is None else [draw(st.sampled_from(PADS)) + v + draw(st.sampled_from(PADS)) for v in f]
+                 for f in lines]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    for fields in lines:
+        if fields is None:
+            text.write("\n")
+        else:
+            writer.writerow(fields)
+    bom = draw(st.booleans())
+    data = (b"\xef\xbb\xbf" if bom else b"") + text.getvalue().encode("utf-8")
+    thresholds = draw(st.sampled_from([DEFAULT_THRESHOLDS, StateThresholds((0, 10, 1_000, 100_000))]))
+    labels.add(f"{convention} convention")
+    if bom:
+        labels.add("byte-order mark")
+    if None in lines:
+        labels.add("blank line")
+    return data, convention, thresholds, labels
+
+
+def outcome_labels(outcome, records, convention):
+    """What a reference outcome reached, for the coverage check."""
+    labels = set()
+    if outcome[0] == "ok":
+        labels.add("success")
+        if not outcome[1]:
+            labels.add("empty stream")
+        if any(py.annual_cost > 2**63 - 1 for py in outcome[1]):
+            labels.add("cost past int64 returned")
+        if any(py.year > 2**63 - 1 for py in outcome[1]):
+            labels.add("year past int64 returned")
+        fiscal_years = {}
+        for r in records:
+            fiscal_years.setdefault((r.person_id, r.year - (r.month < 4)), set()).add(r.year)
+        if any(len(years) == 2 for years in fiscal_years.values()):
+            labels.add(f"fiscal-year straddle, {convention} convention")
+        if any('"' in pid or "," in pid or "\n" in pid for pid, _ in outcome[2]):
+            labels.add("quoted id")
+        if "padded" in dict(outcome[2]):
+            labels.add("padded id")
+        return labels
+    cls, message, line = outcome[1:]
+    labels.add(f"{cls.__name__} with a line" if line is not None else cls.__name__)
+    if "both sexes" in message:
+        labels.add("sex contradiction")
+    if cls is DuplicateRecordError:
+        dup = records[-1]
+        first = next(k for k, r in enumerate(records)
+                     if (r.person_id, r.year, r.month) == (dup.person_id, dup.year, dup.month))
+
+        def group(r):
+            return r.person_id, r.year - (convention == "fiscal" and r.month < 4)
+
+        if all(group(r) == group(dup) for r in records[first + 1:-1]):
+            labels.add("duplicate in the same group")
+        else:
+            labels.add("duplicate in a later group")
+        if any(r.cost > 2**63 - 1 or r.year > 2**63 - 1 for r in records[:-1]):
+            labels.add("duplicate after a value past int64")
+    return labels
+
+
+REACHED = {
+    "fiscal convention", "calendar convention", "byte-order mark", "blank line", "success",
+    "empty stream", "cost past int64 returned", "year past int64 returned",
+    "fiscal-year straddle, fiscal convention", "fiscal-year straddle, calendar convention",
+    "quoted id", "padded id", "DataFormatError with a line", "DataFormatError", "sex contradiction",
+    "duplicate in the same group", "duplicate in a later group", "duplicate after a value past int64",
+    "OverflowError",
+}
+
+
+def test_parse_and_aggregate_match_reference():
+    seen = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "claims.csv")
+
+        @settings(max_examples=600, derandomize=True, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+        @given(claims_files())
+        def check(case):
+            data, convention, thresholds, labels = case
+            with open(path, "wb") as fh:
+                fh.write(data)
+            want, want_records = run(reference_parse, reference_aggregate_person_years, path,
+                                     convention, thresholds)
+            got, got_records = run(parse_claims, aggregate_person_years, path, convention, thresholds)
+            assert got == want
+            assert got_records == want_records
+            seen.update(labels, outcome_labels(want, want_records, convention))
+
+        check()
+    assert REACHED <= seen, REACHED - seen

@@ -7,8 +7,10 @@ smoke run.  The benchmark also counts one ``project_cumulative`` span per
 f02/f03 row, takes ``synthetic.claims_rows`` from the return value of
 ``write_claims``, times each estimate family's counting kernel under the
 kernel's own name, times the cohort simulator as one ``simulate_paths``
-span per simulated panel, and counts one ``persistency_difference`` curve
-per difference-curve start age; the tests below hold the program to these.
+span per simulated panel, counts ``ingest.rows`` as the records one
+``parse_claims`` generator yields per ``ingest``, and counts one
+``persistency_difference`` curve per difference-curve start age; the
+tests below hold the program to these.
 These tests read perfbench and change nothing in it.
 """
 
@@ -91,6 +93,35 @@ def test_one_write_claims_span_counts_every_claims_row(tracing, tmp_path, capsys
     with open(out / "claims.csv", newline="", encoding="utf-8") as fh:
         data_lines = sum(1 for _ in csv.reader(fh)) - 1
     assert spans[0]["counts"] == {"synthetic.claims_rows": summary["claims_rows"]}
+    assert summary["claims_rows"] == data_lines > 0
+
+
+def test_one_parse_span_counts_every_claims_row_of_an_ingest(tracing, tmp_path, capsys):
+    # perfbench counts ingest.rows as next() calls on parse_claims, which
+    # load_claims_panel must keep calling, with aggregate and build, once each
+    import healthmarkov.cli as cli
+
+    out = tmp_path / "out"
+    assert cli.main(["--output-dir", str(out), "--set", "synth.n_persons=30", "--set", "seed=4",
+                     "--set", "synth.attrition=0.2", "synth"]) == 0
+    capsys.readouterr()
+    tracer = tracing.Tracer("t")
+    try:
+        tracer.install()
+        assert cli.main(["--output-dir", str(out), "--set", f"input.claims={out / 'claims.csv'}",
+                         "ingest"]) == 0
+    finally:
+        tracer.uninstall()
+    summary = json.loads(capsys.readouterr().out)
+    with open(out / "claims.csv", newline="", encoding="utf-8") as fh:
+        data_lines = sum(1 for _ in csv.reader(fh)) - 1
+    spans = {}
+    for r in tracer.records():
+        spans.setdefault(r["metric"], []).append(r)
+    assert [r["counts"] for r in spans["ingest.parse_s"]] == [{"ingest.rows": data_lines}]
+    [aggregate] = spans["ingest.aggregate_s"]
+    assert aggregate["counts"]["ingest.person_years"] >= summary["person_years"] > 0
+    assert len(spans["panel.build_s"]) == 1
     assert summary["claims_rows"] == data_lines > 0
 
 

@@ -56,6 +56,13 @@ class TestGeneratePanel:
             markers = (panel.states[p] == -1).sum()
             assert observed == 1 and markers == 5  # only age 20 observed, 21..25 missing
 
+    @pytest.mark.parametrize("numbers", [range(0), range(1), range(100_000), range(9_999_990, 10_000_010),
+                                         range(123_456_789, 123_456_792)])
+    def test_person_ids_match_the_f_string(self, numbers):
+        ids = synthetic._person_ids(numbers)
+        assert ids.dtype == object and ids.shape == (len(numbers),)
+        assert ids.tolist() == [f"p{k:07d}" for k in numbers]
+
     def test_seed_reproducible(self):
         truth = random_chain(42, entry_age=20, exit_age=35, attrition=0.05, cost_model="uniform")
         a = generate_panel(truth, 500)
