@@ -1,4 +1,4 @@
-"""Streaming claims ingestion: monthly records -> annualized person-years.
+"""Streaming claims ingestion: monthly records -> a person-year table -> a Panel.
 
 Input CSV (UTF-8, header required; a leading byte-order mark, as
 spreadsheet programs write it, is skipped when reading from a path):
@@ -10,7 +10,8 @@ parser is a generator with constant memory.  Aggregation into person-years
 keeps one small accumulator per (person, year) until the stream ends,
 because a duplicate (person, year, month) row may arrive anywhere later in
 the file; it holds no record.  Annual costs and states are then computed
-for all person-years at once.
+for all person-years at once, into one structured array with a row per
+person-year, whose columns go straight to ``panel.build_panel``.
 
 Annual cost is mean observed monthly cost times 12, rounded half-up to
 integer yen, so part-year enrollees are scaled to a full-year equivalent.
@@ -21,17 +22,20 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
 
 from .errors import DataFormatError, DuplicateRecordError, InvalidInputError
-from .panel import Panel, PersonYear, build_panel
-from .states import DEFAULT_THRESHOLDS, HealthState, StateThresholds, classify_cost, classify_costs
+from .panel import PANEL_CACHE_COLUMNS, Panel, PersonYear, build_panel
+from .states import DEFAULT_THRESHOLDS, StateThresholds, classify_cost, classify_costs
 
 CLAIMS_COLUMNS = ("person_id", "sex", "age", "year", "month", "cost_yen")
 
 YEAR_CONVENTIONS = ("fiscal", "calendar")
 
-#: HealthState by 0-based state code.
-_STATES = tuple(HealthState)
+#: Row of the person-year table aggregate_person_years returns: the panel cache's
+#: columns, with state as a 0-based code.
+PERSON_YEAR_DTYPE = np.dtype(
+    [("person_id", object)] + [(name, np.int64) for name in PANEL_CACHE_COLUMNS[1:]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +55,7 @@ def parse_claims(source) -> Iterator[ClaimRecord]:
 
     Malformed rows raise DataFormatError carrying the 1-based line number;
     so do bytes that are not UTF-8 and rows the csv module cannot split.
+    A strictly decoding text stream raises it without a line: it decodes in chunks.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         # undecodable bytes become lone surrogates, which fail their row's checks
@@ -111,6 +116,8 @@ def _parse_stream(fh) -> Iterator[ClaimRecord]:
             yield ClaimRecord(pid, sex, age, year, month, cost)
     except csv.Error as exc:
         raise DataFormatError(f"unreadable CSV record: {exc}", line=lineno + 1) from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"claims stream holds bytes that are not {exc.encoding}") from None
 
 
 def grouping_year(year: int, month: int, convention: str = "fiscal") -> int:
@@ -183,14 +190,16 @@ def aggregate_person_years(
     records: Iterable[ClaimRecord],
     thresholds: StateThresholds = DEFAULT_THRESHOLDS,
     year_convention: str = "fiscal",
-) -> tuple[list[PersonYear], dict[str, str]]:
-    """Group monthly records into PersonYears; returns (person_years, sex map).
+) -> tuple[np.ndarray, dict[str, str]]:
+    """Group monthly records into a person-year table; returns (table, sex map).
 
-    Person-years come sorted by (person_id, year).  A contradictory sex
+    The table is a PERSON_YEAR_DTYPE array with one row per (person,
+    grouping year), sorted by (person_id, year).  A contradictory sex
     value or a duplicate (person, year, month) row raises as soon as its
     record arrives.  Each (person, grouping year) keeps one accumulator,
-    [months seen, cost total, highest age]; annual costs and states are
-    computed for all of them once the stream ends.
+    [months seen, cost total, highest age]; once the stream ends, annual
+    costs are computed and classified as exact ints, then stored as int64,
+    so a cost or year past int64 raises OverflowError there.
     """
     if year_convention not in YEAR_CONVENTIONS:
         raise InvalidInputError(f"year convention must be one of {YEAR_CONVENTIONS}")
@@ -222,11 +231,14 @@ def aggregate_person_years(
     months = [acc[0].bit_count() for acc in accs]
     annual = [_annual_cost(acc[1], n) for acc, n in zip(accs, months)]
     codes = classify_costs(annual, thresholds)
-    person_years = [
-        PersonYear(pid, acc[2], gyear, n, cost, _STATES[code])
-        for (pid, gyear), acc, n, cost, code in zip(keys, accs, months, annual, codes.tolist())
-    ]
-    return person_years, sex_of
+    table = np.empty(len(keys), dtype=PERSON_YEAR_DTYPE)
+    table["person_id"] = [pid for pid, _ in keys]
+    table["age"] = [acc[2] for acc in accs]
+    table["year"] = [gyear for _, gyear in keys]
+    table["state"] = codes
+    table["months_observed"] = months
+    table["annual_cost"] = annual
+    return table, sex_of
 
 
 def load_claims_panel(
@@ -235,8 +247,11 @@ def load_claims_panel(
     year_convention: str = "fiscal",
     end_year: int | None = None,
 ) -> Panel:
-    """Full ingestion pipeline: parse, annualize, assemble a Panel."""
-    person_years, sex_of = aggregate_person_years(
+    """Full ingestion pipeline: parse, aggregate into person-years, build a Panel."""
+    table, sex_of = aggregate_person_years(
         parse_claims(source), thresholds=thresholds, year_convention=year_convention
     )
-    return build_panel(person_years, end_year=end_year, sex=sex_of)
+    return build_panel(
+        table["person_id"], table["age"], table["year"], table["state"],
+        table["months_observed"], table["annual_cost"], end_year=end_year, sex=sex_of,
+    )

@@ -26,8 +26,8 @@ vectorized masks.  Any other file (a malformed one, or one with fields
 that only ``int()`` or the csv module accept, such as ``1_000``, padded
 labels or bare carriage returns) is split by ``csv.reader`` and checked
 with the same masks: numpy reports neither the line of a short row nor
-the blank lines it skips.  Both feed ``_assemble``, the one function that
-builds a Panel from cells; ``build_panel`` is a thin adapter over it.
+the blank lines it skips.  Both feed ``build_panel``, the one panel
+builder, which claims ingestion calls with its person-year table too.
 
 Errors ``read_cache`` raises, in this order:
 
@@ -49,7 +49,7 @@ import functools
 import io
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -264,7 +264,7 @@ class Panel:
         pids, ages, years, codes, months, costs = cells
         end_year = int(years.max()) if len(years) else None
         obs = codes >= 0
-        return _assemble(pids[obs], ages[obs], years[obs], codes[obs], months[obs], costs[obs], end_year)
+        return build_panel(pids[obs], ages[obs], years[obs], codes[obs], months[obs], costs[obs], end_year)
 
 
 # -- panel-cache parsing -----------------------------------------------------
@@ -411,23 +411,27 @@ def _csv_cells(text: str):
 # -- panel assembly ----------------------------------------------------------
 
 
-def _assemble(pids, ages, years, codes, months, costs, end_year=None, sex=None) -> Panel:
+def build_panel(person_ids, ages, years, codes, months, costs, end_year=None, sex=None) -> Panel:
     """Build a Panel from one entry per observed person-year; the only panel builder.
 
-    Columns are parallel 1-D arrays; codes are 0-based states.  Checks run in
-    this order: duplicate (person, year), first in input order; no entries;
-    end_year before the last observed year; then, by person id and age, an
-    entry whose age and year imply a different birth year than the person's
-    first entry.  Values outside the panel's storage types (months_observed
-    int8, annual_cost int64, birth year int32) raise OverflowError.
+    Columns are parallel 1-D arrays; codes are 0-based states.  Gap years
+    between a person's entries, and trailing years up to end_year (default
+    the latest year), become missing markers.  sex maps person_id -> "M"/"F".
+
+    Checks run in this order: no entries; duplicate (person, year), first
+    in input order; end_year before the last observed year; then, by
+    person id and age, an entry whose age and year imply a different birth
+    year than the person's first entry.  Values outside the panel's
+    storage types (months_observed int8, annual_cost int64, birth year
+    int32) raise OverflowError.
     """
-    if not len(pids):
+    if not len(person_ids):
         raise EmptyCohortError("no person-years to build a panel from")
-    order = np.argsort(pids, kind="stable")
-    sorted_pids = pids[order]
+    order = np.argsort(person_ids, kind="stable")
+    sorted_pids = person_ids[order]
     new_person = np.append(True, sorted_pids[1:] != sorted_pids[:-1])
     ids = sorted_pids[new_person].astype(object)
-    person = np.empty(len(pids), dtype=np.intp)
+    person = np.empty(len(person_ids), dtype=np.intp)
     person[order] = np.cumsum(new_person) - 1
 
     by_year = np.lexsort((years, person))
@@ -484,26 +488,6 @@ def _check_range(values, dtype, name) -> None:
     info = np.iinfo(dtype)
     if len(values) and (values.min() < info.min or values.max() > info.max):
         raise OverflowError(f"{name} outside {info.min}..{info.max}")
-
-
-def build_panel(person_years: Iterable[PersonYear], end_year: int | None = None, sex=None) -> Panel:
-    """Assemble trajectories into a Panel.
-
-    Gap years between observed entries and trailing years up to the panel's
-    final year (default: the latest observed year) become missing markers.
-    sex, when given, maps person_id -> "M"/"F".
-    """
-    pys = list(person_years)
-    return _assemble(
-        np.array([py.person_id for py in pys], dtype=object),
-        np.array([py.age for py in pys], dtype=np.int64),
-        np.array([py.year for py in pys], dtype=np.int64),
-        np.array([int(py.state) - 1 for py in pys], dtype=np.int64),
-        np.array([py.months_observed for py in pys], dtype=np.int64),
-        np.array([py.annual_cost for py in pys], dtype=np.int64),
-        end_year=end_year,
-        sex=sex,
-    )
 
 
 def filter_cohort(

@@ -5,16 +5,21 @@ row loop unpacked rows directly; ``reference_annualize``,
 ``reference_aggregate_person_years`` and ``reference_round_half_up_ratio``
 are ``annualize``, ``aggregate_person_years`` and ``round_half_up_ratio``
 from before aggregation kept one compact accumulator per person-year
-instead of every ClaimRecord.  They are unchanged apart from their names.
-test_ingest_differential.py holds the current functions to them.
+instead of every ClaimRecord.  ``reference_person_year_panel`` is
+``build_panel`` from before the aggregation returned a person-year table:
+it unpacks PersonYears into the columns of today's ``build_panel``.  They
+are unchanged apart from their names and the name of the builder called.
+test_ingest_differential.py holds ``load_claims_panel`` to their chain.
 """
 
 import csv
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from healthmarkov.errors import DataFormatError, DuplicateRecordError, InvalidInputError
 from healthmarkov.ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS, ClaimRecord, grouping_year
-from healthmarkov.panel import PersonYear
+from healthmarkov.panel import Panel, PersonYear, build_panel
 from healthmarkov.states import DEFAULT_THRESHOLDS, StateThresholds, classify_cost
 
 
@@ -139,3 +144,25 @@ def reference_aggregate_person_years(
         for (pid, gyear), group in sorted(groups.items())
     ]
     return person_years, sex_of
+
+
+def reference_person_year_panel(
+    person_years: Iterable[PersonYear], end_year: int | None = None, sex=None
+) -> Panel:
+    """Assemble trajectories into a Panel.
+
+    Gap years between observed entries and trailing years up to the panel's
+    final year (default: the latest observed year) become missing markers.
+    sex, when given, maps person_id -> "M"/"F".
+    """
+    pys = list(person_years)
+    return build_panel(
+        np.array([py.person_id for py in pys], dtype=object),
+        np.array([py.age for py in pys], dtype=np.int64),
+        np.array([py.year for py in pys], dtype=np.int64),
+        np.array([int(py.state) - 1 for py in pys], dtype=np.int64),
+        np.array([py.months_observed for py in pys], dtype=np.int64),
+        np.array([py.annual_cost for py in pys], dtype=np.int64),
+        end_year=end_year,
+        sex=sex,
+    )

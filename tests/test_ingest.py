@@ -3,10 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+
+import healthmarkov.ingest
+import healthmarkov.panel
 from hypothesis import given, strategies as st
 
 from healthmarkov.errors import DataFormatError, DuplicateRecordError, InvalidInputError
 from healthmarkov.ingest import (
+    PERSON_YEAR_DTYPE,
     ClaimRecord,
     aggregate_person_years,
     annualize,
@@ -15,7 +19,6 @@ from healthmarkov.ingest import (
     parse_claims,
     round_half_up_ratio,
 )
-from healthmarkov.panel import build_panel
 from healthmarkov.states import HealthState
 
 HEADER = "person_id,sex,age,year,month,cost_yen\n"
@@ -78,6 +81,18 @@ class TestParse:
         assert next(records) == ClaimRecord("a", "M", 40, 2010, 4, 1000)
         with pytest.raises(DataFormatError, match="not UTF-8") as err:
             next(records)
+        assert err.value.line == 4
+
+    def test_stream_opened_strictly_fails_without_a_line(self, tmp_path):
+        # a text stream decodes in chunks, so the line of an undecodable byte is unknown
+        path = tmp_path / "claims.csv"
+        path.write_bytes((HEADER + "a,M,40,2010,4,1000\n\n").encode() + b"b\xff\xfe,M,40,2010,4,5\n")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            with pytest.raises(DataFormatError, match="bytes that are not utf-8") as err:
+                list(parse_claims(fh))
+        assert err.value.line is None
+        with pytest.raises(DataFormatError) as err:
+            list(parse_claims(path))
         assert err.value.line == 4
 
     @pytest.mark.parametrize("row", [b"a,M\xff,40,2010,4,5", b"a,M,40,2010,4,5\xff"])
@@ -229,11 +244,18 @@ class TestAggregate:
     def test_fiscal_grouping_collects_both_calendar_years(self):
         records = [rec(m, 100, year=2010) for m in range(4, 13)]
         records += [rec(m, 100, year=2011) for m in range(1, 4)]
-        person_years, sex_of = aggregate_person_years(records)
-        assert len(person_years) == 1
-        assert person_years[0].year == 2010
-        assert person_years[0].months_observed == 12
+        table, sex_of = aggregate_person_years(records)
+        assert len(table) == 1
+        assert table["year"][0] == 2010
+        assert table["months_observed"][0] == 12
         assert sex_of == {"a": "M"}
+
+    def test_table_holds_one_row_per_person_year(self):
+        records = [rec(4, 100, age=40), rec(5, 7, age=41), rec(4, 200_000, pid="b", sex="F")]
+        table, sex_of = aggregate_person_years(records)
+        assert table.dtype == PERSON_YEAR_DTYPE
+        assert table.tolist() == [("a", 41, 2010, 2, 642, 0), ("b", 40, 2010, 1, 2_400_000, 4)]
+        assert sex_of == {"a": "M", "b": "F"}
 
     def test_duplicate_person_year_month(self):
         with pytest.raises(DuplicateRecordError):
@@ -262,8 +284,8 @@ class TestAggregate:
 
     def test_same_month_of_another_calendar_year_is_no_duplicate(self):
         # fiscal 2010 holds March 2011; March 2010 belongs to fiscal 2009
-        person_years, _ = aggregate_person_years([rec(3, 1, year=2011), rec(3, 1, year=2010)])
-        assert [py.year for py in person_years] == [2009, 2010]
+        table, _ = aggregate_person_years([rec(3, 1, year=2011), rec(3, 1, year=2010)])
+        assert table["year"].tolist() == [2009, 2010]
 
     def test_conflicting_sex(self):
         with pytest.raises(DataFormatError):
@@ -272,33 +294,45 @@ class TestAggregate:
     def test_person_years_sort_by_id_then_year(self):
         records = [rec(4, 1, pid="b"), rec(4, 1, pid="a", year=2011), rec(4, 1, pid="B"),
                    rec(4, 1, pid="a"), rec(1, 1, pid="a", year=2010)]
-        person_years, sex_of = aggregate_person_years(records)
-        assert [(py.person_id, py.year) for py in person_years] == [
+        table, sex_of = aggregate_person_years(records)
+        assert list(zip(table["person_id"], table["year"].tolist())) == [
             ("B", 2010), ("a", 2009), ("a", 2010), ("a", 2011), ("b", 2010)
         ]
         assert list(sex_of) == ["b", "a", "B"]
 
-    def test_costs_past_int64_stay_exact_until_the_panel(self):
+    def test_cost_past_int64_raises_overflow_after_the_whole_stream(self):
         big = 2**63 // 12 + 5  # 12 * big does not fit int64
-        records = [rec(4, big), rec(4, 10, pid="b"), rec(5, 0, pid="b")]
-        person_years, sex_of = aggregate_person_years(records)
-        assert [py.annual_cost for py in person_years] == [12 * big, 60]
-        assert [py.state for py in person_years] == [HealthState.Q5, HealthState.Q1]
-        with pytest.raises(OverflowError):
-            build_panel(person_years, sex=sex_of)
+        consumed = []
 
-    def test_year_past_int64_stays_exact_until_the_panel(self):
-        person_years, sex_of = aggregate_person_years([rec(6, 1, year=2**64)])
-        assert person_years[0].year == 2**64
-        with pytest.raises(OverflowError):
-            build_panel(person_years, sex=sex_of)
+        def stream():
+            for r in [rec(4, big), rec(4, 10, pid="b"), rec(5, 0, pid="b")]:
+                consumed.append(r)
+                yield r
+
+        with pytest.raises(OverflowError, match="Python int too large"):
+            aggregate_person_years(stream())
+        assert len(consumed) == 3
+
+    def test_year_past_int64_raises_overflow_after_the_whole_stream(self):
+        consumed = []
+
+        def stream():
+            for r in [rec(6, 1, year=2**64), rec(7, 1, pid="b")]:
+                consumed.append(r)
+                yield r
+
+        with pytest.raises(OverflowError, match="Python int too large"):
+            aggregate_person_years(stream())
+        assert len(consumed) == 2
 
     def test_a_later_duplicate_wins_over_a_cost_past_int64(self):
         with pytest.raises(DuplicateRecordError):
             aggregate_person_years([rec(4, 2**80), rec(5, 1), rec(4, 1)])
 
     def test_empty_stream(self):
-        assert aggregate_person_years([]) == ([], {})
+        table, sex_of = aggregate_person_years([])
+        assert len(table) == 0 and table.dtype == PERSON_YEAR_DTYPE
+        assert sex_of == {}
 
     def test_memory_is_held_per_person_year_not_per_row(self, tmp_path):
         from healthmarkov.synthetic import generate_panel, random_chain, write_claims
@@ -308,13 +342,13 @@ class TestAggregate:
         rows = write_claims(panel, path)
         tracemalloc.start()
         try:
-            person_years, _ = aggregate_person_years(parse_claims(path))
+            table, _ = aggregate_person_years(parse_claims(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # holding every ClaimRecord until the stream ends took about 240 bytes per row
         assert rows >= 50_000
-        assert sum(py.months_observed for py in person_years) == rows
+        assert table["months_observed"].sum() == rows
         assert peak <= 120 * rows
 
 
@@ -342,6 +376,17 @@ class TestLoadClaimsPanel:
         pys = list(panel.person_years())
         assert [py.age for py in pys] == [40, 41, 42]
         assert all(py.annual_cost == 12_000 for py in pys)
+
+    def test_builds_no_person_year_objects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("PersonYear constructed between claims and panel")
+
+        for module in (healthmarkov.panel, healthmarkov.ingest):
+            monkeypatch.setattr(module, "PersonYear", refuse)
+        text = "a,M,40,2010,4,1000\na,M,41,2011,4,2000\nb,F,3,2011,5,7\n"
+        panel = load_claims_panel(claims(text))
+        assert list(panel.person_ids) == ["a", "b"]
+        assert panel.summary()["person_years"] == 3
 
     def test_duplicate_row_bubbles_up(self):
         text = "a,M,40,2010,4,1\na,M,40,2010,4,1\n"

@@ -1,9 +1,10 @@
-"""Differential test: claims parsing and aggregation against the versions they replaced.
+"""Differential test: the claims-to-panel chain against the versions it replaced.
 
-``parse_claims`` followed by ``aggregate_person_years`` must do what
-reference_ingest's row parser and record-holding aggregation did: the
-same PersonYears, the same sex map in the same order, or the same error
-class, message and line, raised after the same number of records.
+``load_claims_panel`` must do what reference_ingest's chain did: the row
+parser, the record-holding aggregation into PersonYears, and the
+conversion of those PersonYears into the columns ``build_panel`` takes.
+Both sides must give the same panel arrays, ids and sex, or the same
+error class, message and line, raised after the same number of records.
 Generated claims files hold runs of consecutive months that straddle
 calendar and fiscal years, duplicates in the same and in a later group,
 contradictory sexes, malformed and blank rows, a byte-order mark, ids
@@ -14,14 +15,20 @@ import csv
 import io
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from healthmarkov import ingest
 from healthmarkov.errors import DuplicateRecordError
-from healthmarkov.ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS, aggregate_person_years, parse_claims
+from healthmarkov.ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS
 from healthmarkov.states import DEFAULT_THRESHOLDS, StateThresholds
 
-from reference_ingest import reference_aggregate_person_years, reference_parse_stream
+from reference_ingest import (
+    reference_aggregate_person_years,
+    reference_parse_stream,
+    reference_person_year_panel,
+)
 
 IDS = ["a", "B", "b", "p0000001", "p0000010", "a,b", 'say "hi"', "x\ny", "é", " padded "]
 PADS = ["", "", "", " ", "\t", "\x1c"]
@@ -45,21 +52,48 @@ def reference_parse(path):
         yield from reference_parse_stream(fh)
 
 
-def run(parse, aggregate, path, convention, thresholds):
-    """(outcome, records consumed before it) of parse -> aggregate."""
-    records = []
-
-    def counted(stream):
-        for rec in stream:
+def counting(parse, records):
+    """parse, appending every record it yields to records."""
+    def counted(*args, **kwargs):
+        for rec in parse(*args, **kwargs):
             records.append(rec)
             yield rec
 
+    return counted
+
+
+def outcome(load):
+    """The panel load() builds, as comparable values, or its error."""
     try:
-        person_years, sex_of = aggregate(counted(parse(path)), thresholds=thresholds,
-                                         year_convention=convention)
+        panel = load()
     except Exception as exc:  # every error, its class and message are compared
-        return ("error", type(exc), str(exc), getattr(exc, "line", None)), records
-    return ("ok", person_years, list(sex_of.items())), records
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    arrays = [(a.dtype.str, a.shape, a.tolist())
+              for a in (panel.birth_years, panel.states, panel.costs, panel.months)]
+    return ("ok", list(panel.person_ids), panel.age_min, arrays, list(panel.sex))
+
+
+def run_reference(path, convention, thresholds):
+    """(outcome, records consumed, (PersonYears, sex map) or None) of the reference chain."""
+    records, aggregated = [], []
+
+    def load():
+        person_years, sex_of = reference_aggregate_person_years(
+            counting(reference_parse, records)(path), thresholds=thresholds,
+            year_convention=convention)
+        aggregated.append((person_years, sex_of))
+        return reference_person_year_panel(person_years, sex=sex_of)
+
+    return outcome(load), records, (aggregated or [None])[0]
+
+
+def run_current(path, convention, thresholds):
+    """(outcome, records consumed) of load_claims_panel."""
+    records = []
+    with mock.patch.object(ingest, "parse_claims", counting(ingest.parse_claims, records)):
+        got = outcome(lambda: ingest.load_claims_panel(path, thresholds=thresholds,
+                                                       year_convention=convention))
+    return got, records
 
 
 @st.composite
@@ -122,31 +156,35 @@ def claims_files(draw):
     return data, convention, thresholds, labels
 
 
-def outcome_labels(outcome, records, convention):
+def outcome_labels(outcome, records, aggregated, convention):
     """What a reference outcome reached, for the coverage check."""
     labels = set()
-    if outcome[0] == "ok":
-        labels.add("success")
-        if not outcome[1]:
+    if aggregated is not None:
+        person_years, sex_of = aggregated
+        if not person_years:
             labels.add("empty stream")
-        if any(py.annual_cost > 2**63 - 1 for py in outcome[1]):
+        if any(py.annual_cost > 2**63 - 1 for py in person_years):
             labels.add("cost past int64 returned")
-        if any(py.year > 2**63 - 1 for py in outcome[1]):
+        if any(py.year > 2**63 - 1 for py in person_years):
             labels.add("year past int64 returned")
         fiscal_years = {}
         for r in records:
             fiscal_years.setdefault((r.person_id, r.year - (r.month < 4)), set()).add(r.year)
         if any(len(years) == 2 for years in fiscal_years.values()):
             labels.add(f"fiscal-year straddle, {convention} convention")
-        if any('"' in pid or "," in pid or "\n" in pid for pid, _ in outcome[2]):
+        if any('"' in pid or "," in pid or "\n" in pid for pid in sex_of):
             labels.add("quoted id")
-        if "padded" in dict(outcome[2]):
+        if "padded" in sex_of:
             labels.add("padded id")
+    if outcome[0] == "ok":
+        labels.add("success")
         return labels
     cls, message, line = outcome[1:]
     labels.add(f"{cls.__name__} with a line" if line is not None else cls.__name__)
     if "both sexes" in message:
         labels.add("sex contradiction")
+    if "contradicts earlier records" in message:
+        labels.add("birth-year contradiction")
     if cls is DuplicateRecordError:
         dup = records[-1]
         first = next(k for k, r in enumerate(records)
@@ -170,11 +208,11 @@ REACHED = {
     "fiscal-year straddle, fiscal convention", "fiscal-year straddle, calendar convention",
     "quoted id", "padded id", "DataFormatError with a line", "DataFormatError", "sex contradiction",
     "duplicate in the same group", "duplicate in a later group", "duplicate after a value past int64",
-    "OverflowError",
+    "OverflowError", "EmptyCohortError", "birth-year contradiction",
 }
 
 
-def test_parse_and_aggregate_match_reference():
+def test_load_claims_panel_matches_reference_chain():
     seen = set()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "claims.csv")
@@ -186,12 +224,11 @@ def test_parse_and_aggregate_match_reference():
             data, convention, thresholds, labels = case
             with open(path, "wb") as fh:
                 fh.write(data)
-            want, want_records = run(reference_parse, reference_aggregate_person_years, path,
-                                     convention, thresholds)
-            got, got_records = run(parse_claims, aggregate_person_years, path, convention, thresholds)
+            want, want_records, aggregated = run_reference(path, convention, thresholds)
+            got, got_records = run_current(path, convention, thresholds)
             assert got == want
             assert got_records == want_records
-            seen.update(labels, outcome_labels(want, want_records, convention))
+            seen.update(labels, outcome_labels(want, want_records, aggregated, convention))
 
         check()
     assert REACHED <= seen, REACHED - seen

@@ -13,12 +13,12 @@ from healthmarkov.panel import (
     MISSING_CODE,
     Panel,
     PersonYear,
-    build_panel,
     filter_cohort,
 )
 from healthmarkov.states import HealthState
 
 from conftest import make_panel
+from reference_ingest import reference_person_year_panel as build  # build_panel on PersonYears
 
 
 def py(pid, age, year, cost=1_000, state=HealthState.Q1, months=12):
@@ -27,16 +27,16 @@ def py(pid, age, year, cost=1_000, state=HealthState.Q1, months=12):
 
 class TestBuildPanel:
     def test_contiguous_trajectory_has_no_markers(self):
-        panel = build_panel([py("a", 30, 2000), py("a", 31, 2001), py("a", 32, 2002)])
+        panel = build([py("a", 30, 2000), py("a", 31, 2001), py("a", 32, 2002)])
         assert list(panel.markers()) == []
         assert [p.age for p in panel.person_years()] == [30, 31, 32]
 
     def test_gap_becomes_marker(self):
-        panel = build_panel([py("a", 30, 2000), py("a", 32, 2002)])
+        panel = build([py("a", 30, 2000), py("a", 32, 2002)])
         assert [m.age for m in panel.markers()] == [31]
 
     def test_attrition_leaves_trailing_markers(self):
-        panel = build_panel(
+        panel = build(
             [py("a", 30, 2000), py("a", 31, 2001), py("b", 28, 2000), py("b", 29, 2001),
              py("b", 30, 2002), py("b", 31, 2003)]
         )
@@ -45,31 +45,31 @@ class TestBuildPanel:
         assert marks == [("a", 32, 2002), ("a", 33, 2003)]
 
     def test_explicit_end_year_extends_markers(self):
-        panel = build_panel([py("a", 30, 2000)], end_year=2002)
+        panel = build([py("a", 30, 2000)], end_year=2002)
         assert [m.age for m in panel.markers()] == [31, 32]
 
     def test_end_year_before_data_rejected(self):
         with pytest.raises(InvalidInputError):
-            build_panel([py("a", 30, 2000)], end_year=1999)
+            build([py("a", 30, 2000)], end_year=1999)
 
     def test_duplicate_person_year(self):
         with pytest.raises(DuplicateRecordError):
-            build_panel([py("a", 30, 2000, cost=1), py("a", 30, 2000, cost=2)])
+            build([py("a", 30, 2000, cost=1), py("a", 30, 2000, cost=2)])
 
     def test_inconsistent_age_year(self):
         with pytest.raises(DataFormatError):
-            build_panel([py("a", 30, 2000), py("a", 30, 2001)])
+            build([py("a", 30, 2000), py("a", 30, 2001)])
 
     def test_person_order_is_canonical(self):
-        panel = build_panel([py("b", 30, 2000), py("a", 30, 2000)])
+        panel = build([py("b", 30, 2000), py("a", 30, 2000)])
         assert list(panel.person_ids) == ["a", "b"]
 
     def test_rebuild_from_flattened_is_idempotent(self):
-        panel = build_panel(
+        panel = build(
             [py("a", 30, 2000), py("a", 32, 2002), py("b", 29, 2000), py("b", 30, 2001),
              py("b", 31, 2002)]
         )
-        rebuilt = build_panel(list(panel.person_years()))
+        rebuilt = build(panel.person_years())
         np.testing.assert_array_equal(rebuilt.states, panel.states)
         np.testing.assert_array_equal(rebuilt.costs, panel.costs)
         assert list(rebuilt.person_years()) == list(panel.person_years())
@@ -78,7 +78,7 @@ class TestBuildPanel:
 
 class TestCodes:
     def test_absent_before_entry(self):
-        panel = build_panel([py("a", 30, 2000), py("b", 32, 2000), py("b", 33, 2001)])
+        panel = build([py("a", 30, 2000), py("b", 32, 2000), py("b", 33, 2001)])
         # ages 30..34 (person a trails to 2001 -> age 31)
         a = list(panel.person_ids).index("a")
         b = list(panel.person_ids).index("b")
@@ -94,7 +94,7 @@ class TestCodes:
 
 class TestCache:
     def test_round_trip(self, tmp_path):
-        panel = build_panel(
+        panel = build(
             [py("a", 30, 2000, cost=500, state=HealthState.Q1),
              py("a", 32, 2002, cost=300_000, state=HealthState.Q5),
              py("b", 29, 2000), py("b", 30, 2001)]
@@ -168,7 +168,7 @@ class TestCache:
         assert entry == PersonYear("a", 30, 2000, 12, 1_000, HealthState.Q1)
 
     def test_missing_rows_have_empty_cost(self, tmp_path):
-        panel = build_panel([py("a", 30, 2000), py("a", 32, 2002)])
+        panel = build([py("a", 30, 2000), py("a", 32, 2002)])
         path = tmp_path / "p.csv"
         panel.write_cache(path)
         lines = path.read_text().splitlines()

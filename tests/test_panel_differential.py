@@ -224,11 +224,15 @@ def test_build_panel_matches_reference(people, end_shift):
         if keep and kind == "obs"
     ]
     pys = [PersonYear(p, a, y, m, c, HealthState[s]) for p, a, y, m, c, s in entries]
+    pids, ages, years, months, costs, labels = zip(*entries) if entries else ([],) * 6
+    columns = (np.array(pids, dtype=object), np.array(ages, dtype=np.int64),
+               np.array(years, dtype=np.int64), np.array([STATE_LABELS.index(s) for s in labels]),
+               np.array(months, dtype=np.int64), np.array(costs, dtype=np.int64))
     end_year = None
     if end_shift is not None and entries:
         end_year = max(e[2] for e in entries) + end_shift
     want = _outcome(lambda _: reference_build_panel(pys, end_year=end_year), None)
-    got = _outcome(lambda _: build_panel(pys, end_year=end_year), None)
+    got = _outcome(lambda _: build_panel(*columns, end_year=end_year), None)
     assert got[0] == want[0], (got, want)
     if want[0] == "error":
         assert got[1] == want[1]

