@@ -10,6 +10,17 @@ Probabilities are always formed from pooled counts, never by averaging
 probabilities; cells with zero support carry an explicit flag instead of
 a sentinel value.
 
+The per-age estimators read whole age columns, which the panel stores
+contiguously, and count with ``np.bincount``.  A frequency curve codes
+each person's cells over the ages it conditions on and the age itself as
+one base-7 number (cell code + 2 per digit, earliest age first) and counts
+those codes once per age; its condition sets then select and sum axes of
+that count table.  A retention path takes the indices of the persons
+meeting its start condition once per start age and counts their cell
+codes in each later column.  A cost summary slices an age's cost column
+first and selects from it, never gathering rows across the column-major
+matrices.
+
 The chain order is a value, not a fork: one counting, estimating and
 pooling body serves order one (``TransitionMatrix``, counted over pairs of
 ages) and order two (``TransitionTensor``, over triples), on one base type.
@@ -43,35 +54,38 @@ _MISSING_IDX = N_STATES
 
 
 def _state_code(state) -> int:
-    return int(HealthState(int(state))) - 1
+    """0-based code of a HealthState, a 1-based int or a state name (``"Q1"``..``"Q5"``)."""
+    if isinstance(state, str) and state in HealthState.__members__:
+        return HealthState[state] - 1
+    if isinstance(state, (int, np.integer)) and not isinstance(state, bool) and 1 <= state <= N_STATES:
+        return int(state) - 1
+    raise InvalidInputError(f"not a health state: {state!r} (expected a HealthState, 1..5 or Q1..Q5)")
 
 
 def _target_codes(target) -> tuple[set[int], bool]:
-    """Normalize a category set to 0-based codes; returns (codes, includes_missing)."""
-    if isinstance(target, (HealthState, int, str)):
+    """Normalize a category set to 0-based codes; returns (codes, includes_missing).
+
+    A single state (any form ``_state_code`` accepts) or MISSING, in any
+    case, stands for the set holding only it.
+    """
+    if isinstance(target, (str, bytes)) or not isinstance(target, Iterable):
         target = [target]
     codes: set[int] = set()
     missing = False
     for item in target:
         if isinstance(item, str) and item.upper() == MISSING:
             missing = True
-        elif isinstance(item, str):
-            codes.add(_state_code(HealthState[item]))
         else:
             codes.add(_state_code(item))
     return codes, missing
 
 
-def _code_table(codes) -> np.ndarray:
-    """Membership of each cell code in ``codes``, indexed by ``code + 2``.
-
-    Entries 0 and 1 stand for the absent (-2) and missing (-1) markers and
-    are always False, so ``_code_table(codes)[col + 2]`` is the mask of
-    observed cells whose state lies in ``codes``.
-    """
-    table = np.zeros(N_STATES + 2, dtype=bool)
-    table[[code + 2 for code in codes]] = True
-    return table
+def _check_group(group) -> tuple[int, int]:
+    """``group`` as (lo, hi); an inverted group is a caller error, not an empty cell."""
+    lo, hi = group
+    if lo > hi:
+        raise InvalidInputError(f"age group {group} is empty")
+    return lo, hi
 
 
 def five_year_groups(age_min: int, age_max: int) -> list[tuple[int, int]]:
@@ -218,9 +232,7 @@ def pool_order2(family: Mapping[int, TransitionTensor], ages: Iterable[int], age
 
 def state_fractions(panel: Panel, age_group: tuple[int, int]) -> tuple[np.ndarray, int]:
     """Share of each state among observed person-years in the age group."""
-    lo, hi = age_group
-    if lo > hi:
-        raise InvalidInputError(f"age group {age_group} is empty")
+    lo, hi = _check_group(age_group)
     lo = max(lo, panel.age_min)
     hi = min(hi, panel.age_max)
     if hi < lo:
@@ -279,8 +291,11 @@ def shock_frequency(
 
     target_codes, target_missing = _target_codes(target)
     lag = len(cond_codes)
-    # tables[offset - 1] conditions the age offset years before t
-    tables = [_code_table(codes) for codes in reversed(cond_codes)]
+    width = N_STATES + 2  # cell code + 2: 0 absent, 1 missing, 2..6 Q1..Q5
+    # axis positions of each condition set, earliest age first
+    picks = [np.array(sorted(codes), dtype=np.intp) + 2 for codes in cond_codes]
+    # the +2 of every digit of the joint code, added once
+    shift = 2 * sum(width ** k for k in range(lag + 1))
     if ages is None:
         ages = range(panel.age_min + lag, panel.age_max + 1)
 
@@ -292,15 +307,20 @@ def shock_frequency(
         if not (panel.has_age(age) and panel.has_age(age - lag)):
             continue
         c = panel.column(age)
-        now = panel.states[:, c]
-        mask = now >= -1  # in-panel at t: observed or attrition marker
-        for offset, table in enumerate(tables, start=1):
-            mask &= table[panel.states[:, c - offset] + 2]
-        denom = int(mask.sum())
+        # one base-7 code per person over the contiguous columns t-lag..t
+        joint = panel.states[:, c - lag].astype(np.intp)
+        for col in range(c - lag + 1, c + 1):
+            joint *= width
+            joint += panel.states[:, col]
+        joint += shift
+        tally = np.bincount(joint, minlength=width ** (lag + 1)).reshape((width,) * (lag + 1))
+        for pick in picks:
+            tally = tally[pick].sum(axis=0)
+        # in-panel at t: observed or attrition marker, codes -1..4
+        denom = int(tally[1:].sum())
         if denom == 0:
             continue
-        # codes -1..4 tally at 1..6; the attrition category comes last
-        tally = np.bincount(now[mask] + 2, minlength=N_STATES + 2)
+        # the attrition category comes last
         share = np.append(tally[2:], tally[1]) / denom
         hit = share[list(target_codes)].sum() if target_codes else 0.0
         if target_missing:
@@ -375,16 +395,17 @@ def conditional_cost_quantiles(
         raise InvalidInputError("quantiles must lie strictly between 0 and 1")
     prior = _state_code(prior_state)
     current = None if current_state is None else _state_code(current_state)
-    lo, hi = age_group
+    lo, hi = _check_group(age_group)
 
     pooled: list[np.ndarray] = []
     for age in range(max(lo, panel.age_min + 1), min(hi, panel.age_max) + 1):
         c = panel.column(age)
-        mask = (panel.states[:, c - 1] == prior) & (panel.states[:, c] >= 0)
-        if current is not None:
-            mask &= panel.states[:, c] == current
+        now = panel.states[:, c]
+        mask = now >= 0 if current is None else now == current
+        mask &= panel.states[:, c - 1] == prior
         if mask.any():
-            pooled.append(panel.costs[mask, c])
+            # the age's cost column first, so the mask selects from contiguous memory
+            pooled.append(panel.costs[:, c][mask])
     cur_state = None if current is None else HealthState(current + 1)
     if not pooled:
         return CostSummary(age_group=age_group, prior_state=HealthState(prior + 1),
@@ -400,15 +421,16 @@ def conditional_cost_quantiles(
         sd=float(costs.std(ddof=1)) if n > 1 else 0.0,
         minimum=int(costs.min()),
         maximum=int(costs.max()),
-        quantiles={q: float(np.quantile(costs, q)) for q in qs},
+        quantiles={q: float(v) for q, v in zip(qs, np.quantile(costs, qs))},
     )
     if want_log_cdf:
         positive = np.sort(costs[costs > 0])
-        uniq, last_idx = np.unique(positive, return_index=True)
-        # rank of the last occurrence of each distinct cost, counting zeros
-        counts_below = np.searchsorted(positive, uniq, side="right") + (n - positive.size)
+        # the last cell of each run of equal costs; its rank, counting zeros, is the CDF there
+        last = np.ones(positive.size, dtype=bool)
+        np.not_equal(positive[1:], positive[:-1], out=last[:-1])
+        ranks = np.flatnonzero(last) + 1 + (n - positive.size)
         summary.log_cdf = [
-            (float(np.log10(v)), float(k / n)) for v, k in zip(uniq, counts_below)
+            (float(np.log10(v)), float(k / n)) for v, k in zip(positive[last], ranks)
         ]
     return summary
 
@@ -448,13 +470,14 @@ def exceedance_proportions(
 
     rows = []
     for group in age_groups:
-        lo, hi = group
+        lo, hi = _check_group(group)
         pooled = []
         for age in range(max(lo, panel.age_min + 1), min(hi, panel.age_max) + 1):
             c = panel.column(age)
-            mask = (panel.states[:, c - 1] == from_state) & (panel.states[:, c] == to_state)
+            mask = panel.states[:, c] == to_state
+            mask &= panel.states[:, c - 1] == from_state
             if mask.any():
-                pooled.append(panel.costs[mask, c])
+                pooled.append(panel.costs[:, c][mask])
         if pooled:
             costs = np.concatenate(pooled)
             rows.append(ExceedanceRow(
@@ -507,28 +530,33 @@ def multi_year_state_frequency(
     target_codes, target_missing = _target_codes(target)
     if target_missing:
         raise InvalidInputError("retention targets are health states; attrition is excluded by design")
-    in_target = _code_table(target_codes)
+    in_target = np.array(sorted(target_codes), dtype=np.intp) + 2
     lag = len(start_codes) - 1
     if age_groups is None:
         age_groups = five_year_groups(panel.age_min, panel.age_max)
 
     out: dict[tuple[int, int], DecayPath] = {}
     for group in age_groups:
-        lo, hi = group
+        lo, hi = _check_group(group)
         hits = np.zeros(horizon, dtype=np.int64)
         totals = np.zeros(horizon, dtype=np.int64)
         for age in range(max(lo, panel.age_min + lag), min(hi, panel.age_max) + 1):
+            reach = min(horizon, panel.age_max - age)
+            if reach < 1:
+                continue
             c = panel.column(age)
             mask = panel.states[:, c] == start_codes[-1]
             if lag:
                 mask &= panel.states[:, c - 1] == start_codes[0]
-            reach = min(horizon, panel.age_max - age)
-            if reach < 1 or not mask.any():
+            persons = np.flatnonzero(mask)
+            if not persons.size:
                 continue
-            # column k - 1 holds the states k years on
-            future = panel.states[mask, c + 1 : c + 1 + reach]
-            totals[:reach] += np.count_nonzero(future >= 0, axis=0)
-            hits[:reach] += np.count_nonzero(in_target[future + 2], axis=0)
+            for k in range(reach):
+                # cell code + 2 of the persons k + 1 years on: 0 absent, 1 missing, 2..6 Q1..Q5
+                tally = np.bincount(panel.states[:, c + 1 + k].take(persons) + 2,
+                                    minlength=N_STATES + 2)
+                totals[k] += tally[2:].sum()
+                hits[k] += tally[in_target].sum()
         values = np.full(horizon, np.nan)
         np.divide(hits, totals, out=values, where=totals > 0)
         out[group] = DecayPath(

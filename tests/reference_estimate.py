@@ -1,15 +1,23 @@
-"""Estimators as they were before the per-age rewrite, kept as a test reference.
+"""Estimators as they were before their per-age rewrites, kept as a test reference.
 
 ``reference_shock_frequency``, ``reference_multi_year_state_frequency`` and
 ``reference_ar_regression`` are the implementations of ``shock_frequency``,
 ``multi_year_state_frequency`` and ``ar_regression`` before their masks were
 built from code lookup tables and whole column blocks; ``reference_min_year``
 is the uncached ``Panel.min_year`` of the same time, taking the panel as its
-``self``.  They are unchanged apart from their names and the AR fit reading
-``reference_min_year(panel)`` in place of ``panel.min_year``.  The
-differential tests in test_estimate_differential.py hold the rewritten
-estimators to them bit for bit.
-"""
+``self``.  They are unchanged apart from their names, the AR fit reading
+``reference_min_year(panel)`` in place of ``panel.min_year``, and the
+retention reference rejecting an inverted age group (lo > hi) with the
+InvalidInputError the estimators raise for it.
+
+``reference_conditional_cost_quantiles`` and
+``reference_exceedance_proportions`` are ``conditional_cost_quantiles`` and
+``exceedance_proportions`` before the cost summaries selected costs column
+first and took their quantiles in one call, unchanged apart from their
+names; they do not check the order of an age group.
+
+The differential tests in test_estimate_differential.py hold the rewritten
+estimators to them bit for bit."""
 
 from typing import Iterable, Sequence
 
@@ -19,14 +27,23 @@ from healthmarkov.errors import DegenerateFitError, EmptyCohortError, InvalidInp
 from healthmarkov.estimate import (
     _MISSING_IDX,
     ARFit,
+    CostSummary,
     DecayPath,
+    ExceedanceRow,
     FrequencyCurve,
     _state_code,
     _target_codes,
     five_year_groups,
 )
 from healthmarkov.panel import Panel
-from healthmarkov.states import CATEGORY_LABELS, MISSING, N_STATES, HealthState
+from healthmarkov.states import (
+    CATEGORY_LABELS,
+    DEFAULT_THRESHOLDS,
+    MISSING,
+    N_STATES,
+    HealthState,
+    StateThresholds,
+)
 
 
 def reference_min_year(self) -> int:
@@ -139,6 +156,8 @@ def reference_multi_year_state_frequency(
     out: dict[tuple[int, int], DecayPath] = {}
     for group in age_groups:
         lo, hi = group
+        if lo > hi:
+            raise InvalidInputError(f"age group {group} is empty")
         hits = np.zeros(horizon, dtype=np.int64)
         totals = np.zeros(horizon, dtype=np.int64)
         for age in range(max(lo, panel.age_min + lag), min(hi, panel.age_max) + 1):
@@ -164,6 +183,106 @@ def reference_multi_year_state_frequency(
             denominators=totals,
         )
     return out
+
+
+def reference_conditional_cost_quantiles(
+    panel: Panel,
+    age_group: tuple[int, int],
+    prior_state,
+    quantiles: Sequence[float] = (0.25, 0.5, 0.75),
+    current_state=None,
+    want_log_cdf: bool = False,
+) -> CostSummary:
+    """Empirical cost distribution at age t given the state at t-1.
+
+    ``current_state`` restricts to one transition path (e.g. the costs of
+    subjects newly arrived in the top state).  ``want_log_cdf`` adds
+    empirical CDF points of log10 cost over the positive costs; the CDF
+    values still count zero-cost subjects, so the curve starts at their
+    share.  An empty cell yields an unavailable summary, never zeros.
+    """
+    qs = [float(q) for q in quantiles]
+    if any(not 0 < q < 1 for q in qs):
+        raise InvalidInputError("quantiles must lie strictly between 0 and 1")
+    prior = _state_code(prior_state)
+    current = None if current_state is None else _state_code(current_state)
+    lo, hi = age_group
+
+    pooled: list[np.ndarray] = []
+    for age in range(max(lo, panel.age_min + 1), min(hi, panel.age_max) + 1):
+        c = panel.column(age)
+        mask = (panel.states[:, c - 1] == prior) & (panel.states[:, c] >= 0)
+        if current is not None:
+            mask &= panel.states[:, c] == current
+        if mask.any():
+            pooled.append(panel.costs[mask, c])
+    cur_state = None if current is None else HealthState(current + 1)
+    if not pooled:
+        return CostSummary(age_group=age_group, prior_state=HealthState(prior + 1),
+                           current_state=cur_state, n=0)
+    costs = np.concatenate(pooled)
+    n = int(costs.size)
+    summary = CostSummary(
+        age_group=age_group,
+        prior_state=HealthState(prior + 1),
+        current_state=cur_state,
+        n=n,
+        mean=float(costs.mean()),
+        sd=float(costs.std(ddof=1)) if n > 1 else 0.0,
+        minimum=int(costs.min()),
+        maximum=int(costs.max()),
+        quantiles={q: float(np.quantile(costs, q)) for q in qs},
+    )
+    if want_log_cdf:
+        positive = np.sort(costs[costs > 0])
+        uniq, last_idx = np.unique(positive, return_index=True)
+        # rank of the last occurrence of each distinct cost, counting zeros
+        counts_below = np.searchsorted(positive, uniq, side="right") + (n - positive.size)
+        summary.log_cdf = [
+            (float(np.log10(v)), float(k / n)) for v, k in zip(uniq, counts_below)
+        ]
+    return summary
+
+
+def reference_exceedance_proportions(
+    panel: Panel,
+    path: tuple,
+    thresholds_yen: Sequence[int],
+    age_groups: Iterable[tuple[int, int]] | None = None,
+    state_thresholds: StateThresholds = DEFAULT_THRESHOLDS,
+) -> list[ExceedanceRow]:
+    """Among from->to transitions, the share with arrival cost >= each threshold."""
+    from_state, to_state = (_state_code(path[0]), _state_code(path[1]))
+    thr = [int(t) for t in thresholds_yen]
+    if to_state == N_STATES - 1:
+        floor = state_thresholds.top_lower_bound
+        bad = [t for t in thr if t < floor]
+        if bad:
+            raise InvalidInputError(
+                f"thresholds {bad} fall below the top band's lower edge {floor}"
+            )
+    if age_groups is None:
+        age_groups = five_year_groups(panel.age_min, panel.age_max)
+
+    rows = []
+    for group in age_groups:
+        lo, hi = group
+        pooled = []
+        for age in range(max(lo, panel.age_min + 1), min(hi, panel.age_max) + 1):
+            c = panel.column(age)
+            mask = (panel.states[:, c - 1] == from_state) & (panel.states[:, c] == to_state)
+            if mask.any():
+                pooled.append(panel.costs[mask, c])
+        if pooled:
+            costs = np.concatenate(pooled)
+            rows.append(ExceedanceRow(
+                age_group=group,
+                n=int(costs.size),
+                proportions={t: float((costs >= t).mean()) for t in thr},
+            ))
+        else:
+            rows.append(ExceedanceRow(age_group=group, n=0, proportions={}))
+    return rows
 
 
 def reference_ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = False) -> ARFit:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from healthmarkov.errors import (
     InvalidInputError,
 )
 from healthmarkov.estimate import (
+    _state_code,
+    _target_codes,
     ar_regression,
     conditional_cost_quantiles,
     estimate_order1,
@@ -486,3 +489,79 @@ class TestHelpers:
         assert pooled.counts.sum() == 8 * 3
         with pytest.raises(EmptyCohortError, match=r"no estimates among ages \[40, 41\]"):
             pool_order1({}, (a for a in [40, 41]))
+
+
+class TestStateParser:
+    """Every estimator reads a state as a HealthState, a 1-based int or a name."""
+
+    PANEL = make_panel([[0, 4, 4, 0], [4, 4, 0, 0], [0, 0, 4, 4], [4, 0, 0, 4]], entry_age=40)
+
+    @pytest.mark.parametrize("state,code", [(Q.Q2, 1), (2, 1), (np.int64(5), 4), ("Q5", 4), ("Q1", 0)])
+    def test_accepted_forms(self, state, code):
+        assert _state_code(state) == code
+        assert _target_codes(state) == ({code}, False)
+
+    @pytest.mark.parametrize("bad", [0, 6, -1, np.int8(0), "Q9", "q1", "Q", "", "MISSING",
+                                     1.0, True, None, b"Q1"])
+    def test_bad_state_raises_naming_it(self, bad):
+        with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+            _state_code(bad)
+
+    @pytest.mark.parametrize("bad,named", [("Q9", "Q9"), (0, 0), (6, 6), (("Q1", "Q9"), "Q9"),
+                                           ({2.5}, 2.5), (b"Q5", b"Q5")])
+    def test_bad_target_raises_naming_it(self, bad, named):
+        with pytest.raises(InvalidInputError, match=re.escape(f"not a health state: {named!r}")):
+            _target_codes(bad)
+
+    def test_missing_is_read_in_any_case(self):
+        assert _target_codes(["missing", "Q5"]) == ({4}, True)
+        assert _target_codes("Missing") == (set(), True)
+
+    def test_names_give_the_results_of_health_states(self):
+        p = self.PANEL
+        by_name = multi_year_state_frequency(p, ("Q5",), "Q5", 2, age_groups=[(40, 44)])
+        by_enum = multi_year_state_frequency(p, (Q.Q5,), {Q.Q5}, 2, age_groups=[(40, 44)])
+        assert repr(by_name) == repr(by_enum)
+        assert (by_name[(40, 44)].denominators > 0).all()
+        by_name = conditional_cost_quantiles(p, (40, 44), "Q1", current_state="Q5")
+        assert repr(by_name) == repr(conditional_cost_quantiles(p, (40, 44), Q.Q1, current_state=5))
+        assert by_name.n == 3
+        assert repr(exceedance_proportions(p, ("Q1", "Q5"), [300_000])) == repr(
+            exceedance_proportions(p, (1, Q.Q5), [300_000]))
+
+    @pytest.mark.parametrize("call", [
+        lambda p: shock_frequency(p, (("Q9",),), "Q5"),
+        lambda p: shock_frequency(p, (("Q1",),), 6),
+        lambda p: multi_year_state_frequency(p, (0,), "Q5", 2),
+        lambda p: multi_year_state_frequency(p, ("Q5",), "Q6", 2),
+        lambda p: conditional_cost_quantiles(p, (40, 44), "Q0"),
+        lambda p: conditional_cost_quantiles(p, (40, 44), "Q1", current_state=6),
+        lambda p: exceedance_proportions(p, ("Q1", 7), [300_000]),
+    ])
+    def test_every_estimator_rejects_a_bad_state(self, call):
+        with pytest.raises(InvalidInputError, match="not a health state"):
+            call(self.PANEL)
+
+
+class TestInvertedAgeGroup:
+    """An age group whose lower end exceeds its upper end is an input error everywhere."""
+
+    PANEL = make_panel([[0, 4, 4, 0, 0, 4], [4, 4, 0, 0, 4, 4]], entry_age=39)
+    MESSAGE = re.escape("age group (44, 40) is empty")
+
+    @pytest.mark.parametrize("call", [
+        lambda p: state_fractions(p, (44, 40)),
+        lambda p: multi_year_state_frequency(p, (Q.Q5,), {Q.Q5}, 2, age_groups=[(44, 40)]),
+        lambda p: multi_year_state_frequency(p, (Q.Q5,), {Q.Q5}, 2, age_groups=[(40, 44), (44, 40)]),
+        lambda p: conditional_cost_quantiles(p, (44, 40), Q.Q1),
+        lambda p: exceedance_proportions(p, (Q.Q1, Q.Q5), [300_000], age_groups=[(44, 40)]),
+        lambda p: exceedance_proportions(p, (Q.Q1, Q.Q5), [300_000],
+                                         age_groups=iter([(40, 44), (44, 40)])),
+    ])
+    def test_raises(self, call):
+        with pytest.raises(InvalidInputError, match=self.MESSAGE):
+            call(self.PANEL)
+
+    def test_a_single_age_group_is_not_inverted(self):
+        assert conditional_cost_quantiles(self.PANEL, (40, 40), Q.Q1).n == 1
+        assert exceedance_proportions(self.PANEL, (Q.Q1, Q.Q5), [300_000], [(40, 40)])[0].n == 1

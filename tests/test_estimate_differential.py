@@ -7,6 +7,12 @@ conditions, targets with and without MISSING, horizons past the panel's
 last age and ages outside it.  Every result must equal
 reference_estimate's bit for bit (NaN in the same places), or both must
 raise the same error class with the same message.
+
+The cost summaries are held to their references the same way, on panels
+whose costs are sometimes all zero, over cells of every size from empty
+up, with and without a current state and a log-CDF.  An inverted age
+group (lo > hi), which the references do not check, must raise the
+InvalidInputError that the estimators now raise for it.
 """
 
 import numpy as np
@@ -14,13 +20,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from healthmarkov.errors import EmptyCohortError
-from healthmarkov.estimate import ar_regression, multi_year_state_frequency, shock_frequency
+from healthmarkov.errors import EmptyCohortError, InvalidInputError
+from healthmarkov.estimate import (
+    ar_regression,
+    conditional_cost_quantiles,
+    exceedance_proportions,
+    multi_year_state_frequency,
+    shock_frequency,
+)
 from healthmarkov.panel import Panel
 from healthmarkov.states import STATE_LABELS, HealthState
 
 from reference_estimate import (
     reference_ar_regression,
+    reference_conditional_cost_quantiles,
+    reference_exceedance_proportions,
     reference_min_year,
     reference_multi_year_state_frequency,
     reference_shock_frequency,
@@ -168,6 +182,130 @@ def test_dense_panel_matches_reference():
             assert_same_paths(
                 _outcome(multi_year_state_frequency, panel, start, target, 10),
                 _outcome(reference_multi_year_state_frequency, panel, start, target, 10))
+
+
+#: Quantile levels: the reports' own, arbitrary ones and, in one list of six, an invalid one.
+LEVELS = st.one_of(st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.95]), st.floats(0.001, 0.999))
+QUANTILES = st.one_of(*[st.lists(LEVELS, max_size=5)] * 5,
+                      st.lists(LEVELS | st.sampled_from([0.0, 1.0, -0.5]), min_size=1, max_size=3))
+THRESHOLDS = st.lists(st.sampled_from([0, 1, 7, 950, 41_000, 267_000, 300_000, 9_000_000]),
+                      max_size=4)
+
+
+@st.composite
+def cost_panels(draw):
+    """panels(), whose costs are sometimes all zero or drawn from three values."""
+    panel = draw(panels())
+    kind = draw(st.sampled_from(["drawn", "drawn", "zero", "few"]))
+    if kind == "drawn":
+        return panel
+    costs = np.zeros_like(panel.costs)
+    if kind == "few":
+        costs = draw(hnp.arrays(np.int64, costs.shape, elements=st.sampled_from([0, 7, 950])))
+    return Panel(panel.person_ids, panel.birth_years, panel.age_min, panel.states, costs,
+                 panel.months)
+
+
+def _with_group_check(want, groups):
+    """The reference outcome, or the error an inverted group now raises."""
+    if not isinstance(want, tuple):
+        for group in groups:
+            if group[0] > group[1]:
+                return (InvalidInputError, f"age group {group} is empty")
+    return want
+
+
+def assert_same_summary(got, want):
+    # repr spells every float exactly (n, mean, sd, min, max, each quantile,
+    # each log-CDF point) and tells Python floats from numpy scalars
+    assert repr(got) == repr(want)
+
+
+def summary_labels(summary, current_state) -> set[str]:
+    """What a reference summary covered, for the coverage check."""
+    if isinstance(summary, tuple):
+        return {summary[0].__name__}
+    labels = {f"n = {min(summary.n, 2)}"}
+    if summary.n > 1 and summary.maximum == 0:
+        labels.add("all costs zero")
+    if current_state is not None and summary.n:
+        labels.add("current-state path")
+    if summary.log_cdf and summary.minimum == 0:
+        labels.add("log-CDF over zeros")
+    if summary.log_cdf and summary.minimum > 0 and len(summary.log_cdf) < summary.n:
+        labels.add("repeated positive costs")
+    return labels
+
+
+SUMMARY_REACHED = {
+    "n = 0", "n = 1", "n = 2", "all costs zero", "current-state path", "repeated positive costs",
+    "log-CDF over zeros", "InvalidInputError", "inverted group", "exceedance n = 0",
+    "exceedance available",
+}
+
+
+def test_cost_summaries_match_reference():
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(panel=cost_panels(), data=st.data())
+    def check(panel, data):
+        lo, hi = panel.age_min, panel.age_max
+        group = st.one_of(st.sampled_from([(lo, hi), (lo - 3, hi + 3)]),
+                          st.tuples(st.integers(lo - 6, hi + 2), st.integers(lo - 2, hi + 6)))
+        # half the states drawn from those the panel holds, so that cells fill
+        held = sorted({int(code) + 1 for code in np.unique(panel.states) if code >= 0})
+        state = st.one_of(STATE, st.sampled_from(held)) if held else STATE
+        for _ in range(3):
+            age_group = data.draw(group)
+            prior = data.draw(state)
+            current = data.draw(st.none() | state)
+            qs = data.draw(QUANTILES)
+            want_log_cdf = data.draw(st.booleans())
+            want = _outcome(reference_conditional_cost_quantiles, panel, age_group, prior, qs,
+                            current, want_log_cdf)
+            got = _outcome(conditional_cost_quantiles, panel, age_group, prior, qs, current,
+                           want_log_cdf)
+            assert_same_summary(got, _with_group_check(want, [age_group]))
+            seen.update(summary_labels(want, current))
+            if age_group[0] > age_group[1]:
+                seen.add("inverted group")
+
+        path = (data.draw(STATE), data.draw(STATE))
+        thresholds = data.draw(THRESHOLDS)
+        age_groups = data.draw(st.none() | st.lists(group, max_size=3))
+        want = _outcome(reference_exceedance_proportions, panel, path, thresholds, age_groups)
+        got = _outcome(exceedance_proportions, panel, path, thresholds, age_groups)
+        assert_same_summary(got, _with_group_check(want, age_groups or []))
+        if not isinstance(want, tuple):
+            seen.update("exceedance available" if row.n else "exceedance n = 0" for row in want)
+
+    check()
+    assert SUMMARY_REACHED <= seen, SUMMARY_REACHED - seen
+
+
+def test_dense_panel_cost_summaries_match_reference():
+    """Thousands of costs per cell, many of them repeated, with the reports' queries."""
+    rng = np.random.default_rng(11)
+    n, n_ages = 3_000, 12
+    states = rng.choice([-2, -1, 0, 1, 2, 3, 4], p=[0.05, 0.05, 0.4, 0.2, 0.1, 0.1, 0.1],
+                        size=(n, n_ages)).astype(np.int8)
+    costs = rng.choice([0, 0, 5_000, 20_000, 300_000], size=(n, n_ages)) + rng.integers(0, 40, (n, n_ages))
+    panel = Panel([f"p{k:04d}" for k in range(n)], rng.integers(1950, 1953, n), 30, states, costs,
+                  np.where(states >= 0, 12, 0))
+    groups = [(25, 29), (30, 34), (35, 39), (40, 44), (31, 31), (41, 60)]
+    for group in groups:
+        for prior, current in [(HealthState.Q1, None), ("Q1", HealthState.Q5), (5, 5), ("Q3", "Q2")]:
+            for qs in [(0.05, 0.25, 0.5, 0.75, 0.95), (0.5,), (0.1, 0.9, 0.1)]:
+                got = conditional_cost_quantiles(panel, group, prior, qs, current, True)
+                assert got.n > 1 or group == (25, 29)
+                assert_same_summary(got, reference_conditional_cost_quantiles(
+                    panel, group, prior, qs, current, True))
+    for path in [(HealthState.Q1, HealthState.Q5), ("Q5", "Q5"), (2, 3)]:
+        thresholds = [267_000, 300_000, 1_000_000] if path[1] in (HealthState.Q5, "Q5") else [0, 5_020]
+        assert_same_summary(exceedance_proportions(panel, path, thresholds, groups),
+                            reference_exceedance_proportions(panel, path, thresholds, groups))
 
 
 @pytest.mark.parametrize("states", [np.full((3, 4), -2), np.full((3, 4), -1),

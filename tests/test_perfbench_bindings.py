@@ -11,8 +11,10 @@ span per simulated panel, counts ``ingest.rows`` as the records one
 ``parse_claims`` generator yields per ``ingest`` and
 ``ingest.person_years`` as the length of the table
 ``aggregate_person_years`` returns, times each panel-cache read's
-assembly as a ``build_panel`` span inside it, and counts one
-``persistency_difference`` curve per difference-curve start age; the
+assembly as a ``build_panel`` span inside it, counts one
+``persistency_difference`` curve per difference-curve start age, and
+times the frequency, retention and cost-summary estimators by name, one
+span per call from the k02, k03, k06, k08 and table8 reports; the
 tests below hold the program to these.
 These tests read perfbench and change nothing in it.
 """
@@ -210,3 +212,39 @@ def test_counting_kernels_and_k12_curves_are_traced(tracing):
     assert curves == len(start_ages)
     assert steps == 2 * curves * cfg.horizon
     assert [r["metric"] for r in report_spans if r["metric"].startswith("kernels.")] == ["kernels.pair_counts_s"]
+
+
+def test_estimator_reports_keep_their_work_under_the_traced_estimators(tracing):
+    # perfbench times the frequency, retention and cost-summary estimators by
+    # name; each report's counting runs inside one span per estimator call
+    import healthmarkov.cli as cli
+    from healthmarkov.config import RunConfig
+    from healthmarkov.estimate import five_year_groups
+    from healthmarkov.synthetic import generate_panel
+
+    from conftest import sticky_top_chain
+
+    panel = generate_panel(sticky_top_chain(entry_age=20, exit_age=36, seed=3), 400)
+    cfg = RunConfig()
+    expected = {
+        "k06": {"estimate.frequency_s": 1},
+        "k08": {"estimate.frequency_s": 1},
+        "k02": {"estimate.retention_s": 6},
+        "k03": {"estimate.cost_summary_s": len(five_year_groups(panel.age_min, panel.age_max))},
+        "table8": {"estimate.cost_summary_s": 1},
+    }
+    for rid, spans in expected.items():
+        tracer = tracing.Tracer("t")
+        try:
+            tracer.install()
+            header, rows = cli.REPORTS[rid][0](cfg, panel)
+        finally:
+            tracer.uninstall()
+        records = tracer.records()
+        [report] = [r for r in records if r["parent"] is None]
+        assert report["metric"] == "cli.self_s", rid
+        children = [r for r in records if r is not report]
+        assert {r["metric"] for r in children} == set(spans), rid
+        assert len(children) == sum(spans.values()), rid
+        assert all(r["parent"] == report["id"] for r in children), rid
+        assert rows, rid
