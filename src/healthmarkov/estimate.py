@@ -45,21 +45,13 @@ from .states import (
     HealthState,
     StateThresholds,
     DEFAULT_THRESHOLDS,
+    _state_code,
 )
 
 DEFAULT_MIN_COUNT = 30
 
 #: Index used for the attrition category in per-age breakdowns.
 _MISSING_IDX = N_STATES
-
-
-def _state_code(state) -> int:
-    """0-based code of a HealthState, a 1-based int or a state name (``"Q1"``..``"Q5"``)."""
-    if isinstance(state, str) and state in HealthState.__members__:
-        return HealthState[state] - 1
-    if isinstance(state, (int, np.integer)) and not isinstance(state, bool) and 1 <= state <= N_STATES:
-        return int(state) - 1
-    raise InvalidInputError(f"not a health state: {state!r} (expected a HealthState, 1..5 or Q1..Q5)")
 
 
 def _target_codes(target) -> tuple[set[int], bool]:
@@ -597,41 +589,56 @@ def ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = 
     place.  log_transform fits log1p(cost) on log1p(lags) (annual costs of
     zero are legitimate).  Fewer complete cases than parameters + 1 yields
     an unavailable fit; an exactly collinear design raises
-    DegenerateFitError.
+    DegenerateFitError.  ``age`` and ``order`` must be integers (numpy
+    integers included, bools not).
+
+    The complete cases are the persons observed at every age of the
+    contiguous column block ``age - order .. age``; their costs in that
+    block are gathered once.  The design matrix is allocated once in C
+    order and filled in place: a column of ones, lag 1 .. ``order``, then
+    one 0/1 column per dummy level.  A panel of one birth cohort has one
+    calendar year per age and so no dummies.
     """
+    for name, value in (("age", age), ("order", order)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if order not in (1, 2):
         raise InvalidInputError(f"order must be 1 or 2, got {order}")
     if not (panel.has_age(age) and panel.has_age(age - order)):
         return ARFit(age=age, order=order, available=False, n=0, log_transform=log_transform)
     c = panel.column(age)
-    complete = panel.states[:, c] >= 0
-    for k in range(1, order + 1):
-        complete &= panel.states[:, c - k] >= 0
-    n = int(complete.sum())
-
-    # slicing the column first keeps the mask a one-dimensional selection
-    y = panel.costs[:, c][complete].astype(np.float64)
-    lags = [panel.costs[:, c - k][complete].astype(np.float64) for k in range(1, order + 1)]
-    if log_transform:
-        y = np.log1p(y)
-        lags = [np.log1p(x) for x in lags]
+    block = slice(c - order, c + 1)
+    rows = np.flatnonzero((panel.states[:, block] >= 0).all(axis=1))
+    n = rows.size
 
     # at one age, calendar year and birth cohort determine each other
-    births, cohort = panel.cohort_index
-    cohort = cohort[complete]
+    births, cohort_of = panel.cohort_index
     years = births + age
     base_year = panel.min_year
-    sampled = np.flatnonzero(np.bincount(cohort, minlength=len(births)))
-    levels = [k for k in sampled if years[k] != base_year]
-    if base_year not in years[sampled] and levels:
-        levels = levels[1:]  # earliest sampled year becomes the effective base
-    dummies = [(cohort == k).astype(np.float64) for k in levels]
+    levels = []
+    if births.size > 1:
+        cohort = cohort_of.take(rows)
+        sampled = np.flatnonzero(np.bincount(cohort, minlength=births.size))
+        levels = [k for k in sampled if years[k] != base_year]
+        if base_year not in years[sampled] and levels:
+            levels = levels[1:]  # earliest sampled year becomes the effective base
 
-    n_params = 1 + order + len(dummies)
+    n_params = 1 + order + len(levels)
     if n < n_params + 1:
         return ARFit(age=age, order=order, available=False, n=n, log_transform=log_transform)
 
-    X = np.column_stack([np.ones(n)] + lags + dummies)
+    # the transposed block is C-contiguous; its row order - k holds lag k
+    costs = panel.costs[:, block].T.take(rows, axis=1)
+    if log_transform:
+        costs = np.log1p(costs.astype(np.float64))
+    y = costs[order].astype(np.float64)
+    X = np.empty((n, n_params))
+    X[:, 0] = 1.0
+    for k in range(1, order + 1):
+        X[:, k] = costs[order - k]
+    for j, k in enumerate(levels, 1 + order):
+        X[:, j] = cohort == k
+
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
         raise DegenerateFitError(f"design matrix at age {age} has rank {rank} < {X.shape[1]}")

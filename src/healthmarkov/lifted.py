@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import HorizonError, InvalidInputError, UnsupportedCellError
 from .estimate import TransitionTensor
-from .states import N_STATES, CostVector, HealthState
+from .states import N_STATES, STATE_LABELS, CostVector, HealthState, _state_code
 
 N_PAIRS = N_STATES * N_STATES
 
@@ -44,10 +44,11 @@ LIFT_FORMULAS = ("conditional", "summed")
 
 
 def pair_index(previous, current) -> int:
-    """Column/row index of the pair (previous, current), previous-major."""
-    i = int(HealthState(int(previous))) - 1
-    j = int(HealthState(int(current))) - 1
-    return N_STATES * i + j
+    """Column/row index of the pair (previous, current), previous-major.
+
+    Each coordinate is a HealthState, a 1-based int or a name ``"Q1"``..``"Q5"``.
+    """
+    return N_STATES * _state_code(previous) + _state_code(current)
 
 
 def pair_from_index(idx: int) -> tuple[HealthState, HealthState]:
@@ -55,12 +56,19 @@ def pair_from_index(idx: int) -> tuple[HealthState, HealthState]:
 
 
 def pair_label(pair) -> str:
-    return f"({HealthState(int(pair[0])).name},{HealthState(int(pair[1])).name})"
+    return f"({STATE_LABELS[_state_code(pair[0])]},{STATE_LABELS[_state_code(pair[1])]})"
+
+
+#: HealthState by 0-based code.
+_STATES = tuple(HealthState)
+
+#: State coordinate (0-based) of each pair's current coordinate, by pair index.
+_CURRENT_STATE = np.arange(N_PAIRS) % N_STATES
 
 
 def current_cost_weights(costs: CostVector) -> np.ndarray:
     """25-vector weighting each pair by the representative cost of its current coordinate."""
-    return costs.as_array()[np.arange(N_PAIRS) % N_STATES]
+    return costs.as_array()[_CURRENT_STATE]
 
 
 @dataclass(eq=False)
@@ -322,13 +330,21 @@ def project_cumulative(
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    ops = tuple(_operator(family, start_age + step) for step in range(1, horizon + 1))
+    try:
+        ops = tuple([family[start_age + step] for step in range(1, horizon + 1)])
+    except KeyError:
+        for step in range(1, horizon + 1):
+            _operator(family, start_age + step)  # raises HorizonError for the first missing age
+        raise
+    previous, current = start
+    i, j = _state_code(previous), _state_code(current)
     weights = current_cost_weights(costs)
-    per_period = [float(weights @ v) for v in _forward_pass(ops, start_age, pair_index(*start))]
-    start_pair = (HealthState(int(start[0])), HealthState(int(start[1])))
+    # weights.dot(v) is the same BLAS ddot as weights @ v; one product over
+    # the stacked passes would change the last bits
+    per_period = [float(weights.dot(v)) for v in _forward_pass(ops, start_age, N_STATES * i + j)]
     return ProjectionResult(
         start_age=start_age,
-        start_pair=start_pair,
+        start_pair=(_STATES[i], _STATES[j]),
         horizon=horizon,
         per_period=per_period,
         cumulative=float(sum(per_period)),

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import HorizonError, InvalidInputError
 from .estimate import TransitionMatrix, _target_codes
 from .lifted import LiftedMatrix, _forward, _operator
-from .states import N_STATES, HealthState
+from .states import N_STATES, HealthState, _state_code
 
 
 def total_variation(p, q) -> float:
@@ -94,7 +94,7 @@ def iterate_forward(
         _operator(model, start_age + k)
 
     starts = (start_condition,) if order == 1 else tuple(start_condition)
-    conditioning = tuple(HealthState(int(s)) for s in starts)
+    conditioning = tuple(HealthState(_state_code(s) + 1) for s in starts)
     # indicator of the start state, or of the start pair in previous-major order
     v = np.zeros(N_STATES ** order)
     v[np.ravel_multi_index([int(s) - 1 for s in conditioning], (N_STATES,) * order)] = 1.0

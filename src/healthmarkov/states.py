@@ -35,6 +35,15 @@ STATE_LABELS = tuple(s.name for s in HealthState)
 CATEGORY_LABELS = STATE_LABELS + (MISSING,)
 
 
+def _state_code(state) -> int:
+    """0-based code of a HealthState, a 1-based int or a state name (``"Q1"``..``"Q5"``)."""
+    if isinstance(state, str) and state in HealthState.__members__:
+        return HealthState[state] - 1
+    if isinstance(state, (int, np.integer)) and not isinstance(state, bool) and 1 <= state <= N_STATES:
+        return int(state) - 1
+    raise InvalidInputError(f"not a health state: {state!r} (expected a HealthState, 1..5 or Q1..Q5)")
+
+
 @dataclass(frozen=True)
 class StateThresholds:
     """Inclusive upper bounds (yen) of the four bounded states.
@@ -155,7 +164,7 @@ def representative_cost(
             f"top-band cost {q5_value} is below the band's lower edge "
             f"{thresholds.top_lower_bound}"
         )
-    state = HealthState(int(state))
+    state = HealthState(_state_code(state) + 1)
     if state is HealthState.Q5:
         return float(q5_value)
     lo, hi = thresholds.interval(state)

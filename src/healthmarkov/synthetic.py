@@ -32,6 +32,7 @@ from .states import (
     CostVector,
     HealthState,
     StateThresholds,
+    _state_code,
 )
 
 RNG_NAME = "pcg64"
@@ -452,8 +453,7 @@ def enumerate_expectation(
     for k in range(1, horizon + 1):
         steps.append(truth.tensor_at(start_age + k))
     m = costs.as_array()
-    i0 = int(HealthState(int(start[0]))) - 1
-    j0 = int(HealthState(int(start[1]))) - 1
+    i0, j0 = _state_code(start[0]), _state_code(start[1])
 
     total = 0.0
     for path in itertools.product(range(N_STATES), repeat=horizon):

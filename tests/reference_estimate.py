@@ -6,9 +6,11 @@
 built from code lookup tables and whole column blocks; ``reference_min_year``
 is the uncached ``Panel.min_year`` of the same time, taking the panel as its
 ``self``.  They are unchanged apart from their names, the AR fit reading
-``reference_min_year(panel)`` in place of ``panel.min_year``, and the
+``reference_min_year(panel)`` in place of ``panel.min_year``, the
 retention reference rejecting an inverted age group (lo > hi) with the
-InvalidInputError the estimators raise for it.
+InvalidInputError the estimators raise for it, and the AR fit rejecting a
+bool or non-integer ``age`` or ``order`` with the InvalidInputError
+``ar_regression`` raises for it.
 
 ``reference_conditional_cost_quantiles`` and
 ``reference_exceedance_proportions`` are ``conditional_cost_quantiles`` and
@@ -31,7 +33,6 @@ from healthmarkov.estimate import (
     DecayPath,
     ExceedanceRow,
     FrequencyCurve,
-    _state_code,
     _target_codes,
     five_year_groups,
 )
@@ -43,6 +44,7 @@ from healthmarkov.states import (
     N_STATES,
     HealthState,
     StateThresholds,
+    _state_code,
 )
 
 
@@ -296,6 +298,9 @@ def reference_ar_regression(panel: Panel, age: int, order: int = 1, log_transfor
     an unavailable fit; an exactly collinear design raises
     DegenerateFitError.
     """
+    for name, value in (("age", age), ("order", order)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if order not in (1, 2):
         raise InvalidInputError(f"order must be 1 or 2, got {order}")
     if not (panel.has_age(age) and panel.has_age(age - order)):

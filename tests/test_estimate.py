@@ -10,7 +10,6 @@ from healthmarkov.errors import (
     InvalidInputError,
 )
 from healthmarkov.estimate import (
-    _state_code,
     _target_codes,
     ar_regression,
     conditional_cost_quantiles,
@@ -26,7 +25,7 @@ from healthmarkov.estimate import (
     state_fractions,
 )
 from healthmarkov.panel import Panel
-from healthmarkov.states import MISSING, HealthState
+from healthmarkov.states import MISSING, HealthState, _state_code
 from healthmarkov.synthetic import generate_panel, order1_consistent_chain, random_chain
 
 from conftest import collinear_cost_panel, make_panel, panel_from_costs, sticky_top_chain
@@ -470,6 +469,25 @@ class TestARRegression:
         # identical lag values across persons make [1, lag] collinear
         with pytest.raises(DegenerateFitError):
             ar_regression(collinear_cost_panel(), 41, order=1)
+
+    @pytest.mark.parametrize("age,order,named", [
+        (41, True, "order must be an integer, got True"),
+        (41, 1.0, "order must be an integer, got 1.0"),
+        (41, "1", "order must be an integer, got '1'"),
+        (41.0, 1, "age must be an integer, got 41.0"),
+        (True, 1, "age must be an integer, got True"),
+        (None, 1, "age must be an integer, got None"),
+    ])
+    def test_bool_or_non_integer_age_and_order_rejected(self, age, order, named):
+        with pytest.raises(InvalidInputError, match=re.escape(named)):
+            ar_regression(collinear_cost_panel(), age, order=order)
+
+    def test_numpy_integer_age_and_order_accepted(self):
+        panel = self.ar_panel(75, n=2_000, coef=(0.5,))
+        fit = ar_regression(panel, np.int64(25), order=np.int32(1))
+        assert fit.available
+        assert repr(fit) == repr(ar_regression(panel, np.int64(25), order=np.int32(1)))
+        assert fit.lag_coefficients == ar_regression(panel, 25, order=1).lag_coefficients
 
 
 class TestHelpers:

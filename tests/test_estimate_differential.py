@@ -8,6 +8,12 @@ last age and ages outside it.  Every result must equal
 reference_estimate's bit for bit (NaN in the same places), or both must
 raise the same error class with the same message.
 
+AR fits are also compared on dense panels of 2,400 persons, orders 1 and
+2, with and without the log transform: one of a single birth cohort (a
+design without dummies) and one of three cohorts whose base year is never
+sampled.  A collinear design raises the reference's DegenerateFitError
+message.
+
 The cost summaries are held to their references the same way, on panels
 whose costs are sometimes all zero, over cells of every size from empty
 up, with and without a current state and a log-CDF.  An inverted age
@@ -20,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from healthmarkov.errors import EmptyCohortError, InvalidInputError
+from healthmarkov.errors import DegenerateFitError, EmptyCohortError, InvalidInputError
 from healthmarkov.estimate import (
     ar_regression,
     conditional_cost_quantiles,
@@ -31,6 +37,7 @@ from healthmarkov.estimate import (
 from healthmarkov.panel import Panel
 from healthmarkov.states import STATE_LABELS, HealthState
 
+from conftest import collinear_cost_panel
 from reference_estimate import (
     reference_ar_regression,
     reference_conditional_cost_quantiles,
@@ -182,6 +189,48 @@ def test_dense_panel_matches_reference():
             assert_same_paths(
                 _outcome(multi_year_state_frequency, panel, start, target, 10),
                 _outcome(reference_multi_year_state_frequency, panel, start, target, 10))
+
+
+def _dense_panel(seed, births, n=2_400, n_ages=6):
+    """Mostly observed cells with gaps, costs spread over five orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    states = rng.choice([-2, -1, 0, 1, 2, 3, 4], p=[0.04, 0.06, 0.3, 0.2, 0.15, 0.1, 0.15],
+                        size=(n, n_ages)).astype(np.int8)
+    costs = np.where(rng.random((n, n_ages)) < 0.1, 0, rng.integers(1, 3_000_000, size=(n, n_ages)))
+    return Panel([f"p{k:04d}" for k in range(n)], rng.choice(births, size=n), 40, states, costs,
+                 np.where(states >= 0, 12, 0))
+
+
+@pytest.mark.parametrize("births", [[1961], [1960, 1961, 1963]], ids=["one cohort", "cohorts"])
+def test_dense_ar_fits_match_reference(births):
+    """The design without dummies (one birth cohort) and with them, base year unsampled."""
+    panel = _dense_panel(11, births)
+    available = []
+    for age in panel.ages:
+        for order in (1, 2):
+            for log_transform in (False, True):
+                got = _outcome(ar_regression, panel, age, order, log_transform)
+                assert_same_fit(got, _outcome(reference_ar_regression, panel, age, order,
+                                              log_transform))
+                if not isinstance(got, tuple) and got.available:
+                    available.append(got)
+    assert {(f.order, f.log_transform) for f in available} == {(1, False), (1, True),
+                                                              (2, False), (2, True)}
+    assert all(f.n >= 1_500 for f in available)
+    if len(births) == 1:
+        assert not any(f.year_effects for f in available)
+    else:
+        # the base year 2000 is the 1960 cohort at the first age, which no fit
+        # samples, so that cohort's year becomes the effective base
+        assert all(f.base_year == 2000 for f in available)
+        assert all(sorted(f.year_effects) == [1961 + f.age, 1963 + f.age] for f in available)
+
+
+def test_collinear_fit_raises_the_reference_error():
+    panel = collinear_cost_panel()
+    got = _outcome(ar_regression, panel, 41, 1)
+    assert got[0] is DegenerateFitError
+    assert got == _outcome(reference_ar_regression, panel, 41, 1)
 
 
 #: Quantile levels: the reports' own, arbitrary ones and, in one list of six, an invalid one.

@@ -9,17 +9,21 @@ LiftedMatrix) and order-2 ``iterate_forward`` (fallback None and "pool")
 must give the values of reference_lifted's steppers bit for bit, or raise
 the same error class.  ``project_cumulative`` and ``iterate_forward`` must
 also fail with one and the same message for the same blocked cell.
+Every accepted start-pair form (HealthStates, ints, numpy ints, names, a
+list or an array) projects exactly as the HealthState pair does, and a
+missing age raises the reference's HorizonError message.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from healthmarkov.errors import InvalidInputError, UnsupportedCellError
+from healthmarkov.errors import HorizonError, InvalidInputError, UnsupportedCellError
 from healthmarkov.estimate import TransitionTensor
 from healthmarkov.lifted import lift, project_cumulative, start_vector, step_expectation
 from healthmarkov.persistency import iterate_forward
 from healthmarkov.states import CostVector, HealthState
 
+from conftest import sticky_top_chain
 from reference_lifted import (
     reference_operator,
     reference_project_cumulative,
@@ -211,3 +215,35 @@ def test_cost_sweep_matches_reference():
     assert {("repeated success", True), ("repeated failure", "UnsupportedCellError", True),
             ("repeated failure", "HorizonError", True),
             ("repeated failure", "InvalidInputError", True)} <= seen
+
+
+def _projection_family():
+    rng = np.random.default_rng(17)
+    return {age: lifted_matrix(rng, age) for age in range(30, 42)}
+
+
+def test_every_start_pair_form_projects_like_health_states():
+    family = sticky_top_chain(entry_age=20, exit_age=34, seed=5).lifted_family()
+    start_age = min(family) - 1
+    costs = CostVector.from_thresholds(q5_value=500_000.0)
+    for i, j in [(1, 5), (1, 1), (3, 2), (5, 5)]:
+        want = reference_project_cumulative(family, costs, start_age, (HealthState(i), HealthState(j)), 8)
+        forms = [(HealthState(i), HealthState(j)), (i, j), [i, j], (np.int64(i), np.int8(j)),
+                 (f"Q{i}", f"Q{j}"), (f"Q{i}", j), np.array([i, j])]
+        for start in forms:
+            got = project_cumulative(family, costs, start_age, start, 8)
+            assert repr(got) == repr(want), start
+            assert all(type(s) is HealthState for s in got.start_pair)
+
+
+def test_missing_age_raises_the_reference_horizon_error():
+    family = _projection_family()
+    del family[35]
+    costs = CostVector.from_thresholds()
+    start = (HealthState.Q1, HealthState.Q5)
+    # (start age, horizon, first missing age)
+    for start_age, horizon, missing in [(29, 10, 35), (34, 1, 35), (33, 3, 35), (40, 3, 42), (45, 1, 46)]:
+        got = _outcome(project_cumulative, family, costs, start_age, start, horizon)
+        want = _outcome(reference_project_cumulative, family, costs, start_age, start, horizon)
+        assert type(got) is type(want) is HorizonError
+        assert str(got) == str(want) == f"no operator estimated for age {missing}; last valid age is 41"

@@ -14,8 +14,11 @@ span per simulated panel, counts ``ingest.rows`` as the records one
 assembly as a ``build_panel`` span inside it, counts one
 ``persistency_difference`` curve per difference-curve start age, and
 times the frequency, retention and cost-summary estimators by name, one
-span per call from the k02, k03, k06, k08 and table8 reports; the
-tests below hold the program to these.
+span per call from the k02, k03, k06, k08 and table8 reports, and
+counts one ``ar_regression`` span per ``ok`` or ``unavailable`` row of
+k15 and k16, each a child of its report's span, as many as
+``workloads.report_counts`` derives from the tables; the tests below
+hold the program to these.
 These tests read perfbench and change nothing in it.
 """
 
@@ -248,3 +251,47 @@ def test_estimator_reports_keep_their_work_under_the_traced_estimators(tracing):
         assert len(children) == sum(spans.values()), rid
         assert all(r["parent"] == report["id"] for r in children), rid
         assert rows, rid
+
+
+def test_one_ar_span_per_k15_and_k16_row_under_the_report(tracing):
+    # perfbench counts estimate.ar_fits and estimate.ar_unavailable from the
+    # ar_regression spans and cross-checks them against the tables' rows
+    import healthmarkov.cli as cli
+    from healthmarkov.config import RunConfig
+    from healthmarkov.synthetic import generate_panel
+
+    from conftest import sticky_top_chain
+
+    workloads = importlib.import_module("workloads")
+    try:
+        report_counts = workloads.report_counts
+    finally:
+        for name in ("workloads", "checks"):
+            sys.modules.pop(name, None)
+    panel = generate_panel(sticky_top_chain(entry_age=20, exit_age=36, seed=3), 400)
+    cfg = RunConfig(start_ages=(22, 23, 25))
+    ar_keys = ("estimate.ar_fits", "estimate.ar_unavailable")
+    for rid in ("k15", "k16", "f02"):
+        tracer = tracing.Tracer("t")
+        try:
+            tracer.install()
+            header, rows = cli.REPORTS[rid][0](cfg, panel)
+        finally:
+            tracer.uninstall()
+        records = tracer.records()
+        [report] = [r for r in records if r["parent"] is None]
+        assert report["metric"] == "cli.self_s", rid
+        want = report_counts({rid: (header, rows)})
+        if rid == "f02":
+            spans = [r for r in records if r["metric"] == "lifted.project_s"]
+            assert len(spans) == len(rows) == want["lifted.projections"] > 0
+            assert all(r["parent"] == report["id"] for r in spans)
+            continue
+        status = [row[list(header).index("status")] for row in rows]
+        spans = [r for r in records if r["metric"] == "estimate.ar_s"]
+        assert set(status) <= {"ok", "unavailable"} and "ok" in status, rid
+        assert len(spans) == len(rows), rid
+        assert all(r["parent"] == report["id"] for r in spans), rid
+        got = {key: sum(r["counts"].get(key, 0) for r in spans) for key in ar_keys}
+        assert got == {key: want[key] for key in ar_keys}, rid
+        assert got["estimate.ar_fits"] == status.count("ok"), rid

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from healthmarkov.errors import ConfigError, InvalidInputError
+from healthmarkov.lifted import pair_index, pair_label, project_cumulative
+from healthmarkov.persistency import iterate_forward
 from healthmarkov.states import (
     CostVector,
     HealthState,
@@ -11,6 +15,9 @@ from healthmarkov.states import (
     classify_costs,
     representative_cost,
 )
+from healthmarkov.synthetic import enumerate_expectation
+
+from conftest import sticky_top_chain
 
 
 class TestClassify:
@@ -136,3 +143,37 @@ class TestCostVector:
     def test_from_thresholds_rejects_non_finite_q5(self, q5):
         with pytest.raises(ConfigError, match="finite"):
             CostVector.from_thresholds(q5_value=q5)
+
+
+class TestStartStates:
+    """Start pairs and start states are read by the estimators' one state parser."""
+
+    TRUTH = sticky_top_chain(entry_age=20, exit_age=26, seed=3)
+    FAMILY = TRUTH.lifted_family()
+    START_AGE = min(FAMILY) - 1
+    COSTS = CostVector.from_thresholds()
+
+    ENTRY_POINTS = {
+        "pair_index": lambda s: pair_index(HealthState.Q1, s),
+        "pair_label": lambda s: pair_label((s, HealthState.Q5)),
+        "project_cumulative": lambda s: project_cumulative(
+            TestStartStates.FAMILY, TestStartStates.COSTS, TestStartStates.START_AGE, (s, 5), 2),
+        "iterate_forward": lambda s: iterate_forward(
+            TestStartStates.FAMILY, TestStartStates.START_AGE, ("Q1", s), 2),
+        "enumerate_expectation": lambda s: enumerate_expectation(
+            TestStartStates.TRUTH, TestStartStates.COSTS, (s, HealthState.Q5),
+            TestStartStates.START_AGE, 2),
+        "representative_cost": lambda s: representative_cost(s),
+    }
+
+    @pytest.mark.parametrize("bad", [1.9, True, 0, 6, "Q9", None])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_bad_start_raises_naming_it(self, entry, bad):
+        with pytest.raises(InvalidInputError, match=re.escape(f"not a health state: {bad!r}")):
+            self.ENTRY_POINTS[entry](bad)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_names_and_ints_give_the_results_of_health_states(self, entry):
+        want = repr(self.ENTRY_POINTS[entry](HealthState.Q2))
+        for form in (2, np.int64(2), np.uint8(2), "Q2"):
+            assert repr(self.ENTRY_POINTS[entry](form)) == want, form
