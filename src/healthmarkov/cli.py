@@ -200,7 +200,7 @@ def _diff_report(build_family, target):
         family = build_family(cfg, panel)
         rows = []
         for start_age in _diff_start_ages(cfg, family):
-            curve = persistency_difference(family, start_age, cfg.horizon, target, fallback="pool")
+            curve = persistency_difference(family, start_age, cfg.horizon, target)
             label = "+".join(curve.target)
             for k, diff, worse, better in zip(
                 curve.years, curve.differences, curve.worse_mass, curve.better_mass

@@ -48,8 +48,6 @@ from .states import (
     _state_code,
 )
 
-DEFAULT_MIN_COUNT = 30
-
 #: Index used for the attrition category in per-age breakdowns.
 _MISSING_IDX = N_STATES
 
@@ -112,9 +110,6 @@ class _TransitionEstimate:
     @property
     def supported(self) -> np.ndarray:
         return self.totals > 0
-
-    def low_support(self, min_count: int = DEFAULT_MIN_COUNT) -> np.ndarray:
-        return self.supported & (self.totals < min_count)
 
 
 class TransitionMatrix(_TransitionEstimate):
@@ -256,9 +251,6 @@ class FrequencyCurve:
     breakdown: dict[str, np.ndarray]
     target: tuple[str, ...]
 
-    def low_support(self, min_count: int = DEFAULT_MIN_COUNT) -> np.ndarray:
-        return self.denominators < min_count
-
 
 def shock_frequency(
     panel: Panel,
@@ -361,9 +353,6 @@ class CostSummary:
     @property
     def available(self) -> bool:
         return self.n > 0
-
-    def low_support(self, min_count: int = DEFAULT_MIN_COUNT) -> bool:
-        return 0 < self.n < min_count
 
 
 def conditional_cost_quantiles(

@@ -22,7 +22,11 @@ by the oracle tests rather than argued from notation.
 One stepper, one bin pooler and one forward loop advance every
 distribution in the package: pairs through lifted matrices, and states
 through first-order ``TransitionMatrix`` operators read as ``probs.T``.
-Both index ``supported`` by the coordinate of the distribution.
+Both index ``supported`` by the coordinate of the distribution.  There is
+one policy for a coordinate without support that carries mass, in every
+projection and difference curve: it moves by its counts pooled over the
+5-year age bin (ages 20-24, 25-29, ...), and UnsupportedCellError is
+raised only when the whole bin has no count for it.
 """
 
 import functools
@@ -214,62 +218,37 @@ def _columns(op, probs: np.ndarray) -> np.ndarray:
     return probs if isinstance(op, LiftedMatrix) else probs.T
 
 
-def _step(model: Mapping[int, object], age: int, v: np.ndarray, fallback: str | None = None) -> np.ndarray:
+def _step(model: Mapping[int, object], age: int, v: np.ndarray) -> np.ndarray:
     """Advance a state (first-order) or pair (lifted) distribution through the operator for ``age``.
 
-    Coordinates without support may carry no more than MASS_EPS of ``v``.
-    Mass on such a coordinate raises UnsupportedCellError, unless
-    fallback="pool" substitutes the distribution pooled over the age's
-    5-year bin.
+    A coordinate without support that carries more than MASS_EPS of ``v``
+    moves by the distribution pooled over the age's 5-year bin; if the
+    whole bin has no count for it, UnsupportedCellError names it.
     """
     op = _operator(model, age)
     blocked = (v > MASS_EPS) & ~op.supported
     if not blocked.any():
         return _columns(op, op.probs) @ v
-    cells = np.where(blocked)[0]
-    if fallback != "pool":
-        names = ", ".join(_cell_name(v.size, int(c)) for c in cells)
-        raise UnsupportedCellError(
-            f"probability mass reaches unsupported {_cell_kind(v.size)}(s) {names} at age {age}"
-        )
     # copy before transposing: a C-order copy of a transposed first-order
     # matrix changes the last bits of the product
     probs = _columns(op, op.probs.copy())
-    for c in cells:
+    for c in np.where(blocked)[0]:
         # moves out of pair (i, j) land on pairs (j, .); out of a state, on any state
         lo = (N_STATES * int(c)) % v.size
         probs[lo : lo + N_STATES, c] = _pooled(model, age, int(c))
     return probs @ v
 
 
-def _forward(model: Mapping[int, object], start_age: int, v: np.ndarray, horizon: int,
-             fallback: str | None = None) -> list[np.ndarray]:
+def _forward(model: Mapping[int, object], start_age: int, v: np.ndarray, horizon: int) -> list[np.ndarray]:
     """Distributions after each of ``horizon`` steps from ``v`` at ``start_age``.
 
     Each step looks up its own operator: a missing age raises only after the steps before it.
     """
     steps = []
     for age in range(start_age + 1, start_age + horizon + 1):
-        v = _step(model, age, v, fallback)
+        v = _step(model, age, v)
         steps.append(v)
     return steps
-
-
-def step_expectation(model, costs: CostVector, start, k: int, start_age: int | None = None) -> float:
-    """Expected representative cost of the current coordinate after k periods.
-
-    ``model`` is one LiftedMatrix (applied k times) or a per-age mapping,
-    in which case operators for start_age + 1 .. start_age + k apply in
-    chronological order.
-    """
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
-    v = start_vector(start)
-    if isinstance(model, LiftedMatrix):
-        model, start_age = dict.fromkeys(range(1, k + 1), model), 0
-    elif start_age is None:
-        raise InvalidInputError("a per-age family needs start_age")
-    return float(current_cost_weights(costs) @ _forward(model, start_age, v, k)[-1])
 
 
 @dataclass
@@ -301,17 +280,21 @@ _FORWARD_PASSES = 512
 
 
 @functools.lru_cache(maxsize=_FORWARD_PASSES)
-def _forward_pass(ops: tuple, start_age: int, col: int) -> tuple[np.ndarray, ...]:
-    """Pair distributions after each of ``ops`` (ages start_age + 1, ...) from pair ``col``.
+def _forward_pass(window: tuple, start_age: int, horizon: int, col: int) -> tuple[np.ndarray, ...]:
+    """Pair distributions after each of ``horizon`` steps from pair ``col`` at ``start_age``.
 
-    Memoized by operator identity, start age and start pair.  A pass that
-    raises is not remembered, so it raises again, with its message, on the
-    next call.
+    ``window`` holds the operator of every age in the 5-year bins of ages
+    start_age + 1 .. start_age + horizon, from the first bin's first age
+    on, with None for an absent age: all that the steps and their pooled
+    columns read.  Memoized by operator identity, start age, horizon and
+    start pair.  A pass that raises is not remembered, so it raises again,
+    with its message, on the next call.
     """
-    model = {start_age + step: op for step, op in enumerate(ops, 1)}
+    lo = _bin_ages(start_age + 1).start
+    model = {age: op for age, op in enumerate(window, lo) if op is not None}
     v = np.zeros(N_PAIRS)
     v[col] = 1.0
-    return tuple(_forward(model, start_age, v, len(ops)))
+    return tuple(_forward(model, start_age, v, horizon))
 
 
 def project_cumulative(
@@ -325,23 +308,24 @@ def project_cumulative(
 
     Uses the age-specific operators for start_age + 1 .. start_age + horizon
     in sequence; a missing age raises HorizonError before any arithmetic.
-    The pair distributions do not depend on ``costs``, so a sweep over cost
-    vectors steps each (operators, start pair) once and only re-weights.
+    An unsupported column that carries mass is pooled over its 5-year age
+    bin of the whole family, as in ``iterate_forward``.  The pair
+    distributions do not depend on ``costs``, so a sweep over cost vectors
+    steps each (operators, start pair) once and only re-weights.
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    try:
-        ops = tuple([family[start_age + step] for step in range(1, horizon + 1)])
-    except KeyError:
+    lo = _bin_ages(start_age + 1).start
+    window = tuple([family.get(age) for age in range(lo, _bin_ages(start_age + horizon).stop)])
+    if None in window[start_age + 1 - lo : start_age + horizon + 1 - lo]:
         for step in range(1, horizon + 1):
             _operator(family, start_age + step)  # raises HorizonError for the first missing age
-        raise
     previous, current = start
     i, j = _state_code(previous), _state_code(current)
     weights = current_cost_weights(costs)
     # weights.dot(v) is the same BLAS ddot as weights @ v; one product over
     # the stacked passes would change the last bits
-    per_period = [float(weights.dot(v)) for v in _forward_pass(ops, start_age, N_STATES * i + j)]
+    per_period = [float(weights.dot(v)) for v in _forward_pass(window, start_age, horizon, N_STATES * i + j)]
     return ProjectionResult(
         start_age=start_age,
         start_pair=(_STATES[i], _STATES[j]),

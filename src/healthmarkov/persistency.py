@@ -9,6 +9,9 @@ condition washes out; how slowly it decays is the persistency of a shock.
 Both chain orders run through the lifted module's one forward loop, so
 first-order curves (k12/k13) and pair-state curves (k14) are stepped,
 checked and pooled by the same code; only the starts depend on the order.
+A state row or pair column without support that carries mass is pooled
+over its 5-year age bin, as in every projection; if the whole bin has no
+count for it, UnsupportedCellError names it.
 """
 
 from dataclasses import dataclass
@@ -20,11 +23,6 @@ from .errors import HorizonError, InvalidInputError
 from .estimate import TransitionMatrix, _target_codes
 from .lifted import LiftedMatrix, _forward, _operator
 from .states import N_STATES, HealthState, _state_code
-
-
-def total_variation(p, q) -> float:
-    """Total-variation distance between two distributions."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 @dataclass
@@ -76,19 +74,16 @@ def iterate_forward(
     start_age: int,
     start_condition,
     horizon: int,
-    fallback: str | None = None,
 ) -> ForecastDistribution:
     """Iterate age-specific operators from an indicator start distribution.
 
     start_condition is a single state for a first-order family or a
-    (previous, current) pair for a lifted family.  fallback="pool"
-    replaces an unsupported cell hit mid-iteration by the cell pooled over
-    its enclosing 5-year age bin; the default is to fail loudly.
+    (previous, current) pair for a lifted family.  An unsupported cell hit
+    mid-iteration is replaced by the cell pooled over its enclosing 5-year
+    age bin; a missing age raises HorizonError before any step.
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    if fallback not in (None, "pool"):
-        raise InvalidInputError(f"fallback must be None or 'pool', got {fallback!r}")
     order = _family_order(model)
     for k in range(1, horizon + 1):
         _operator(model, start_age + k)
@@ -103,7 +98,7 @@ def iterate_forward(
         start_age=start_age,
         conditioning=conditioning,
         ages=list(range(start_age, start_age + horizon + 1)),
-        distributions=np.vstack([v] + _forward(model, start_age, v, horizon, fallback)),
+        distributions=np.vstack([v] + _forward(model, start_age, v, horizon)),
         order=order,
     )
 
@@ -132,7 +127,6 @@ def persistency_difference(
     horizon: int,
     target,
     starts: tuple | None = None,
-    fallback: str | None = None,
 ) -> DifferenceCurve:
     """Per-year difference in target mass between two start conditions.
 
@@ -147,8 +141,8 @@ def persistency_difference(
         else:
             starts = ((HealthState.Q1, HealthState.Q5), (HealthState.Q1, HealthState.Q1))
     worse, better = starts
-    fc_worse = iterate_forward(model, start_age, worse, horizon, fallback=fallback)
-    fc_better = iterate_forward(model, start_age, better, horizon, fallback=fallback)
+    fc_worse = iterate_forward(model, start_age, worse, horizon)
+    fc_better = iterate_forward(model, start_age, better, horizon)
     codes = _codes(target)
     return DifferenceCurve(
         start_age=start_age,

@@ -172,16 +172,11 @@ def random_chain(
     attrition: float = 0.0,
     cost_model: str = "midpoint",
     entry_year: int = 2005,
-    age_homogeneous: bool = False,
 ) -> GroundTruthChain:
     """Draw a chain with Dirichlet(alpha) slices; fully determined by seed."""
     rng = np.random.default_rng(seed)
     span = exit_age - entry_age
-    if age_homogeneous:
-        one = rng.dirichlet([alpha] * N_STATES, size=(N_STATES, N_STATES))
-        tensors = np.broadcast_to(one, (span - 1, N_STATES, N_STATES, N_STATES)).copy()
-    else:
-        tensors = rng.dirichlet([alpha] * N_STATES, size=(span - 1, N_STATES, N_STATES))
+    tensors = rng.dirichlet([alpha] * N_STATES, size=(span - 1, N_STATES, N_STATES))
     initial = rng.dirichlet([1.0] * (N_STATES * N_STATES))
     return GroundTruthChain(
         entry_age=entry_age,

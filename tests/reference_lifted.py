@@ -1,13 +1,13 @@
-"""The two pair-state steppers as they were before they became one, kept as a test reference.
+"""The order-2 pair-state stepper as it was before both chain orders shared one, kept as a test reference.
 
-``reference_step_expectation`` and ``reference_project_cumulative`` are the
-lifted-module implementations of ``step_expectation`` and
-``project_cumulative``, stepping through ``_apply`` and
-``_operator_for_step``; ``reference_step_order2`` is the persistency
-module's order-2 stepper with its own ``_operator`` and
-``_pooled_column``.  They are unchanged apart from their names.  The
-differential tests in test_lifted_differential.py hold the single stepper
-to them bit for bit.
+``reference_step_order2`` is the persistency module's order-2 stepper with
+its own ``_operator`` and ``_pooled_column``, unchanged apart from their
+names.  ``reference_project_cumulative`` is the lifted module's projection
+(horizon checks first, then one cost-weighted sum per period) stepping
+through ``reference_step_order2`` in pooling mode over the whole family,
+the one unsupported-cell policy of every forward pass.  The differential
+tests in test_lifted_differential.py hold the single stepper to them bit
+for bit.
 """
 
 from typing import Mapping
@@ -20,89 +20,10 @@ from healthmarkov.lifted import (
     LiftedMatrix,
     ProjectionResult,
     current_cost_weights,
-    pair_from_index,
     pair_label,
     start_vector,
 )
 from healthmarkov.states import N_STATES, CostVector, HealthState
-
-
-# ---------------------------------------------------------------------------
-# lifted.py
-
-
-def reference_operator_for_step(model, start_age, step) -> LiftedMatrix:
-    if isinstance(model, LiftedMatrix):
-        return model
-    if start_age is None:
-        raise InvalidInputError("a per-age family needs start_age")
-    age = start_age + step
-    if age not in model:
-        last = max(model) if model else None
-        raise HorizonError(f"no operator estimated for age {age}; last valid age is {last}")
-    return model[age]
-
-
-def reference_apply(op: LiftedMatrix, v: np.ndarray) -> np.ndarray:
-    if op.supported.all():
-        return op.probs @ v
-    active = v > MASS_EPS
-    blocked = active & ~op.supported
-    if blocked.any():
-        pairs = ", ".join(pair_label(pair_from_index(int(i))) for i in np.where(blocked)[0])
-        raise UnsupportedCellError(
-            f"probability mass reaches unsupported pair column(s) {pairs}"
-            + (f" at age {op.age}" if op.age is not None else "")
-        )
-    return op.probs @ v
-
-
-def reference_step_expectation(model, costs: CostVector, start, k: int, start_age: int | None = None) -> float:
-    """Expected representative cost of the current coordinate after k periods.
-
-    ``model`` is one LiftedMatrix (applied k times) or a per-age mapping,
-    in which case operators for start_age + 1 .. start_age + k apply in
-    chronological order.
-    """
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
-    v = start_vector(start)
-    for step in range(1, k + 1):
-        v = reference_apply(reference_operator_for_step(model, start_age, step), v)
-    return float(current_cost_weights(costs) @ v)
-
-
-def reference_project_cumulative(
-    family: Mapping[int, LiftedMatrix],
-    costs: CostVector,
-    start_age: int,
-    start,
-    horizon: int = 10,
-) -> ProjectionResult:
-    """Cumulative expected cost over ``horizon`` periods after the start pair.
-
-    Uses the age-specific operators for start_age + 1 .. start_age + horizon
-    in sequence; a missing age raises HorizonError before any arithmetic.
-    """
-    if horizon < 1:
-        raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    for step in range(1, horizon + 1):
-        reference_operator_for_step(family, start_age, step)
-    weights = current_cost_weights(costs)
-    v = start_vector(start)
-    per_period = []
-    for step in range(1, horizon + 1):
-        v = reference_apply(family[start_age + step], v)
-        per_period.append(float(weights @ v))
-    start_pair = (HealthState(int(start[0])), HealthState(int(start[1])))
-    return ProjectionResult(
-        start_age=start_age,
-        start_pair=start_pair,
-        horizon=horizon,
-        per_period=per_period,
-        cumulative=float(sum(per_period)),
-        q5_value=costs.q5,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,3 +78,39 @@ def reference_step_order2(model, age: int, v: np.ndarray, fallback: str | None) 
         probs[:, col] = reference_pooled_column(model, age, int(col))
     return probs @ v
 
+
+# ---------------------------------------------------------------------------
+# lifted.py
+
+
+def reference_project_cumulative(
+    family: Mapping[int, LiftedMatrix],
+    costs: CostVector,
+    start_age: int,
+    start,
+    horizon: int = 10,
+) -> ProjectionResult:
+    """Cumulative expected cost over ``horizon`` periods after the start pair.
+
+    Uses the age-specific operators for start_age + 1 .. start_age + horizon
+    in sequence; a missing age raises HorizonError before any arithmetic.
+    """
+    if horizon < 1:
+        raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
+    for step in range(1, horizon + 1):
+        reference_operator(family, start_age + step)
+    weights = current_cost_weights(costs)
+    v = start_vector(start)
+    per_period = []
+    for step in range(1, horizon + 1):
+        v = reference_step_order2(family, start_age + step, v, "pool")
+        per_period.append(float(weights @ v))
+    start_pair = (HealthState(int(start[0])), HealthState(int(start[1])))
+    return ProjectionResult(
+        start_age=start_age,
+        start_pair=start_pair,
+        horizon=horizon,
+        per_period=per_period,
+        cumulative=float(sum(per_period)),
+        q5_value=costs.q5,
+    )

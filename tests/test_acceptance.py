@@ -161,8 +161,8 @@ def test_criterion_5_normalization_suite():
             assert np.abs(sums - 1.0).max() <= 1e-12
             checked_rows += int(lm.supported.sum())
 
-        fc1 = iterate_forward(fam1, 22, Q.Q1, 4, fallback="pool")
-        fc2 = iterate_forward(fam2, 22, (Q.Q1, Q.Q1), 4, fallback="pool")
+        fc1 = iterate_forward(fam1, 22, Q.Q1, 4)
+        fc2 = iterate_forward(fam2, 22, (Q.Q1, Q.Q1), 4)
         for fc in (fc1, fc2):
             assert np.abs(fc.distributions.sum(axis=1) - 1.0).max() <= 1e-10
             checked_forecasts += fc.distributions.shape[0]

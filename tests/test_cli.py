@@ -275,6 +275,39 @@ class TestProject:
         assert a != b  # the comparison formula is not the pair-conditional chain
 
 
+class TestUnobservedPairs:
+    """Small panels on which a projection reaches a pair never observed at its age."""
+
+    @pytest.mark.parametrize("n, seed", [(300, 401), (200, 7)])
+    def test_projections_pool_like_the_difference_curves(self, tmp_path, n, seed):
+        out = tmp_path / "out"
+        assert run("--output-dir", str(out), "--set", f"synth.n_persons={n}", "--set", f"seed={seed}",
+                   "synth") == 0
+        assert run("--output-dir", str(out), "--set", f"input.claims={out / 'claims.csv'}", "ingest") == 0
+        with_panel = ("--output-dir", str(out), "--set", f"input.panel={out / 'panel.csv'}")
+        for command in (("report", "f02"), ("report", "f03"), ("report", "k14"), ("project",)):
+            assert run(*with_panel, *command) == 0, command
+
+        from healthmarkov.estimate import estimate_order2_family
+        from healthmarkov.lifted import MASS_EPS, current_cost_weights, lift_family
+        from healthmarkov.panel import filter_cohort
+        from healthmarkov.persistency import iterate_forward
+        from healthmarkov.states import CostVector
+
+        fam = lift_family(estimate_order2_family(filter_cohort(Panel.read_cache(out / "panel.csv"),
+                                                               age_min=0, age_max=59)))
+        doc = json.loads((out / "projections.json").read_text())
+        pooled = False
+        for item in doc["projections"]:
+            weights = current_cost_weights(CostVector.from_thresholds(q5_value=item["q5_value"]))
+            fc = iterate_forward(fam, item["start_age"], tuple(item["start_pair"]), doc["horizon"])
+            # the values of the difference curves' stepper over the whole family, bit for bit
+            assert item["per_period"] == [float(weights.dot(v)) for v in fc.distributions[1:]]
+            pooled |= any(((v > MASS_EPS) & ~fam[age].supported).any()
+                          for age, v in zip(fc.ages[1:], fc.distributions))
+        assert pooled
+
+
 class TestConfigPlumbing:
     def test_config_file_plus_override(self, tmp_path):
         cfg = tmp_path / "run.json"

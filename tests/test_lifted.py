@@ -14,8 +14,8 @@ from healthmarkov.lifted import (
     project_cumulative,
     shock_cost_difference,
     start_vector,
-    step_expectation,
 )
+from healthmarkov.persistency import iterate_forward
 from healthmarkov.states import CostVector, HealthState
 from healthmarkov.synthetic import generate_panel, random_chain
 
@@ -161,18 +161,24 @@ class TestLift:
             lift(uniform_tensor(), formula="other")
 
 
-class TestStepExpectation:
+def period_expectation(lm, start, k, costs=COSTS):
+    """Expected cost in period k on the homogeneous family {1: lm, ..., k: lm}."""
+    family = {age: lm for age in range(1, k + 1)}
+    return project_cumulative(family, costs, 0, start, k).per_period[k - 1]
+
+
+class TestPeriodExpectation:
     def test_absorbing_top_pair(self):
         t = np.zeros((5, 5, 5))
         t[:, :, 4] = 1.0  # everything moves to the top state
         lm = lift(t)
         for k in (1, 2, 5):
-            got = step_expectation(lm, COSTS, (Q.Q5, Q.Q5), k)
+            got = period_expectation(lm, (Q.Q5, Q.Q5), k)
             assert got == pytest.approx(267_000.0, abs=1e-9)
 
     def test_uniform_one_step_is_mean_cost(self):
         lm = lift(uniform_tensor())
-        got = step_expectation(lm, COSTS, (Q.Q3, Q.Q2), 1)
+        got = period_expectation(lm, (Q.Q3, Q.Q2), 1)
         assert got == pytest.approx(float(np.mean(COSTS.as_array())), abs=1e-9)
 
     @pytest.mark.parametrize("k", [1, 4, 6])
@@ -182,7 +188,7 @@ class TestStepExpectation:
         lm = lift(t)
         m = COSTS.as_array()
         for start in ((Q.Q1, Q.Q1), (Q.Q2, Q.Q5)):
-            got = step_expectation(lm, COSTS, start, k)
+            got = period_expectation(lm, start, k)
             dist = brute_pair_distribution([t] * k, start, k)
             want = sum(dist[idx] * m[idx % 5] for idx in range(25))
             assert abs(got - want) / max(abs(want), 1.0) < 1e-10
@@ -191,26 +197,20 @@ class TestStepExpectation:
         rng = np.random.default_rng(10)
         t = rng.dirichlet([1.0] * 5, size=(5, 5))
         lm = lift(t)
-        base = step_expectation(lm, COSTS, (Q.Q1, Q.Q2), 3)
+        base = period_expectation(lm, (Q.Q1, Q.Q2), 3)
         scaled_costs = CostVector(tuple(3.0 * v for v in COSTS.values))
-        assert step_expectation(lm, scaled_costs, (Q.Q1, Q.Q2), 3) == pytest.approx(3 * base, rel=1e-12)
-
-    def test_family_needs_start_age(self):
-        truth = random_chain(1, entry_age=20, exit_age=26)
-        fam = truth.lifted_family()
-        with pytest.raises(InvalidInputError):
-            step_expectation(fam, COSTS, (Q.Q1, Q.Q1), 2)
+        assert period_expectation(lm, (Q.Q1, Q.Q2), 3, scaled_costs) == pytest.approx(3 * base, rel=1e-12)
 
     def test_family_horizon_error(self):
         truth = random_chain(1, entry_age=20, exit_age=26)
         fam = truth.lifted_family()
         with pytest.raises(HorizonError):
-            step_expectation(fam, COSTS, (Q.Q1, Q.Q1), 10, start_age=21)
+            project_cumulative(fam, COSTS, 21, (Q.Q1, Q.Q1), 10)
 
     def test_bad_k(self):
         lm = lift(uniform_tensor())
         with pytest.raises(InvalidInputError):
-            step_expectation(lm, COSTS, (Q.Q1, Q.Q1), 0)
+            project_cumulative({1: lm}, COSTS, 0, (Q.Q1, Q.Q1), 0)
 
 
 class TestProjection:
@@ -247,7 +247,8 @@ class TestProjection:
         probs[0, 1] = counts[0, 1] / 10.0
         tensor = TransitionTensor(age=0, probs=probs, counts=counts)
         fam = {age: lift(tensor, age=age) for age in range(21, 31)}
-        with pytest.raises(UnsupportedCellError):
+        # (Q2,Q1) is unobserved at every age of its bin, so pooling cannot help
+        with pytest.raises(UnsupportedCellError, match=r"pair column \(Q2,Q1\) unsupported at age 23 even pooled"):
             project_cumulative(fam, COSTS, 20, (Q.Q1, Q.Q1), horizon=3)
 
     def test_to_dict_shape(self):
@@ -257,6 +258,68 @@ class TestProjection:
         assert doc["start_pair"] == ["Q1", "Q5"]
         assert len(doc["per_period"]) == 5
         assert set(doc) == {"start_age", "start_pair", "q5_value", "per_period", "cumulative"}
+
+
+def counted_operator(age, counts):
+    totals = counts.sum(axis=2, keepdims=True)
+    probs = np.divide(counts, totals, out=np.zeros((5, 5, 5)), where=totals > 0)
+    return lift(TransitionTensor(age=age, probs=probs, counts=counts), age=age)
+
+
+def pooling_family(q1q2_at_34):
+    """Ages 29-32 and 34; the (Q1,Q2) pair is observed only at 29 and, if given, at 34.
+
+    A projection from (Q1,Q1) at 30 reaches (Q1,Q2) at 31 and needs its
+    column at 32, pooled over the 30-34 bin: from age 34 only, outside a
+    two-period horizon.  Age 29 lies in the 25-29 bin and must not count.
+    """
+    rng = np.random.default_rng(21)
+    family = {}
+    for age in (29, 30, 31, 32, 34):
+        counts = rng.integers(1, 9, size=(5, 5, 5))
+        counts[0, 1] = 0
+        family[age] = counts
+    family[29][0, 1] = [0, 0, 0, 0, 7]
+    if q1q2_at_34 is not None:
+        family[34][0, 1] = q1q2_at_34
+    return {age: counted_operator(age, counts) for age, counts in family.items()}
+
+
+class TestPooledProjection:
+    START = (Q.Q1, Q.Q1)
+
+    def full_family_pooling(self, family, start_age, horizon):
+        weights = current_cost_weights(COSTS)
+        forecast = iterate_forward(family, start_age, self.START, horizon)
+        return [float(weights.dot(v)) for v in forecast.distributions[1:]]
+
+    def test_pools_from_a_bin_age_outside_the_horizon(self):
+        family = pooling_family([0, 0, 3, 1, 0])
+        want = self.full_family_pooling(family, 30, 2)
+        # first call, then a memo hit
+        for _ in range(2):
+            assert project_cumulative(family, COSTS, 30, self.START, horizon=2).per_period == want
+        # the horizon's operators alone cannot pool that column
+        with pytest.raises(UnsupportedCellError):
+            iterate_forward({age: family[age] for age in (31, 32)}, 30, self.START, 2)
+
+    def test_memo_tells_families_apart_by_their_bin_ages(self):
+        family = pooling_family([0, 0, 3, 1, 0])
+        other = dict(family)
+        other[34] = pooling_family([9, 0, 0, 0, 1])[34]
+        first = project_cumulative(family, COSTS, 30, self.START, horizon=2).per_period
+        second = project_cumulative(other, COSTS, 30, self.START, horizon=2).per_period
+        assert second == self.full_family_pooling(other, 30, 2)
+        assert first[0] == second[0] and first[1] != second[1]
+
+    def test_empty_bin_raises_the_same_error_every_call(self):
+        family = pooling_family(None)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(UnsupportedCellError) as err:
+                project_cumulative(family, COSTS, 30, self.START, horizon=2)
+            messages.add(str(err.value))
+        assert messages == {"pair column (Q1,Q2) unsupported at age 32 even pooled over its 5-year bin"}
 
 
 class TestShockCostDifference:

@@ -1,14 +1,14 @@
-"""Differential tests: the single pair-state stepper against the two it replaced.
+"""Differential tests: the single pair-state stepper against the order-2 stepper it replaced.
 
 Generated families lift sparse count tensors, so some (previous, current)
 columns have no support and mass can reach them.  Families come with and
 without stored counts (pooling needs them), with gaps between ages, and
 queried at start ages and horizons that run past the last age.
-``project_cumulative``, ``step_expectation`` (per-age family and a single
-LiftedMatrix) and order-2 ``iterate_forward`` (fallback None and "pool")
-must give the values of reference_lifted's steppers bit for bit, or raise
-the same error class.  ``project_cumulative`` and ``iterate_forward`` must
-also fail with one and the same message for the same blocked cell.
+``project_cumulative`` and order-2 ``iterate_forward`` must give the values
+of reference_lifted's stepper in pooling mode over the whole family bit
+for bit, or raise the same error class; they must also fail with one and
+the same message for the same unsupported cell.  The cases reach columns
+pooled from bin ages outside the projection's horizon, and memo hits.
 Every accepted start-pair form (HealthStates, ints, numpy ints, names, a
 list or an array) projects exactly as the HealthState pair does, and a
 missing age raises the reference's HorizonError message.
@@ -17,17 +17,17 @@ missing age raises the reference's HorizonError message.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from healthmarkov.errors import HorizonError, InvalidInputError, UnsupportedCellError
+from healthmarkov.errors import HorizonError, InvalidInputError
 from healthmarkov.estimate import TransitionTensor
-from healthmarkov.lifted import lift, project_cumulative, start_vector, step_expectation
+from healthmarkov.lifted import MASS_EPS, lift, project_cumulative, start_vector
 from healthmarkov.persistency import iterate_forward
 from healthmarkov.states import CostVector, HealthState
 
 from conftest import sticky_top_chain
 from reference_lifted import (
+    reference_bin_ages,
     reference_operator,
     reference_project_cumulative,
-    reference_step_expectation,
     reference_step_order2,
 )
 
@@ -84,7 +84,7 @@ def _same_class(got, want) -> bool:
     return isinstance(want, Exception) and type(got) is type(want)
 
 
-def reference_iterate_order2(model, start_age, start, horizon, fallback):
+def reference_iterate_order2(model, start_age, start, horizon):
     """Rows of order-2 ``iterate_forward``: its horizon checks, then the old stepper per age."""
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
@@ -93,7 +93,7 @@ def reference_iterate_order2(model, start_age, start, horizon, fallback):
     v = start_vector(start)
     rows = [v]
     for k in range(1, horizon + 1):
-        v = reference_step_order2(model, start_age + k, v, fallback)
+        v = reference_step_order2(model, start_age + k, v, "pool")
         rows.append(v)
     return np.vstack(rows)
 
@@ -106,13 +106,6 @@ def assert_same_projection(got, want):
         assert repr(got) == repr(want)
 
 
-def assert_same_expectation(got, want):
-    if isinstance(want, Exception):
-        assert _same_class(got, want), (got, want)
-    else:
-        assert type(got) is float and repr(got) == repr(want)
-
-
 def assert_same_rows(got, want):
     if isinstance(want, Exception):
         assert _same_class(got, want), (got, want)
@@ -120,6 +113,20 @@ def assert_same_rows(got, want):
         rows = got.distributions
         assert rows.dtype == want.dtype and rows.shape == want.shape
         assert rows.tobytes() == want.tobytes()
+
+
+def pooled_steps(family, start_age, rows) -> set:
+    """Which kinds of pooled step the reference rows went through."""
+    cases = set()
+    horizon_ages = range(start_age + 1, start_age + len(rows))
+    for age, v in zip(horizon_ages, rows):
+        for c in np.where((v > MASS_EPS) & ~family[age].supported)[0]:
+            cases.add("pooled a blocked column")
+            counts = {a: family[a].counts.reshape(-1, 5)[c] for a in reference_bin_ages(age)
+                      if a in family and family[a].counts is not None}
+            if any(n.any() for a, n in counts.items() if a not in horizon_ages):
+                cases.add("pooled from a bin age outside the horizon")
+    return cases
 
 
 def test_stepper_matches_reference():
@@ -142,37 +149,25 @@ def test_stepper_matches_reference():
             assert_same_projection(
                 projected,
                 _outcome(reference_project_cumulative, family, costs, start_age, start, horizon))
-            assert_same_expectation(
-                _outcome(step_expectation, family, costs, start, horizon, start_age),
-                _outcome(reference_step_expectation, family, costs, start, horizon, start_age))
 
-            forecasts = {}
-            for fallback in (None, "pool"):
-                forecasts[fallback] = _outcome(iterate_forward, family, start_age, start, horizon, fallback)
-                assert_same_rows(
-                    forecasts[fallback],
-                    _outcome(reference_iterate_order2, family, start_age, start, horizon, fallback))
-                seen.add((fallback, type(forecasts[fallback]).__name__))
-            blocked = forecasts[None]
-            seen.add(("pooled a blocked column", type(blocked) is UnsupportedCellError
-                      and not isinstance(forecasts["pool"], Exception)))
+            forecast = _outcome(iterate_forward, family, start_age, start, horizon)
+            rows = _outcome(reference_iterate_order2, family, start_age, start, horizon)
+            assert_same_rows(forecast, rows)
+            seen.add(("forecast", type(forecast).__name__))
+            if not isinstance(rows, Exception):
+                seen.update(pooled_steps(family, start_age, rows))
             # one stepper, one failure: same class and message from both entry points
-            assert isinstance(projected, Exception) == isinstance(blocked, Exception)
+            assert isinstance(projected, Exception) == isinstance(forecast, Exception)
             if isinstance(projected, Exception):
-                assert (type(blocked), str(blocked)) == (type(projected), str(projected))
-
-        single = data.draw(st.sampled_from(list(family.values())))
-        start, k, costs = data.draw(PAIR), data.draw(st.integers(0, 8)), data.draw(COSTS)
-        start_age = data.draw(st.none() | st.integers(lo, hi))
-        assert_same_expectation(_outcome(step_expectation, single, costs, start, k, start_age),
-                                _outcome(reference_step_expectation, single, costs, start, k, start_age))
+                assert (type(forecast), str(forecast)) == (type(projected), str(projected))
 
     check()
-    # the generated cases reach supported, blocked, pooled and out-of-horizon steps
-    assert {(None, "ForecastDistribution"), (None, "UnsupportedCellError"), (None, "HorizonError"),
-            ("pool", "ForecastDistribution"), ("pool", "UnsupportedCellError"),
-            ("pooled a blocked column", True), ("counts", True), ("counts", False),
-            ("all supported", True), ("all supported", False)} <= seen
+    # the generated cases reach supported, pooled, unpoolable and out-of-horizon steps
+    assert {("forecast", "ForecastDistribution"), ("forecast", "UnsupportedCellError"),
+            ("forecast", "HorizonError"), ("forecast", "InvalidInputError"),
+            "pooled a blocked column", "pooled from a bin age outside the horizon",
+            ("counts", True), ("counts", False),
+            ("all supported", True), ("all supported", False)} <= seen, seen
 
 
 def test_cost_sweep_matches_reference():
@@ -181,6 +176,9 @@ def test_cost_sweep_matches_reference():
     ``project_cumulative`` remembers forward passes by operator identity
     and start pair; every repeated (family, start age, start pair, horizon)
     query here is answered from that memo after its first cost vector.
+    The two families share some operators, so a pass keyed by the
+    horizon's operators alone would be answered for the wrong family
+    whenever a pooled column reads a bin age outside the horizon.
     """
     seen = set()
     sweep = [CostVector.from_thresholds(q5_value=q5) for q5 in (267_000.0, 500_000.0, 1.5e6, 2_257_000.0)]
@@ -191,8 +189,11 @@ def test_cost_sweep_matches_reference():
     def check(family, data):
         lo, hi = min(family), max(family)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # same age keys, other operators
-        other = {age: lifted_matrix(rng, age) for age in family}
+        # same age keys, some operators shared and the others new
+        other = {age: op if rng.random() < 0.5 else lifted_matrix(rng, age) for age, op in family.items()}
+        if family[lo].counts is None:
+            for op in other.values():
+                op.counts = None
         queries = [(data.draw(st.integers(lo - 1, hi)), data.draw(PAIR)) for _ in range(3)]
         queries = [(start_age, start, data.draw(horizons(hi - start_age))) for start_age, start in queries]
         failures = {}
@@ -209,12 +210,15 @@ def test_cost_sweep_matches_reference():
                         assert failures.setdefault(key, outcome) == outcome
                         seen.add(("repeated failure", type(got).__name__, costs is not sweep[0]))
                     else:
-                        seen.add(("repeated success", costs is not sweep[0]))
+                        rows = reference_iterate_order2(fam, start_age, start, horizon)
+                        seen.add(("repeated success", costs is not sweep[0],
+                                  "pooled from a bin age outside the horizon" in pooled_steps(fam, start_age, rows)))
 
     check()
-    assert {("repeated success", True), ("repeated failure", "UnsupportedCellError", True),
+    assert {("repeated success", True, False), ("repeated success", True, True),
+            ("repeated failure", "UnsupportedCellError", True),
             ("repeated failure", "HorizonError", True),
-            ("repeated failure", "InvalidInputError", True)} <= seen
+            ("repeated failure", "InvalidInputError", True)} <= seen, seen
 
 
 def _projection_family():

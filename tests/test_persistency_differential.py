@@ -3,9 +3,9 @@
 Generated first-order families hold sparse counts, so some state rows have
 no support at some ages and mass can reach them; a row may also be empty
 across its whole 5-year bin, so pooling cannot help.  First-order
-``iterate_forward`` (fallback None and "pool") and ``persistency_difference``
-must give reference_persistency's values bit for bit, or raise the same
-error class, at start ages and horizons that run past the last age.
+``iterate_forward`` and ``persistency_difference`` must give the values of
+reference_persistency's stepper in pooling mode bit for bit, or raise the
+same error class, at start ages and horizons that run past the last age.
 """
 
 import numpy as np
@@ -60,7 +60,7 @@ def _outcome(func, *args, **kwargs):
         return exc
 
 
-def reference_iterate_order1(model, start_age, state, horizon, fallback):
+def reference_iterate_order1(model, start_age, state, horizon):
     """Rows of first-order ``iterate_forward``: its horizon checks, then the old stepper per age."""
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
@@ -70,15 +70,15 @@ def reference_iterate_order1(model, start_age, state, horizon, fallback):
     v[int(HealthState(int(state))) - 1] = 1.0
     rows = [v]
     for k in range(1, horizon + 1):
-        v = reference_step_order1(model, start_age + k, v, fallback)
+        v = reference_step_order1(model, start_age + k, v, "pool")
         rows.append(v)
     return np.vstack(rows)
 
 
-def reference_difference(model, start_age, horizon, target, starts, fallback):
+def reference_difference(model, start_age, horizon, target, starts):
     """(worse mass, better mass) per year from the old stepper."""
     codes = sorted(int(s) - 1 for s in target)
-    worse, better = (reference_iterate_order1(model, start_age, s, horizon, fallback) for s in starts)
+    worse, better = (reference_iterate_order1(model, start_age, s, horizon) for s in starts)
     return worse[:, codes].sum(axis=1)[1:], better[:, codes].sum(axis=1)[1:]
 
 
@@ -99,7 +99,7 @@ def step_cases(family, start_age, rows):
         if op.supported.all():
             cases.add("all rows supported")
         elif ((v > MASS_EPS) & ~op.supported).any():
-            cases.add("blocked row carrying mass")
+            cases.add("pooled a blocked row carrying mass")
         else:
             cases.add("blocked row carrying no mass")
     return cases
@@ -117,27 +117,20 @@ def test_order1_forecasts_match_reference():
             start_age = data.draw(st.integers(lo - 1, hi))
             horizon = data.draw(horizons(hi - start_age))
             state = data.draw(STATE)
-            outcomes = {}
-            for fallback in (None, "pool"):
-                got = _outcome(iterate_forward, family, start_age, state, horizon, fallback)
-                want = _outcome(reference_iterate_order1, family, start_age, state, horizon, fallback)
-                if isinstance(want, Exception):
-                    assert_same_class(got, want)
-                    seen.add((fallback, type(want).__name__))
-                else:
-                    assert_same_array(got.distributions, want)
-                    seen.update(step_cases(family, start_age, want))
-                outcomes[fallback] = want
-            if isinstance(outcomes[None], Exception) and not isinstance(outcomes["pool"], Exception):
-                seen.add("row pooled successfully")
+            got = _outcome(iterate_forward, family, start_age, state, horizon)
+            want = _outcome(reference_iterate_order1, family, start_age, state, horizon)
+            if isinstance(want, Exception):
+                assert_same_class(got, want)
+                seen.add(("forecast", type(want).__name__))
+            else:
+                assert_same_array(got.distributions, want)
+                seen.update(step_cases(family, start_age, want))
 
             starts = data.draw(st.none() | st.tuples(STATE, STATE))
             target = data.draw(TARGET)
-            fallback = data.draw(st.sampled_from([None, "pool"]))
-            got = _outcome(persistency_difference, family, start_age, horizon, target,
-                           starts=starts, fallback=fallback)
+            got = _outcome(persistency_difference, family, start_age, horizon, target, starts=starts)
             want = _outcome(reference_difference, family, start_age, horizon, target,
-                            starts or (HealthState.Q5, HealthState.Q1), fallback)
+                            starts or (HealthState.Q5, HealthState.Q1))
             if isinstance(want, Exception):
                 assert_same_class(got, want)
                 seen.add(("difference", type(want).__name__))
@@ -147,7 +140,7 @@ def test_order1_forecasts_match_reference():
                 seen.add(("difference", "ok"))
 
     check()
-    assert {"all rows supported", "blocked row carrying mass", "blocked row carrying no mass",
-            "row pooled successfully", ("pool", "UnsupportedCellError"), (None, "HorizonError"),
-            (None, "InvalidInputError"), ("difference", "ok"),
+    assert {"all rows supported", "pooled a blocked row carrying mass", "blocked row carrying no mass",
+            ("forecast", "UnsupportedCellError"), ("forecast", "HorizonError"),
+            ("forecast", "InvalidInputError"), ("difference", "ok"),
             ("difference", "UnsupportedCellError")} <= seen, seen
