@@ -192,7 +192,7 @@ def _order1_family(cfg, panel):
 
 
 def _lifted_family(cfg, panel):
-    return lift_family(estimate_order2_family(panel), formula=cfg.lift_formula)
+    return lift_family(estimate_order2_family(panel))
 
 
 def _diff_report(build_family, target):

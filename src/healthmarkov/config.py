@@ -75,7 +75,6 @@ class RunConfig:
     min_count: int = 30
     year_convention: str = "fiscal"
     seed: int = 0
-    lift_formula: str = "conditional"
     synth_n_persons: int = 10_000
     synth_entry_age: int = 20
     synth_exit_age: int = 60
@@ -104,7 +103,6 @@ CONFIG_KEYS = {
     "estimate.min_count": ("min_count", _as_int),
     "ingest.year_convention": ("year_convention", _as_str),
     "seed": ("seed", _as_int),
-    "lift.formula": ("lift_formula", _as_str),
     "synth.n_persons": ("synth_n_persons", _as_int),
     "synth.entry_age": ("synth_entry_age", _as_int),
     "synth.exit_age": ("synth_exit_age", _as_int),
@@ -161,8 +159,6 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"cohort.sex must be M, F or null, got {cfg.sex!r}")
     if cfg.age_min > cfg.age_max:
         raise ConfigError(f"cohort.age_min {cfg.age_min} exceeds cohort.age_max {cfg.age_max}")
-    if cfg.lift_formula not in ("conditional", "summed"):
-        raise ConfigError(f"lift.formula must be conditional or summed, got {cfg.lift_formula!r}")
     StateThresholds(cfg.upper_bounds)  # raises ConfigError when inconsistent
 
     if command == "ingest":

@@ -115,10 +115,6 @@ class _TransitionEstimate:
 class TransitionMatrix(_TransitionEstimate):
     """First-order estimate at one age: rows = state at age-1, cols = state at age."""
 
-    @property
-    def row_totals(self) -> np.ndarray:
-        return self.totals
-
 
 class TransitionTensor(_TransitionEstimate):
     """Second-order estimate at one age: probs[i, j, k] = p(state k at age | i at age-2, j at age-1)."""
@@ -126,10 +122,6 @@ class TransitionTensor(_TransitionEstimate):
     @property
     def pair_totals(self) -> np.ndarray:
         return self.totals
-
-    def marginal_counts(self) -> np.ndarray:
-        """Pair counts summed over the oldest conditioning state."""
-        return self.counts.sum(axis=0)
 
 
 #: Estimate type and what it counts, per chain order.
@@ -173,16 +165,6 @@ def _estimate_family(panel: Panel, ages: Iterable[int] | None, order: int) -> di
     return out
 
 
-def _pool(family: Mapping[int, _TransitionEstimate], ages: Iterable[int], age: int | None, order: int):
-    ages = list(ages)  # read twice: to pick counts and to name the ages in the error
-    picked = [family[a].counts for a in ages if a in family]
-    if not picked:
-        raise EmptyCohortError(f"no estimates among ages {ages}")
-    counts = np.sum(picked, axis=0)
-    kind, _ = _ORDERS[order]
-    return kind(age=age if age is not None else -1, probs=_normalize_counts(counts), counts=counts)
-
-
 def estimate_order1(panel: Panel, age: int) -> TransitionMatrix:
     """Estimate the transition matrix into ``age`` from observed (age-1, age) pairs."""
     return _estimate(panel, age, 1)
@@ -205,12 +187,12 @@ def estimate_order2_family(panel: Panel, ages: Iterable[int] | None = None) -> d
 
 def pool_order1(family: Mapping[int, TransitionMatrix], ages: Iterable[int], age: int | None = None) -> TransitionMatrix:
     """Pool counts (not probabilities) over several single-age estimates."""
-    return _pool(family, ages, age, 1)
-
-
-def pool_order2(family: Mapping[int, TransitionTensor], ages: Iterable[int], age: int | None = None) -> TransitionTensor:
-    """Pool counts (not probabilities) over several single-age estimates."""
-    return _pool(family, ages, age, 2)
+    ages = list(ages)  # read twice: to pick counts and to name the ages in the error
+    picked = [family[a].counts for a in ages if a in family]
+    if not picked:
+        raise EmptyCohortError(f"no estimates among ages {ages}")
+    counts = np.sum(picked, axis=0)
+    return TransitionMatrix(age=age if age is not None else -1, probs=_normalize_counts(counts), counts=counts)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,6 @@ N_PAIRS = N_STATES * N_STATES
 #: Probability mass below which an unsupported column is considered unused.
 MASS_EPS = 1e-12
 
-LIFT_FORMULAS = ("conditional", "summed")
-
-
 def pair_index(previous, current) -> int:
     """Column/row index of the pair (previous, current), previous-major.
 
@@ -68,6 +65,16 @@ _STATES = tuple(HealthState)
 
 #: State coordinate (0-based) of each pair's current coordinate, by pair index.
 _CURRENT_STATE = np.arange(N_PAIRS) % N_STATES
+
+#: Where the lift puts p[i, j, j'] (0-based states, indexed [i, j, j']):
+#: row 5j + j', column 5i + j.
+_i, _j, _k = np.indices((N_STATES, N_STATES, N_STATES))
+_PAIR_LAYOUT = (N_STATES * _j + _k, N_STATES * _i + _j)
+del _i, _j, _k
+
+#: The entries a move can reach: column (i, j) only lands on rows (j, .).
+_REACHABLE = np.zeros((N_PAIRS, N_PAIRS), dtype=bool)
+_REACHABLE[_PAIR_LAYOUT] = True
 
 
 def current_cost_weights(costs: CostVector) -> np.ndarray:
@@ -95,35 +102,33 @@ class LiftedMatrix:
     counts: np.ndarray | None = None
 
     def validate(self, atol: float = 1e-12) -> None:
-        """Check the structural-zero pattern and column normalization."""
+        """Check the structural-zero pattern and column normalization.
+
+        The first failing column is named; within a column a leak is
+        reported before a bad sum.
+        """
         if self.probs.shape != (N_PAIRS, N_PAIRS):
             raise InvalidInputError(f"expected a {N_PAIRS}x{N_PAIRS} matrix")
-        for col in range(N_PAIRS):
-            j = col % N_STATES
-            mask = np.ones(N_PAIRS, dtype=bool)
-            mask[j * N_STATES : (j + 1) * N_STATES] = False
-            if np.abs(self.probs[mask, col]).max(initial=0.0) > 0:
+        # max, not any: a NaN outside the block hides the column's leak
+        leaks = np.abs(np.where(_REACHABLE, 0.0, self.probs)).max(axis=0, initial=0.0) > 0
+        # one contiguous row per column sums like the column alone, to the last bit
+        sums = np.ascontiguousarray(self.probs.T).sum(axis=1)
+        bad = leaks | (np.asarray(self.supported, dtype=bool) & (np.abs(sums - 1.0) > atol))
+        if bad.any():
+            col = int(bad.argmax())
+            if leaks[col]:
                 raise InvalidInputError(f"column {col} leaks mass outside its reachable block")
-            if self.supported[col]:
-                s = self.probs[:, col].sum()
-                if abs(s - 1.0) > atol:
-                    raise InvalidInputError(f"supported column {col} sums to {s!r}")
+            raise InvalidInputError(f"supported column {col} sums to {sums[col]!r}")
 
 
-def lift(tensor, age: int | None = None, formula: str = "conditional") -> LiftedMatrix:
+def lift(tensor, age: int | None = None) -> LiftedMatrix:
     """Rewrite a pair-conditional tensor as a 25x25 single-step operator.
 
     ``tensor`` is a TransitionTensor or a raw (5, 5, 5) probability array
-    p[i, j, j'].  With the default "conditional" formula the entry for
-    (i, j) -> (j, j') is p[i, j, j'], the only reading under which a
-    supported column is a probability distribution.  The "summed"
-    comparison formula instead writes sum_i p[i, j, j'] (discarding the
-    known previous state); its columns are not stochastic and it exists
-    solely to quantify how much that alternative reading distorts
-    projections.
+    p[i, j, j'].  The entry for (i, j) -> (j, j') is p[i, j, j'], so every
+    supported column is a probability distribution; an unsupported
+    column is all zeros.
     """
-    if formula not in LIFT_FORMULAS:
-        raise InvalidInputError(f"formula must be one of {LIFT_FORMULAS}, got {formula!r}")
     counts = None
     if isinstance(tensor, TransitionTensor):
         probs = tensor.probs
@@ -144,27 +149,15 @@ def lift(tensor, age: int | None = None, formula: str = "conditional") -> Lifted
         raise UnsupportedCellError("tensor has no supported (previous, current) pair")
 
     probs_mat = np.zeros((N_PAIRS, N_PAIRS))
-    supported = np.zeros(N_PAIRS, dtype=bool)
-    for i in range(N_STATES):
-        for j in range(N_STATES):
-            col = N_STATES * i + j
-            if formula == "conditional":
-                if not supported_pairs[i, j]:
-                    continue
-                slice_ = probs[i, j]
-            else:
-                slice_ = probs[:, j, :].sum(axis=0)
-                if not supported_pairs[:, j].any():
-                    continue
-            rows = j * N_STATES + np.arange(N_STATES)
-            probs_mat[rows, col] = slice_
-            supported[col] = True
+    probs_mat[_PAIR_LAYOUT] = np.where(supported_pairs[..., None], probs, 0.0)
+    # a new array: the operator must not share its flags with the tensor
+    supported = supported_pairs.astype(bool).reshape(N_PAIRS)
     return LiftedMatrix(probs=probs_mat, supported=supported, age=age, counts=counts)
 
 
-def lift_family(tensors: Mapping[int, object], formula: str = "conditional") -> dict[int, LiftedMatrix]:
+def lift_family(tensors: Mapping[int, object]) -> dict[int, LiftedMatrix]:
     """Lift a per-age tensor family; skips nothing, ages keep their keys."""
-    return {age: lift(t, age=age, formula=formula) for age, t in tensors.items()}
+    return {age: lift(t, age=age) for age, t in tensors.items()}
 
 
 def start_vector(start) -> np.ndarray:
@@ -200,16 +193,15 @@ def _pooled(model: Mapping[int, object], age: int, c: int) -> np.ndarray:
 
     ``c`` is state row c of first-order counts, or pair (i, j) = divmod(c, 5) of 5x5x5 counts.
     """
+    ops = [model.get(a) for a in _bin_ages(age)]
+    kept = [op.counts for op in ops if op is not None and op.counts is not None]
     counts = np.zeros(N_STATES, dtype=np.int64)
-    for a in _bin_ages(age):
-        op = model.get(a)
-        if op is not None and op.counts is not None:
-            counts += op.counts.reshape(-1, N_STATES)[c]
+    for bin_counts in kept:
+        counts += bin_counts.reshape(-1, N_STATES)[c]
     if counts.sum() == 0:
         n = model[age].supported.size
-        raise UnsupportedCellError(
-            f"{_cell_kind(n)} {_cell_name(n, c)} unsupported at age {age} even pooled over its 5-year bin"
-        )
+        why = "even pooled over its 5-year bin" if kept else "and no operator in its 5-year bin keeps counts to pool"
+        raise UnsupportedCellError(f"{_cell_kind(n)} {_cell_name(n, c)} unsupported at age {age} {why}")
     return counts / counts.sum()
 
 

@@ -49,7 +49,6 @@ import functools
 import io
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -78,15 +77,6 @@ class PersonYear:
     months_observed: int
     annual_cost: int
     state: HealthState
-
-
-@dataclass(frozen=True)
-class MissingMarker:
-    """Explicit record of an in-panel year with no observed months."""
-
-    person_id: str
-    age: int
-    year: int
 
 
 class Panel:
@@ -192,30 +182,6 @@ class Panel:
         return np.unique(self.birth_years, return_inverse=True)
 
     # -- iteration / serialization -----------------------------------------
-
-    def person_years(self) -> Iterator[PersonYear]:
-        """Observed entries, ordered by (person, age)."""
-        for p in range(self.n_persons):
-            for c in np.where(self.states[p] >= 0)[0]:
-                age = self.age_min + int(c)
-                yield PersonYear(
-                    person_id=str(self.person_ids[p]),
-                    age=age,
-                    year=int(self.birth_years[p]) + age,
-                    months_observed=int(self.months[p, c]),
-                    annual_cost=int(self.costs[p, c]),
-                    state=HealthState(int(self.states[p, c]) + 1),
-                )
-
-    def markers(self) -> Iterator[MissingMarker]:
-        for p in range(self.n_persons):
-            for c in np.where(self.states[p] == MISSING_CODE)[0]:
-                age = self.age_min + int(c)
-                yield MissingMarker(
-                    person_id=str(self.person_ids[p]),
-                    age=age,
-                    year=int(self.birth_years[p]) + age,
-                )
 
     def summary(self) -> dict:
         observed = self.states >= 0

@@ -111,9 +111,9 @@ class GroundTruthChain:
             )
         return self.tensors[age - self.entry_age - 2]
 
-    def lifted_family(self, formula: str = "conditional") -> dict[int, LiftedMatrix]:
+    def lifted_family(self) -> dict[int, LiftedMatrix]:
         """The chain's exact per-age pair-state operators."""
-        return {age: lift(self.tensor_at(age), age=age, formula=formula) for age in self.target_ages}
+        return {age: lift(self.tensor_at(age), age=age) for age in self.target_ages}
 
     # -- serialization ---------------------------------------------------------
 

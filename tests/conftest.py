@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from healthmarkov.panel import Panel
+from healthmarkov.panel import MISSING_CODE, Panel
 from healthmarkov.states import classify_costs
 
 
@@ -23,6 +23,23 @@ def make_panel(states, entry_age=30, entry_year=2000, costs=None, months=None, s
     ids = [f"p{k:04d}" for k in range(n)]
     births = np.full(n, entry_year - entry_age, dtype=np.int32)
     return Panel(ids, births, entry_age, states, costs, np.asarray(months, dtype=np.int8), sex=sex)
+
+
+def assert_same_cells(got, want):
+    """Same persons, birth years and ages; same observed and missing cells; same values where observed."""
+    assert list(got.person_ids) == list(want.person_ids)
+    np.testing.assert_array_equal(got.birth_years, want.birth_years)
+    assert got.ages == want.ages
+    observed = want.states >= 0
+    np.testing.assert_array_equal(got.states >= 0, observed)
+    np.testing.assert_array_equal(got.states == MISSING_CODE, want.states == MISSING_CODE)
+    for name in ("states", "costs", "months"):
+        np.testing.assert_array_equal(getattr(got, name)[observed], getattr(want, name)[observed], err_msg=name)
+
+
+def observed_ages(panel, p=0) -> list[int]:
+    """Ages of person row ``p``'s observed cells."""
+    return (panel.age_min + np.flatnonzero(panel.states[p] >= 0)).tolist()
 
 
 def panel_from_costs(costs, entry_age=30, entry_year=2000, sex=None):

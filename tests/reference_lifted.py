@@ -1,4 +1,5 @@
-"""The order-2 pair-state stepper as it was before both chain orders shared one, kept as a test reference.
+"""The order-2 pair-state stepper as it was before both chain orders shared one, and the
+per-column lift and check, kept as test references.
 
 ``reference_step_order2`` is the persistency module's order-2 stepper with
 its own ``_operator`` and ``_pooled_column``, unchanged apart from their
@@ -8,6 +9,14 @@ through ``reference_step_order2`` in pooling mode over the whole family,
 the one unsupported-cell policy of every forward pass.  The differential
 tests in test_lifted_differential.py hold the single stepper to them bit
 for bit.
+
+``reference_lift`` and ``reference_validate`` are ``lift`` and
+``LiftedMatrix.validate`` as they were before the pair layout table: a
+loop over the 25 columns, with the "summed" comparison formula that
+``lift`` no longer has.  They are unchanged apart from their names
+(``reference_validate`` takes the matrix as ``self``).  The differential
+test holds the table-driven pair to them on the conditional formula:
+same bytes, or the same error class and message.
 """
 
 from typing import Mapping
@@ -15,8 +24,10 @@ from typing import Mapping
 import numpy as np
 
 from healthmarkov.errors import HorizonError, InvalidInputError, UnsupportedCellError
+from healthmarkov.estimate import TransitionTensor
 from healthmarkov.lifted import (
     MASS_EPS,
+    N_PAIRS,
     LiftedMatrix,
     ProjectionResult,
     current_cost_weights,
@@ -114,3 +125,78 @@ def reference_project_cumulative(
         cumulative=float(sum(per_period)),
         q5_value=costs.q5,
     )
+
+
+# ---------------------------------------------------------------------------
+# lifted.py, before the pair layout table
+
+
+LIFT_FORMULAS = ("conditional", "summed")
+
+
+def reference_validate(self, atol: float = 1e-12) -> None:
+    """Check the structural-zero pattern and column normalization."""
+    if self.probs.shape != (N_PAIRS, N_PAIRS):
+        raise InvalidInputError(f"expected a {N_PAIRS}x{N_PAIRS} matrix")
+    for col in range(N_PAIRS):
+        j = col % N_STATES
+        mask = np.ones(N_PAIRS, dtype=bool)
+        mask[j * N_STATES : (j + 1) * N_STATES] = False
+        if np.abs(self.probs[mask, col]).max(initial=0.0) > 0:
+            raise InvalidInputError(f"column {col} leaks mass outside its reachable block")
+        if self.supported[col]:
+            s = self.probs[:, col].sum()
+            if abs(s - 1.0) > atol:
+                raise InvalidInputError(f"supported column {col} sums to {s!r}")
+
+
+def reference_lift(tensor, age: int | None = None, formula: str = "conditional") -> LiftedMatrix:
+    """Rewrite a pair-conditional tensor as a 25x25 single-step operator.
+
+    ``tensor`` is a TransitionTensor or a raw (5, 5, 5) probability array
+    p[i, j, j'].  With the default "conditional" formula the entry for
+    (i, j) -> (j, j') is p[i, j, j'], the only reading under which a
+    supported column is a probability distribution.  The "summed"
+    comparison formula instead writes sum_i p[i, j, j'] (discarding the
+    known previous state); its columns are not stochastic and it exists
+    solely to quantify how much that alternative reading distorts
+    projections.
+    """
+    if formula not in LIFT_FORMULAS:
+        raise InvalidInputError(f"formula must be one of {LIFT_FORMULAS}, got {formula!r}")
+    counts = None
+    if isinstance(tensor, TransitionTensor):
+        probs = tensor.probs
+        supported_pairs = tensor.supported
+        counts = tensor.counts
+        if age is None:
+            age = tensor.age
+    else:
+        probs = np.asarray(tensor, dtype=np.float64)
+        if probs.shape != (N_STATES, N_STATES, N_STATES):
+            raise InvalidInputError(f"expected a (5, 5, 5) tensor, got {probs.shape}")
+        slice_sums = probs.sum(axis=2)
+        supported_pairs = slice_sums > 0
+        if ((np.abs(slice_sums - 1.0) > 1e-9) & supported_pairs).any():
+            raise InvalidInputError("supported tensor slices must be normalized")
+
+    if not supported_pairs.any():
+        raise UnsupportedCellError("tensor has no supported (previous, current) pair")
+
+    probs_mat = np.zeros((N_PAIRS, N_PAIRS))
+    supported = np.zeros(N_PAIRS, dtype=bool)
+    for i in range(N_STATES):
+        for j in range(N_STATES):
+            col = N_STATES * i + j
+            if formula == "conditional":
+                if not supported_pairs[i, j]:
+                    continue
+                slice_ = probs[i, j]
+            else:
+                slice_ = probs[:, j, :].sum(axis=0)
+                if not supported_pairs[:, j].any():
+                    continue
+            rows = j * N_STATES + np.arange(N_STATES)
+            probs_mat[rows, col] = slice_
+            supported[col] = True
+    return LiftedMatrix(probs=probs_mat, supported=supported, age=age, counts=counts)

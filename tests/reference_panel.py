@@ -1,13 +1,16 @@
 """Row-by-row panel-cache reader and panel builder, kept as a test reference.
 
 These are the implementations ``Panel.read_cache`` and ``build_panel`` had
-before the columnar rewrite, unchanged apart from their names.  The
+before the columnar rewrite, unchanged apart from their names, with a
+copy of the ``MissingMarker`` record the reader collected, which the
+package no longer has.  The
 differential tests in test_panel_differential.py hold the columnar code to
 them: the same panel for every valid file, and the same error class and
 line for every malformed one.
 """
 
 import csv
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -22,11 +25,19 @@ from healthmarkov.panel import (
     ABSENT_CODE,
     MISSING_CODE,
     PANEL_CACHE_COLUMNS,
-    MissingMarker,
     Panel,
     PersonYear,
 )
 from healthmarkov.states import MISSING, HealthState
+
+
+@dataclass(frozen=True)
+class MissingMarker:
+    """Explicit record of an in-panel year with no observed months."""
+
+    person_id: str
+    age: int
+    year: int
 
 
 def reference_read_cache(path) -> Panel:

@@ -2,16 +2,37 @@
 
 ``reference_write_claims`` is ``synthetic.write_claims`` when it looped
 over ``panel.person_years()`` and wrote each monthly row through
-``csv.writer``.  It is unchanged apart from its name.  The differential
+``csv.writer``.  It is unchanged apart from its name and from calling
+``reference_person_years(panel)``, a copy of that ``Panel`` method, which
+the package no longer has.  The differential
 test in test_synthetic_differential.py holds the array writer to it,
 byte for byte and in its return value.
 """
 
 import csv
+from typing import Iterator
+
+import numpy as np
 
 from healthmarkov.errors import InvalidInputError
 from healthmarkov.ingest import CLAIMS_COLUMNS
-from healthmarkov.panel import Panel
+from healthmarkov.panel import Panel, PersonYear
+from healthmarkov.states import HealthState
+
+
+def reference_person_years(self) -> Iterator[PersonYear]:
+    """Observed entries, ordered by (person, age)."""
+    for p in range(self.n_persons):
+        for c in np.where(self.states[p] >= 0)[0]:
+            age = self.age_min + int(c)
+            yield PersonYear(
+                person_id=str(self.person_ids[p]),
+                age=age,
+                year=int(self.birth_years[p]) + age,
+                months_observed=int(self.months[p, c]),
+                annual_cost=int(self.costs[p, c]),
+                state=HealthState(int(self.states[p, c]) + 1),
+            )
 
 
 def reference_write_claims(panel: Panel, path, sex_default: str = "M", year_convention: str = "fiscal") -> int:
@@ -36,7 +57,7 @@ def reference_write_claims(panel: Panel, path, sex_default: str = "M", year_conv
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CLAIMS_COLUMNS)
-        for py in panel.person_years():
+        for py in reference_person_years(panel):
             sex = sex_of[py.person_id]
             base, extra = divmod(py.annual_cost, 12)
             writer.writerows(

@@ -258,22 +258,6 @@ class TestProject:
             "project",
         ) == 4
 
-    def test_summed_formula_changes_projections(self, pipeline):
-        docs = {}
-        for formula in ("conditional", "summed"):
-            assert run(
-                "--output-dir", str(pipeline),
-                "--set", f"input.panel={pipeline / 'panel.csv'}",
-                "--set", f"lift.formula={formula}",
-                "--set", "project.horizon=3",
-                "--set", "project.start_ages=[25]",
-                "project",
-            ) == 0
-            docs[formula] = json.loads((pipeline / "projections.json").read_text())
-        a = docs["conditional"]["projections"][0]["cumulative"]
-        b = docs["summed"]["projections"][0]["cumulative"]
-        assert a != b  # the comparison formula is not the pair-conditional chain
-
 
 class TestUnobservedPairs:
     """Small panels on which a projection reaches a pair never observed at its age."""
@@ -320,6 +304,12 @@ class TestConfigPlumbing:
 
     def test_unknown_key_rejected(self, tmp_path):
         assert run("--output-dir", str(tmp_path), "--set", "nope=1", "synth") == 2
+
+    def test_lift_formula_is_not_a_key(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("--set", "lift.formula=summed", *synth_args(out, n=5)) == 2
+        assert "unknown config key 'lift.formula'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("pair", [
         "project.horizon=2.5",

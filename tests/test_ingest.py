@@ -21,6 +21,8 @@ from healthmarkov.ingest import (
 )
 from healthmarkov.states import HealthState
 
+from conftest import observed_ages
+
 HEADER = "person_id,sex,age,year,month,cost_yen\n"
 
 
@@ -373,9 +375,8 @@ class TestLoadClaimsPanel:
                 text += f"a,M,{40 + year - 2010},{year},{m},1000\n"
         panel = load_claims_panel(claims(text))
         assert panel.n_persons == 1
-        pys = list(panel.person_years())
-        assert [py.age for py in pys] == [40, 41, 42]
-        assert all(py.annual_cost == 12_000 for py in pys)
+        assert observed_ages(panel) == [40, 41, 42]
+        assert panel.costs[panel.states >= 0].tolist() == [12_000] * 3
 
     def test_builds_no_person_year_objects(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -143,23 +143,6 @@ class TestLift:
         with pytest.raises(InvalidInputError):
             lift(bad)
 
-    def test_summed_formula_adds_over_past_states(self):
-        rng = np.random.default_rng(7)
-        t = rng.dirichlet([1.0] * 5, size=(5, 5))
-        lm = lift(t, formula="summed")
-        # the comparison formula discards the past: column (i, j) holds
-        # sum_h p(j' | h, j), identical for every i and generally not stochastic
-        for j in range(5):
-            expected = t[:, j, :].sum(axis=0)
-            for i in range(5):
-                col = lm.probs[:, 5 * i + j]
-                np.testing.assert_allclose(col[5 * j : 5 * j + 5], expected)
-        assert not np.allclose(lm.probs.sum(axis=0), 1.0)
-
-    def test_unknown_formula(self):
-        with pytest.raises(InvalidInputError):
-            lift(uniform_tensor(), formula="other")
-
 
 def period_expectation(lm, start, k, costs=COSTS):
     """Expected cost in period k on the homogeneous family {1: lm, ..., k: lm}."""
@@ -250,6 +233,19 @@ class TestProjection:
         # (Q2,Q1) is unobserved at every age of its bin, so pooling cannot help
         with pytest.raises(UnsupportedCellError, match=r"pair column \(Q2,Q1\) unsupported at age 23 even pooled"):
             project_cumulative(fam, COSTS, 20, (Q.Q1, Q.Q1), horizon=3)
+
+    def test_operators_without_counts_say_there_is_nothing_to_pool(self):
+        probs = np.zeros((5, 5, 5))
+        probs[0, 0] = [0.5, 0.5, 0, 0, 0]  # (Q1,Q1) lands on (Q1,Q2) too
+        probs[0, 1] = [1.0, 0, 0, 0, 0]  # (Q1,Q2) lands on (Q2,Q1), never supported
+        fam = {age: lift(probs, age=age) for age in range(21, 26)}
+        assert all(op.counts is None for op in fam.values())
+        want = "pair column (Q2,Q1) unsupported at age 23 and no operator in its 5-year bin keeps counts to pool"
+        with pytest.raises(UnsupportedCellError) as projected:
+            project_cumulative(fam, COSTS, 20, (Q.Q1, Q.Q1), horizon=3)
+        with pytest.raises(UnsupportedCellError) as forecast:
+            iterate_forward(fam, 20, (Q.Q1, Q.Q1), 3)
+        assert str(projected.value) == str(forecast.value) == want
 
     def test_to_dict_shape(self):
         truth = random_chain(15, entry_age=20, exit_age=40)

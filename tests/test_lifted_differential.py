@@ -12,6 +12,12 @@ pooled from bin ages outside the projection's horizon, and memo hits.
 Every accepted start-pair form (HealthStates, ints, numpy ints, names, a
 list or an array) projects exactly as the HealthState pair does, and a
 missing age raises the reference's HorizonError message.
+
+``lift`` and ``LiftedMatrix.validate`` are held to the per-column loops
+they replaced: the same operator bytes, or the same error class and
+message, on estimated tensors with sparse counts and on raw tensors with
+NaN, -0.0, slices that cancel to zero and unnormalized slices; and the
+same verdict on perturbed operators under three tolerances.
 """
 
 import numpy as np
@@ -19,16 +25,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from healthmarkov.errors import HorizonError, InvalidInputError
 from healthmarkov.estimate import TransitionTensor
-from healthmarkov.lifted import MASS_EPS, lift, project_cumulative, start_vector
+from healthmarkov.lifted import MASS_EPS, LiftedMatrix, lift, project_cumulative, start_vector
 from healthmarkov.persistency import iterate_forward
 from healthmarkov.states import CostVector, HealthState
 
 from conftest import sticky_top_chain
 from reference_lifted import (
     reference_bin_ages,
+    reference_lift,
     reference_operator,
     reference_project_cumulative,
     reference_step_order2,
+    reference_validate,
 )
 
 PAIR = st.tuples(st.sampled_from(list(HealthState)), st.sampled_from(list(HealthState)))
@@ -251,3 +259,135 @@ def test_missing_age_raises_the_reference_horizon_error():
         want = _outcome(reference_project_cumulative, family, costs, start_age, start, horizon)
         assert type(got) is type(want) is HorizonError
         assert str(got) == str(want) == f"no operator estimated for age {missing}; last valid age is 41"
+
+
+# ---------------------------------------------------------------------------
+# lift and validate against the per-column loops
+
+
+def _raw_slice(rng, kind):
+    """One (previous, current) slice of a raw tensor, and whether it makes the tensor invalid."""
+    p = rng.dirichlet(np.ones(5))
+    if kind == "zero":
+        return np.zeros(5)
+    if kind == "nan":  # sums to NaN: unsupported, but its entries are not zero
+        p[rng.integers(5)] = np.nan
+    elif kind == "-0.0":
+        p[rng.integers(5)] = -0.0
+        p /= p.sum()
+    elif kind == "-0.0 slice":
+        p = np.full(5, -0.0)
+    elif kind == "cancel":  # nonzero entries summing to exactly 0
+        a, b = rng.choice([0.5, 0.25, 1e-300, 3.0], size=2)
+        p = rng.permutation([a, -a, b, -b, 0.0])
+    elif kind == "unnormalized":
+        p *= rng.choice([0.9, 1.0 + 1e-8, 2.0])
+    return p
+
+
+@st.composite
+def lift_inputs(draw):
+    """(kind, tensor) for ``lift``: a TransitionTensor with sparse counts, or a raw array."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        counts = rng.choice(COUNTS, size=(5, 5, 5))
+        counts *= (rng.random((5, 5)) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])))[:, :, None]
+        totals = counts.sum(axis=2, keepdims=True)
+        probs = np.divide(counts, totals, out=np.zeros((5, 5, 5)), where=totals > 0)
+        return "tensor", TransitionTensor(age=draw(st.integers(20, 60)), probs=probs, counts=counts)
+    if draw(st.integers(0, 19)) == 0:
+        return "raw shape", rng.dirichlet(np.ones(5), size=draw(st.sampled_from([(5,), (5, 5), (4, 5), (5, 5, 5, 1)])))
+    kinds = ["ok", "zero", "nan", "-0.0", "-0.0 slice", "cancel"]
+    weights = draw(st.sampled_from([[1, 0, 0, 0, 0, 0], [6, 1, 1, 1, 1, 1], [0, 1, 1, 0, 1, 1]]))
+    chosen = rng.choice(kinds, size=(5, 5), p=np.array(weights) / sum(weights))
+    if draw(st.integers(0, 4)) == 0:
+        chosen[tuple(rng.integers(5, size=2))] = "unnormalized"
+    tensor = np.array([[_raw_slice(rng, kind) for kind in row] for row in chosen])
+    return "raw", tensor, set(chosen.ravel())
+
+
+def _lift_outcome(func, tensor, age):
+    try:
+        m = func(tensor, age=age)
+    except Exception as exc:  # the error itself is the compared outcome
+        return type(exc), str(exc)
+    counts = tensor.counts if isinstance(tensor, TransitionTensor) else None
+    return (m.probs.dtype, m.probs.shape, m.probs.tobytes(), m.supported.dtype, m.supported.shape,
+            m.supported.tobytes(), m.age, m.counts is counts)
+
+
+def _validate_outcome(validate, m, atol):
+    try:
+        validate(m, atol=atol)
+    except Exception as exc:  # the error itself is the compared outcome
+        return type(exc), str(exc)
+    return None
+
+
+def _perturbed(rng, m, kind):
+    """A copy of ``m`` with one kind of change at 1-3 random places."""
+    probs, supported = m.probs.copy(), m.supported.copy()
+    for _ in range(rng.integers(1, 4)):
+        col = rng.integers(25)
+        block = 5 * (col % 5) + np.arange(5)
+        inside = rng.choice(block)
+        outside = rng.choice(np.setdiff1d(np.arange(25), block))
+        if kind == "nudge":  # a sum off by a few units in the last place, or by more than atol
+            probs[inside, col] += rng.choice([2.2e-16, -1.1e-16, 5e-13, -2e-12, 1e-9])
+        elif kind == "leak":
+            probs[outside, col] = rng.choice([1e-300, -0.5, 0.25])
+        elif kind == "-0.0 outside":  # not a leak
+            probs[outside, col] = -0.0
+        elif kind == "nan":
+            probs[rng.choice([inside, outside]), col] = np.nan
+        elif kind == "nan hides a leak":
+            probs[outside, col] = np.nan
+            probs[rng.choice(np.setdiff1d(np.arange(25), block)), col] = 0.5
+        elif kind == "flip":
+            supported[col] = not supported[col]
+    if kind == "shape":
+        probs = probs[: rng.integers(1, 25)]
+    return LiftedMatrix(probs=probs, supported=supported, age=m.age, counts=m.counts)
+
+
+def _verdict(outcome) -> str:
+    if outcome is None:
+        return "valid"
+    message = outcome[1]
+    return "leak" if "leaks" in message else "sum" if "sums to" in message else "shape"
+
+
+def test_lift_and_validate_match_reference():
+    seen = set()
+    validate_kinds = ["none", "nudge", "leak", "-0.0 outside", "nan", "nan hides a leak", "flip", "shape"]
+
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(case=lift_inputs(), age=st.none() | st.integers(0, 100), data=st.data())
+    def check(case, age, data):
+        kind, tensor = case[:2]
+        want = _lift_outcome(reference_lift, tensor, age)
+        got = _lift_outcome(lift, tensor, age)
+        assert got == want
+        failed = isinstance(want[0], type)
+        seen.add((kind, want[0].__name__ if failed else "lifted"))
+        if kind == "raw" and not failed:
+            seen.update(("raw slice", k) for k in case[2])
+        if failed:
+            return
+        m = lift(tensor, age=age)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for vkind in data.draw(st.lists(st.sampled_from(validate_kinds), min_size=1, max_size=3)):
+            perturbed = m if vkind == "none" else _perturbed(rng, m, vkind)
+            for atol in (0.0, 4.4e-16, 1e-12):
+                want = _validate_outcome(reference_validate, perturbed, atol)
+                assert _validate_outcome(LiftedMatrix.validate, perturbed, atol) == want
+                seen.add((vkind, _verdict(want)))
+
+    check()
+    # every input kind was reached, and every verdict of the check
+    assert {("tensor", "lifted"), ("tensor", "UnsupportedCellError"), ("raw shape", "InvalidInputError"),
+            ("raw", "lifted"), ("raw", "InvalidInputError"), ("raw", "UnsupportedCellError")} <= seen, seen
+    assert {("raw slice", k) for k in ("zero", "nan", "-0.0", "-0.0 slice", "cancel")} <= seen, seen
+    assert {("none", "valid"), ("nudge", "valid"), ("nudge", "sum"), ("leak", "leak"), ("-0.0 outside", "valid"),
+            ("nan", "valid"), ("nan hides a leak", "valid"), ("flip", "sum"), ("shape", "shape")} <= seen, seen

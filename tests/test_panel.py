@@ -17,8 +17,16 @@ from healthmarkov.panel import (
 )
 from healthmarkov.states import HealthState
 
-from conftest import make_panel
+from conftest import assert_same_cells, make_panel, observed_ages
 from reference_ingest import reference_person_year_panel as build  # build_panel on PersonYears
+from reference_synthetic import reference_person_years
+
+
+def missing_cells(panel) -> list[tuple[str, int, int]]:
+    """(person_id, age, year) of every missing-marker cell, in (person, age) order."""
+    rows, cols = np.nonzero(panel.states == MISSING_CODE)
+    ages = panel.age_min + cols
+    return list(zip(panel.person_ids[rows].tolist(), ages.tolist(), (panel.birth_years[rows] + ages).tolist()))
 
 
 def py(pid, age, year, cost=1_000, state=HealthState.Q1, months=12):
@@ -28,12 +36,12 @@ def py(pid, age, year, cost=1_000, state=HealthState.Q1, months=12):
 class TestBuildPanel:
     def test_contiguous_trajectory_has_no_markers(self):
         panel = build([py("a", 30, 2000), py("a", 31, 2001), py("a", 32, 2002)])
-        assert list(panel.markers()) == []
-        assert [p.age for p in panel.person_years()] == [30, 31, 32]
+        assert missing_cells(panel) == []
+        assert observed_ages(panel) == [30, 31, 32]
 
     def test_gap_becomes_marker(self):
         panel = build([py("a", 30, 2000), py("a", 32, 2002)])
-        assert [m.age for m in panel.markers()] == [31]
+        assert missing_cells(panel) == [("a", 31, 2001)]
 
     def test_attrition_leaves_trailing_markers(self):
         panel = build(
@@ -41,12 +49,11 @@ class TestBuildPanel:
              py("b", 30, 2002), py("b", 31, 2003)]
         )
         # panel final year 2003; person a last seen 2001 -> markers 2002, 2003
-        marks = [(m.person_id, m.age, m.year) for m in panel.markers()]
-        assert marks == [("a", 32, 2002), ("a", 33, 2003)]
+        assert missing_cells(panel) == [("a", 32, 2002), ("a", 33, 2003)]
 
     def test_explicit_end_year_extends_markers(self):
         panel = build([py("a", 30, 2000)], end_year=2002)
-        assert [m.age for m in panel.markers()] == [31, 32]
+        assert missing_cells(panel) == [("a", 31, 2001), ("a", 32, 2002)]
 
     def test_end_year_before_data_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -69,11 +76,10 @@ class TestBuildPanel:
             [py("a", 30, 2000), py("a", 32, 2002), py("b", 29, 2000), py("b", 30, 2001),
              py("b", 31, 2002)]
         )
-        rebuilt = build(panel.person_years())
+        rebuilt = build(reference_person_years(panel))
         np.testing.assert_array_equal(rebuilt.states, panel.states)
         np.testing.assert_array_equal(rebuilt.costs, panel.costs)
-        assert list(rebuilt.person_years()) == list(panel.person_years())
-        assert list(rebuilt.markers()) == list(panel.markers())
+        assert_same_cells(rebuilt, panel)
 
 
 class TestCodes:
@@ -102,8 +108,7 @@ class TestCache:
         path = tmp_path / "panel.csv"
         panel.write_cache(path)
         again = Panel.read_cache(path)
-        assert list(again.person_years()) == list(panel.person_years())
-        assert list(again.markers()) == list(panel.markers())
+        assert_same_cells(again, panel)
 
         path2 = tmp_path / "panel2.csv"
         again.write_cache(path2)
@@ -159,13 +164,14 @@ class TestCache:
         path = tmp_path / "p.csv"
         path.write_text(self.HEADER + self.GOOD + "a,31,2001,?,?,MISSING\n", encoding="utf-8")
         panel = Panel.read_cache(path)
-        assert [(m.age, m.year) for m in panel.markers()] == [(31, 2001)]
+        assert missing_cells(panel) == [("a", 31, 2001)]
 
     def test_integer_fields_follow_int(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(self.HEADER + '" a ", +30 ,2000,1_2,1_000,Q1\n', encoding="utf-8")
-        (entry,) = Panel.read_cache(path).person_years()
-        assert entry == PersonYear("a", 30, 2000, 12, 1_000, HealthState.Q1)
+        panel = Panel.read_cache(path)
+        assert (list(panel.person_ids), panel.birth_years.tolist(), list(panel.ages)) == (["a"], [1970], [30])
+        assert (panel.states.tolist(), panel.months.tolist(), panel.costs.tolist()) == ([[0]], [[12]], [[1_000]])
 
     def test_missing_rows_have_empty_cost(self, tmp_path):
         panel = build([py("a", 30, 2000), py("a", 32, 2002)])
@@ -192,7 +198,7 @@ class TestFilterCohort:
         panel = make_panel([[0, 1, 2, 3]], entry_age=58)  # ages 58..61
         young = filter_cohort(panel, age_min=0, age_max=59)
         assert young.age_max == 59
-        assert [p.age for p in young.person_years()] == [58, 59]
+        assert observed_ages(young) == [58, 59]
 
     def test_inverted_window_rejected(self):
         panel = make_panel([[0, 1]])
