@@ -510,7 +510,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         validate_config(cfg, args.command)
         out_dir = cfg.output_dir
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from None
 
         if args.command == "synth":
             summary = _cmd_synth(cfg, out_dir)

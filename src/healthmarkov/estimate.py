@@ -119,10 +119,6 @@ class TransitionMatrix(_TransitionEstimate):
 class TransitionTensor(_TransitionEstimate):
     """Second-order estimate at one age: probs[i, j, k] = p(state k at age | i at age-2, j at age-1)."""
 
-    @property
-    def pair_totals(self) -> np.ndarray:
-        return self.totals
-
 
 #: Estimate type and what it counts, per chain order.
 _ORDERS = {1: (TransitionMatrix, "pairs"), 2: (TransitionTensor, "triples")}
@@ -152,16 +148,13 @@ def _estimate(panel: Panel, age: int, order: int) -> _TransitionEstimate:
     return kind(age=age, probs=_normalize_counts(counts), counts=counts)
 
 
-def _estimate_family(panel: Panel, ages: Iterable[int] | None, order: int) -> dict:
+def _estimate_family(panel: Panel, order: int) -> dict:
     kind, _ = _ORDERS[order]
-    all_counts = _transition_counts(panel.states, order)
-    if ages is None:
-        ages = range(panel.age_min + order, panel.age_max + 1)
     out = {}
-    for age in ages:
-        k = age - panel.age_min - order
-        if 0 <= k < all_counts.shape[0] and all_counts[k].sum() > 0:
-            out[age] = kind(age=age, probs=_normalize_counts(all_counts[k]), counts=all_counts[k])
+    # count row k holds the transitions into age age_min + order + k
+    for age, counts in enumerate(_transition_counts(panel.states, order), panel.age_min + order):
+        if counts.sum() > 0:
+            out[age] = kind(age=age, probs=_normalize_counts(counts), counts=counts)
     return out
 
 
@@ -175,14 +168,14 @@ def estimate_order2(panel: Panel, age: int) -> TransitionTensor:
     return _estimate(panel, age, 2)
 
 
-def estimate_order1_family(panel: Panel, ages: Iterable[int] | None = None) -> dict[int, TransitionMatrix]:
+def estimate_order1_family(panel: Panel) -> dict[int, TransitionMatrix]:
     """Per-age matrices for every age with data (one counting pass)."""
-    return _estimate_family(panel, ages, 1)
+    return _estimate_family(panel, 1)
 
 
-def estimate_order2_family(panel: Panel, ages: Iterable[int] | None = None) -> dict[int, TransitionTensor]:
+def estimate_order2_family(panel: Panel) -> dict[int, TransitionTensor]:
     """Per-age tensors for every age with data (one counting pass)."""
-    return _estimate_family(panel, ages, 2)
+    return _estimate_family(panel, 2)
 
 
 def pool_order1(family: Mapping[int, TransitionMatrix], ages: Iterable[int], age: int | None = None) -> TransitionMatrix:
@@ -234,12 +227,7 @@ class FrequencyCurve:
     target: tuple[str, ...]
 
 
-def shock_frequency(
-    panel: Panel,
-    prior_condition: Sequence,
-    target,
-    ages: Iterable[int] | None = None,
-) -> FrequencyCurve:
+def shock_frequency(panel: Panel, prior_condition: Sequence, target) -> FrequencyCurve:
     """Frequency, per age t, of landing in ``target`` given prior states.
 
     prior_condition is a sequence of 1 or 2 state sets in chronological
@@ -262,16 +250,12 @@ def shock_frequency(
     picks = [np.array(sorted(codes), dtype=np.intp) + 2 for codes in cond_codes]
     # the +2 of every digit of the joint code, added once
     shift = 2 * sum(width ** k for k in range(lag + 1))
-    if ages is None:
-        ages = range(panel.age_min + lag, panel.age_max + 1)
 
     kept_ages: list[int] = []
     values: list[float] = []
     denoms: list[int] = []
     shares: list[np.ndarray] = []
-    for age in ages:
-        if not (panel.has_age(age) and panel.has_age(age - lag)):
-            continue
+    for age in range(panel.age_min + lag, panel.age_max + 1):
         c = panel.column(age)
         # one base-7 code per person over the contiguous columns t-lag..t
         joint = panel.states[:, c - lag].astype(np.intp)
@@ -548,17 +532,15 @@ class ARFit:
     intercept: float | None = None
     year_effects: dict[int, float] = field(default_factory=dict)
     base_year: int | None = None
-    log_transform: bool = False
 
 
-def ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = False) -> ARFit:
+def ar_regression(panel: Panel, age: int, order: int = 1) -> ARFit:
     """Regress cost at ``age`` on cost at the previous ``order`` ages.
 
     Year dummies use the panel's earliest observed year as base level;
     dummy levels absent from the estimation sample are dropped, and when
     the base year itself is absent the earliest sampled year takes its
-    place.  log_transform fits log1p(cost) on log1p(lags) (annual costs of
-    zero are legitimate).  Fewer complete cases than parameters + 1 yields
+    place.  Fewer complete cases than parameters + 1 yields
     an unavailable fit; an exactly collinear design raises
     DegenerateFitError.  ``age`` and ``order`` must be integers (numpy
     integers included, bools not).
@@ -576,7 +558,7 @@ def ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = 
     if order not in (1, 2):
         raise InvalidInputError(f"order must be 1 or 2, got {order}")
     if not (panel.has_age(age) and panel.has_age(age - order)):
-        return ARFit(age=age, order=order, available=False, n=0, log_transform=log_transform)
+        return ARFit(age=age, order=order, available=False, n=0)
     c = panel.column(age)
     block = slice(c - order, c + 1)
     rows = np.flatnonzero((panel.states[:, block] >= 0).all(axis=1))
@@ -596,12 +578,10 @@ def ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = 
 
     n_params = 1 + order + len(levels)
     if n < n_params + 1:
-        return ARFit(age=age, order=order, available=False, n=n, log_transform=log_transform)
+        return ARFit(age=age, order=order, available=False, n=n)
 
     # the transposed block is C-contiguous; its row order - k holds lag k
     costs = panel.costs[:, block].T.take(rows, axis=1)
-    if log_transform:
-        costs = np.log1p(costs.astype(np.float64))
     y = costs[order].astype(np.float64)
     X = np.empty((n, n_params))
     X[:, 0] = 1.0
@@ -629,5 +609,4 @@ def ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = 
         intercept=float(beta[0]),
         year_effects={int(years[k]): float(b) for k, b in zip(levels, beta[1 + order :])},
         base_year=base_year,
-        log_transform=log_transform,
     )

@@ -25,8 +25,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataFormatError, DuplicateRecordError, InvalidInputError
-from .panel import PANEL_CACHE_COLUMNS, Panel, PersonYear, build_panel
-from .states import DEFAULT_THRESHOLDS, StateThresholds, classify_cost, classify_costs
+from .panel import PANEL_CACHE_COLUMNS, Panel, build_panel
+from .states import DEFAULT_THRESHOLDS, StateThresholds, classify_costs
 
 CLAIMS_COLUMNS = ("person_id", "sex", "age", "year", "month", "cost_yen")
 
@@ -143,49 +143,6 @@ def _annual_cost(total, months):
     return round_half_up_ratio(12 * total, months)
 
 
-def annualize(
-    records: Iterable[ClaimRecord],
-    thresholds: StateThresholds = DEFAULT_THRESHOLDS,
-    year: int | None = None,
-) -> PersonYear:
-    """Collapse one person-year's monthly records into a PersonYear.
-
-    Annual cost is sum(costs) / n_months * 12, rounded half-up.  The
-    stamped age is the highest age observed in the group (the age reached
-    during that year).  ``year`` must be given when the records straddle a
-    calendar-year boundary (fiscal grouping).
-    """
-    records = list(records)
-    if not records:
-        raise InvalidInputError("a person-year needs at least one monthly record")
-    if len(records) > 12:
-        raise InvalidInputError(f"{len(records)} records in one person-year (max 12)")
-    pids = {r.person_id for r in records}
-    if len(pids) > 1:
-        raise InvalidInputError(f"records mix persons {sorted(pids)}")
-    months = [r.month for r in records]
-    if len(set(months)) != len(months):
-        raise DuplicateRecordError(
-            f"person {records[0].person_id!r} has duplicate months in one year"
-        )
-    if year is None:
-        years = {r.year for r in records}
-        if len(years) > 1:
-            raise InvalidInputError(
-                "records span calendar years; pass the grouping year explicitly"
-            )
-        year = years.pop()
-    annual = _annual_cost(sum(r.cost for r in records), len(records))
-    return PersonYear(
-        person_id=records[0].person_id,
-        age=max(r.age for r in records),
-        year=int(year),
-        months_observed=len(records),
-        annual_cost=annual,
-        state=classify_cost(annual, thresholds),
-    )
-
-
 def aggregate_person_years(
     records: Iterable[ClaimRecord],
     thresholds: StateThresholds = DEFAULT_THRESHOLDS,
@@ -245,7 +202,6 @@ def load_claims_panel(
     source,
     thresholds: StateThresholds = DEFAULT_THRESHOLDS,
     year_convention: str = "fiscal",
-    end_year: int | None = None,
 ) -> Panel:
     """Full ingestion pipeline: parse, aggregate into person-years, build a Panel."""
     table, sex_of = aggregate_person_years(
@@ -253,5 +209,5 @@ def load_claims_panel(
     )
     return build_panel(
         table["person_id"], table["age"], table["year"], table["state"],
-        table["months_observed"], table["annual_cost"], end_year=end_year, sex=sex_of,
+        table["months_observed"], table["annual_cost"], sex=sex_of,
     )

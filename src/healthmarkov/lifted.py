@@ -160,13 +160,6 @@ def lift_family(tensors: Mapping[int, object]) -> dict[int, LiftedMatrix]:
     return {age: lift(t, age=age) for age, t in tensors.items()}
 
 
-def start_vector(start) -> np.ndarray:
-    """Indicator column vector for a start pair (previous, current)."""
-    v = np.zeros(N_PAIRS)
-    v[pair_index(*start)] = 1.0
-    return v
-
-
 def _operator(model: Mapping[int, object], age: int):
     if age not in model:
         last = max(model) if model else None

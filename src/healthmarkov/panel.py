@@ -47,8 +47,8 @@ panel's storage types raises OverflowError.
 import csv
 import functools
 import io
+import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,24 +59,12 @@ from .errors import (
     EmptyCohortError,
     InvalidInputError,
 )
-from .states import MISSING, STATE_LABELS, HealthState
+from .states import MISSING, STATE_LABELS
 
 MISSING_CODE = -1
 ABSENT_CODE = -2
 
 PANEL_CACHE_COLUMNS = ("person_id", "age", "year", "months_observed", "annual_cost", "state")
-
-
-@dataclass(frozen=True)
-class PersonYear:
-    """One subject's annualized cost and state at one age."""
-
-    person_id: str
-    age: int
-    year: int
-    months_observed: int
-    annual_cost: int
-    state: HealthState
 
 
 class Panel:
@@ -166,15 +154,23 @@ class Panel:
     def min_year(self) -> int:
         """Earliest observed year; base level for year dummies.
 
-        A person's years rise with age, so their earliest observed year is
-        their birth year plus the age of their first observed column.
+        Column c holds age age_min + c, so the earliest year observed in it
+        is the lowest birth year among the persons observed there plus
+        age_min + c.  Columns are read in order, each one contiguous, and
+        the scan stops once even the panel's lowest birth year could not
+        give an earlier year.
         """
-        observed = self.states >= 0
-        seen = observed.any(axis=1)
-        if not seen.any():
+        lowest = int(self.birth_years.min(initial=0))
+        best = math.inf
+        for c in range(self.n_ages):
+            if lowest + c >= best:
+                break
+            births = self.birth_years[self.states[:, c] >= 0]
+            if births.size:
+                best = min(best, int(births.min()) + c)
+        if best == math.inf:
             raise EmptyCohortError("panel has no observations")
-        first = observed.argmax(axis=1)
-        return int((self.birth_years[seen] + first[seen]).min()) + self.age_min
+        return best + self.age_min
 
     @functools.cached_property
     def cohort_index(self) -> tuple[np.ndarray, np.ndarray]:

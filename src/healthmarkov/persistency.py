@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import HorizonError, InvalidInputError
+from .errors import InvalidInputError
 from .estimate import TransitionMatrix, _target_codes
 from .lifted import LiftedMatrix, _forward, _operator
 from .states import N_STATES, HealthState, _state_code
@@ -38,13 +38,6 @@ class ForecastDistribution:
     ages: list[int]
     distributions: np.ndarray
     order: int
-
-    def at(self, age: int) -> np.ndarray:
-        if age not in self.ages:
-            raise HorizonError(
-                f"no forecast for age {age}; the forecast covers ages {self.ages[0]}..{self.ages[-1]}"
-            )
-        return self.distributions[self.ages.index(age)]
 
     def target_mass(self, target) -> np.ndarray:
         """Mass on a set of states per future age (current coordinate for pairs)."""

@@ -258,32 +258,18 @@ def _person_ids(numbers: range) -> np.ndarray:
     return np.array(("p%07d\n" * len(numbers) % tuple(numbers)).split("\n")[:-1], dtype=object)
 
 
-def generate_panel(
-    truth: GroundTruthChain,
-    n_persons: int,
-    entry_age: int | None = None,
-    exit_age: int | None = None,
-) -> Panel:
-    """Simulate a panel of ``n_persons`` trajectories; deterministic given seed.
+def generate_panel(truth: GroundTruthChain, n_persons: int) -> Panel:
+    """Simulate a panel of ``n_persons`` trajectories over the chain's ages; deterministic given seed.
 
-    Dropout at some age leaves missing markers through exit_age.  Monthly
-    records derived from this panel (write_claims) annualize back to
-    exactly the costs sampled here.
+    Dropout at some age leaves missing markers through the chain's
+    exit_age.  Monthly records derived from this panel (write_claims)
+    annualize back to exactly the costs sampled here.
     """
     if n_persons < 1:
         raise InvalidInputError(f"n_persons must be >= 1, got {n_persons}")
-    if entry_age is None:
-        entry_age = truth.entry_age
-    if exit_age is None:
-        exit_age = truth.exit_age
-    if entry_age != truth.entry_age or not truth.entry_age < exit_age <= truth.exit_age:
-        raise InvalidInputError(
-            f"requested ages {entry_age}..{exit_age} not covered by the chain "
-            f"({truth.entry_age}..{truth.exit_age})"
-        )
 
     rng = np.random.default_rng(truth.seed)
-    n_steps = exit_age - entry_age - 1
+    n_steps = truth.n_steps
 
     # draw order is pinned: entry pairs, transitions, attrition, costs
     cum_init = np.cumsum(truth.initial_pairs)
@@ -294,15 +280,15 @@ def generate_panel(
 
     if n_steps > 0:
         u = rng.random((n_persons, n_steps))
-        cdf = np.cumsum(truth.tensors[:n_steps].reshape(n_steps, 25, N_STATES), axis=2)
+        cdf = np.cumsum(truth.tensors.reshape(n_steps, 25, N_STATES), axis=2)
         states = kernels.simulate_paths(first, second, cdf, u)
     else:
         u = rng.random((n_persons, 0))
         states = np.stack([first, second], axis=1)
 
-    n_ages = exit_age - entry_age + 1
+    n_ages = truth.exit_age - truth.entry_age + 1
     drop_u = rng.random((n_persons, n_ages - 1))
-    dropped = drop_u < truth.attrition[: n_ages - 1][None, :]
+    dropped = drop_u < truth.attrition[None, :]
     # first dropout age wins; everything from there on is a missing marker
     any_drop = dropped.any(axis=1)
     first_drop = np.where(any_drop, dropped.argmax(axis=1), n_ages - 1)
@@ -314,9 +300,9 @@ def generate_panel(
     months = (states >= 0) * np.int8(12)
 
     ids = _person_ids(range(n_persons))
-    births = np.full(n_persons, truth.entry_year - entry_age, dtype=np.int32)
+    births = np.full(n_persons, truth.entry_year - truth.entry_age, dtype=np.int32)
     sex = np.array(["M"] * n_persons, dtype=object)
-    return Panel(ids, births, entry_age, states, costs, months, sex=sex)
+    return Panel(ids, births, truth.entry_age, states, costs, months, sex=sex)
 
 
 #: Panel cells (persons x ages, person-major) per write_claims block.  A

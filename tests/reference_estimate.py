@@ -10,7 +10,8 @@ is the uncached ``Panel.min_year`` of the same time, taking the panel as its
 retention reference rejecting an inverted age group (lo > hi) with the
 InvalidInputError the estimators raise for it, and the AR fit rejecting a
 bool or non-integer ``age`` or ``order`` with the InvalidInputError
-``ar_regression`` raises for it.
+``ar_regression`` raises for it, and the AR fit without the
+``log_transform`` option that ``ar_regression`` no longer has.
 
 ``reference_conditional_cost_quantiles`` and
 ``reference_exceedance_proportions`` are ``conditional_cost_quantiles`` and
@@ -287,14 +288,13 @@ def reference_exceedance_proportions(
     return rows
 
 
-def reference_ar_regression(panel: Panel, age: int, order: int = 1, log_transform: bool = False) -> ARFit:
+def reference_ar_regression(panel: Panel, age: int, order: int = 1) -> ARFit:
     """Regress cost at ``age`` on cost at the previous ``order`` ages.
 
     Year dummies use the panel's earliest observed year as base level;
     dummy levels absent from the estimation sample are dropped, and when
     the base year itself is absent the earliest sampled year takes its
-    place.  log_transform fits log1p(cost) on log1p(lags) (annual costs of
-    zero are legitimate).  Fewer complete cases than parameters + 1 yields
+    place.  Fewer complete cases than parameters + 1 yields
     an unavailable fit; an exactly collinear design raises
     DegenerateFitError.
     """
@@ -304,7 +304,7 @@ def reference_ar_regression(panel: Panel, age: int, order: int = 1, log_transfor
     if order not in (1, 2):
         raise InvalidInputError(f"order must be 1 or 2, got {order}")
     if not (panel.has_age(age) and panel.has_age(age - order)):
-        return ARFit(age=age, order=order, available=False, n=0, log_transform=log_transform)
+        return ARFit(age=age, order=order, available=False, n=0)
     c = panel.column(age)
     cols = panel.states[:, c - order : c + 1]
     complete = (cols >= 0).all(axis=1)
@@ -312,9 +312,6 @@ def reference_ar_regression(panel: Panel, age: int, order: int = 1, log_transfor
 
     y = panel.costs[complete, c].astype(np.float64)
     lags = [panel.costs[complete, c - k].astype(np.float64) for k in range(1, order + 1)]
-    if log_transform:
-        y = np.log1p(y)
-        lags = [np.log1p(x) for x in lags]
 
     years = panel.birth_years[complete] + age
     base_year = reference_min_year(panel)
@@ -325,7 +322,7 @@ def reference_ar_regression(panel: Panel, age: int, order: int = 1, log_transfor
 
     n_params = 1 + order + len(dummies)
     if n < n_params + 1:
-        return ARFit(age=age, order=order, available=False, n=n, log_transform=log_transform)
+        return ARFit(age=age, order=order, available=False, n=n)
 
     X = np.column_stack([np.ones(n)] + lags + dummies)
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
@@ -347,5 +344,4 @@ def reference_ar_regression(panel: Panel, age: int, order: int = 1, log_transfor
         intercept=float(beta[0]),
         year_effects={lvl: float(b) for lvl, b in zip(levels, beta[1 + order :])},
         base_year=base_year,
-        log_transform=log_transform,
     )

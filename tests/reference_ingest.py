@@ -10,17 +10,32 @@ instead of every ClaimRecord.  ``reference_person_year_panel`` is
 it unpacks PersonYears into the columns of today's ``build_panel``.  They
 are unchanged apart from their names and the name of the builder called.
 test_ingest_differential.py holds ``load_claims_panel`` to their chain.
+``PersonYear`` is a copy of the record type they return, which the
+package no longer has; the other references and tests import it from here.
 """
 
 import csv
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from healthmarkov.errors import DataFormatError, DuplicateRecordError, InvalidInputError
 from healthmarkov.ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS, ClaimRecord, grouping_year
-from healthmarkov.panel import Panel, PersonYear, build_panel
-from healthmarkov.states import DEFAULT_THRESHOLDS, StateThresholds, classify_cost
+from healthmarkov.panel import Panel, build_panel
+from healthmarkov.states import DEFAULT_THRESHOLDS, HealthState, StateThresholds, classify_cost
+
+
+@dataclass(frozen=True)
+class PersonYear:
+    """One subject's annualized cost and state at one age."""
+
+    person_id: str
+    age: int
+    year: int
+    months_observed: int
+    annual_cost: int
+    state: HealthState
 
 
 def reference_parse_stream(fh) -> Iterator[ClaimRecord]:

@@ -17,6 +17,9 @@ loop over the 25 columns, with the "summed" comparison formula that
 (``reference_validate`` takes the matrix as ``self``).  The differential
 test holds the table-driven pair to them on the conditional formula:
 same bytes, or the same error class and message.
+
+``start_vector`` is a copy of the lifted module's start-pair indicator,
+which the package no longer has; the references step from it.
 """
 
 from typing import Mapping
@@ -31,10 +34,17 @@ from healthmarkov.lifted import (
     LiftedMatrix,
     ProjectionResult,
     current_cost_weights,
+    pair_index,
     pair_label,
-    start_vector,
 )
 from healthmarkov.states import N_STATES, CostVector, HealthState
+
+
+def start_vector(start) -> np.ndarray:
+    """Indicator column vector for a start pair (previous, current)."""
+    v = np.zeros(N_PAIRS)
+    v[pair_index(*start)] = 1.0
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ import numpy as np
 
 from healthmarkov.errors import InvalidInputError
 from healthmarkov.ingest import CLAIMS_COLUMNS
-from healthmarkov.panel import Panel, PersonYear
+from healthmarkov.panel import Panel
 from healthmarkov.states import HealthState
+from reference_ingest import PersonYear
 
 
 def reference_person_years(self) -> Iterator[PersonYear]:

@@ -20,8 +20,8 @@ from healthmarkov.estimate import (
     multi_year_state_frequency,
     pool_order1,
 )
-from healthmarkov.ingest import annualize, ClaimRecord
-from healthmarkov.lifted import lift_family, project_cumulative, start_vector
+from healthmarkov.ingest import ClaimRecord, aggregate_person_years
+from healthmarkov.lifted import lift_family, pair_index, project_cumulative
 from healthmarkov.panel import Panel
 from healthmarkov.persistency import iterate_forward, persistency_difference
 from healthmarkov.states import CostVector, HealthState, classify_cost
@@ -76,7 +76,7 @@ def test_criterion_2_estimator_recovery():
         true_t = truth.tensor_at(age)
         for i in range(5):
             for j in range(5):
-                n_cell = tensor.pair_totals[i, j]
+                n_cell = tensor.totals[i, j]
                 if n_cell == 0:
                     continue
                 se = np.sqrt(true_t[i, j] * (1 - true_t[i, j]) / n_cell)
@@ -200,7 +200,8 @@ def test_criterion_6_classification_and_annualization():
     assert len(ANNUALIZE_CASES) == 12
     for costs, expected in ANNUALIZE_CASES:
         records = [ClaimRecord("x", "M", 40, 2010, m + 1, c) for m, c in enumerate(costs)]
-        assert annualize(records).annual_cost == expected, (costs, expected)
+        table, _ = aggregate_person_years(records, year_convention="calendar")
+        assert table["annual_cost"].tolist() == [expected], (costs, expected)
     report(6, f"{len(BOUNDARY_TABLE)} band edges exact, "
               f"{len(ANNUALIZE_CASES)} annualization cases exact")
 
@@ -273,8 +274,8 @@ def test_criterion_8_shock_cost_difference_sign():
 
     # precondition: the (Q1,Q5)-start current-state distribution first-order
     # dominates the (Q1,Q1)-start one at every horizon (strictly, everywhere)
-    v_bad = start_vector((Q.Q1, Q.Q5))
-    v_good = start_vector((Q.Q1, Q.Q1))
+    v_bad = np.eye(25)[pair_index(Q.Q1, Q.Q5)]
+    v_good = np.eye(25)[pair_index(Q.Q1, Q.Q1)]
     for k in range(1, horizon + 1):
         v_bad = family[20 + k].probs @ v_bad
         v_good = family[20 + k].probs @ v_good

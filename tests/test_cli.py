@@ -349,6 +349,16 @@ class TestConfigPlumbing:
         summary = json.loads(capsys.readouterr().out)
         assert (summary["persons"], summary["seed"]) == (7, 3)
 
+    def test_output_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run("--output-dir", str(taken), *synth_args(tmp_path, n=5)[2:]) == 2
+        assert f"cannot create output directory {str(taken)!r}" in capsys.readouterr().err
+
+    def test_empty_output_dir_is_usage_error(self, tmp_path, capsys):
+        assert run("--set", "output.dir=", *synth_args(tmp_path, n=5)[2:]) == 2
+        assert "cannot create output directory ''" in capsys.readouterr().err
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"
         monkeypatch.setenv("HEALTHMARKOV_OUTPUT_DIR", str(env_out))

@@ -9,10 +9,9 @@ reference_estimate's bit for bit (NaN in the same places), or both must
 raise the same error class with the same message.
 
 AR fits are also compared on dense panels of 2,400 persons, orders 1 and
-2, with and without the log transform: one of a single birth cohort (a
-design without dummies) and one of three cohorts whose base year is never
-sampled.  A collinear design raises the reference's DegenerateFitError
-message.
+2: one of a single birth cohort (a design without dummies) and one of
+three cohorts whose base year is never sampled.  A collinear design
+raises the reference's DegenerateFitError message.
 
 The cost summaries are held to their references the same way, on panels
 whose costs are sometimes all zero, over cells of every size from empty
@@ -125,7 +124,6 @@ def assert_same_min_year(panel):
 def test_estimators_match_reference(panel, data):
     assert_same_min_year(panel)
     lo, hi = panel.age_min, panel.age_max
-    some_ages = st.lists(st.integers(lo - 3, hi + 3), max_size=6)
     groups = st.lists(st.tuples(st.integers(lo - 6, hi + 2), st.integers(lo - 2, hi + 6)),
                       max_size=3)
 
@@ -133,9 +131,8 @@ def test_estimators_match_reference(panel, data):
         prior = data.draw(st.lists(STATE_SET, min_size=1, max_size=2)
                           | st.lists(TARGET, min_size=0, max_size=3))
         target = data.draw(TARGET)
-        ages = data.draw(st.none() | some_ages)
-        assert_same_curve(_outcome(shock_frequency, panel, prior, target, ages),
-                          _outcome(reference_shock_frequency, panel, prior, target, ages))
+        assert_same_curve(_outcome(shock_frequency, panel, prior, target),
+                          _outcome(reference_shock_frequency, panel, prior, target))
 
         start = data.draw(st.lists(STATE, min_size=1, max_size=2)
                           | st.lists(STATE, min_size=0, max_size=3))
@@ -149,9 +146,8 @@ def test_estimators_match_reference(panel, data):
 
     for age in range(lo - 1, hi + 2):
         order = data.draw(st.sampled_from([1, 1, 2, 2, 3]))
-        log_transform = data.draw(st.booleans())
-        assert_same_fit(_outcome(ar_regression, panel, age, order, log_transform),
-                        _outcome(reference_ar_regression, panel, age, order, log_transform))
+        assert_same_fit(_outcome(ar_regression, panel, age, order),
+                        _outcome(reference_ar_regression, panel, age, order))
 
 
 def test_dense_panel_matches_reference():
@@ -169,11 +165,9 @@ def test_dense_panel_matches_reference():
     fits = []
     for age in panel.ages:
         for order in (1, 2):
-            for log_transform in (False, True):
-                got = _outcome(ar_regression, panel, age, order, log_transform)
-                assert_same_fit(got, _outcome(reference_ar_regression, panel, age, order,
-                                              log_transform))
-                fits.append(got)
+            got = _outcome(ar_regression, panel, age, order)
+            assert_same_fit(got, _outcome(reference_ar_regression, panel, age, order))
+            fits.append(got)
     available = [f for f in fits if not isinstance(f, tuple) and f.available]
     assert available and all(f.year_effects for f in available)
     # a complete case observed its lag a year earlier, so the panel's earliest
@@ -208,14 +202,11 @@ def test_dense_ar_fits_match_reference(births):
     available = []
     for age in panel.ages:
         for order in (1, 2):
-            for log_transform in (False, True):
-                got = _outcome(ar_regression, panel, age, order, log_transform)
-                assert_same_fit(got, _outcome(reference_ar_regression, panel, age, order,
-                                              log_transform))
-                if not isinstance(got, tuple) and got.available:
-                    available.append(got)
-    assert {(f.order, f.log_transform) for f in available} == {(1, False), (1, True),
-                                                              (2, False), (2, True)}
+            got = _outcome(ar_regression, panel, age, order)
+            assert_same_fit(got, _outcome(reference_ar_regression, panel, age, order))
+            if not isinstance(got, tuple) and got.available:
+                available.append(got)
+    assert {f.order for f in available} == {1, 2}
     assert all(f.n >= 1_500 for f in available)
     if len(births) == 1:
         assert not any(f.year_effects for f in available)

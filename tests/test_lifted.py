@@ -13,7 +13,6 @@ from healthmarkov.lifted import (
     pair_index,
     project_cumulative,
     shock_cost_difference,
-    start_vector,
 )
 from healthmarkov.persistency import iterate_forward
 from healthmarkov.states import CostVector, HealthState
@@ -86,7 +85,7 @@ class TestLift:
         lm = lift(t)
         for i in range(5):
             for j in range(5):
-                out = lm.probs @ start_vector((i + 1, j + 1))
+                out = lm.probs @ np.eye(25)[pair_index(i + 1, j + 1)]
                 expected = np.zeros(25)
                 expected[5 * j + j] = 1.0
                 np.testing.assert_array_equal(out, expected)
@@ -95,7 +94,7 @@ class TestLift:
         rng = np.random.default_rng(5)
         tensors = rng.dirichlet([1.0] * 5, size=(3, 5, 5))
         lms = [lift(t) for t in tensors]
-        v = start_vector((Q.Q2, Q.Q4))
+        v = np.eye(25)[pair_index(Q.Q2, Q.Q4)]
         for lm in lms:
             v = lm.probs @ v
         brute = brute_pair_distribution(tensors, (Q.Q2, Q.Q4), 3)

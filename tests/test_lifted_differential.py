@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from healthmarkov.errors import HorizonError, InvalidInputError
 from healthmarkov.estimate import TransitionTensor
-from healthmarkov.lifted import MASS_EPS, LiftedMatrix, lift, project_cumulative, start_vector
+from healthmarkov.lifted import MASS_EPS, LiftedMatrix, lift, project_cumulative
 from healthmarkov.persistency import iterate_forward
 from healthmarkov.states import CostVector, HealthState
 
@@ -37,6 +37,7 @@ from reference_lifted import (
     reference_project_cumulative,
     reference_step_order2,
     reference_validate,
+    start_vector,
 )
 
 PAIR = st.tuples(st.sampled_from(list(HealthState)), st.sampled_from(list(HealthState)))

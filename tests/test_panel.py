@@ -12,13 +12,12 @@ from healthmarkov.panel import (
     ABSENT_CODE,
     MISSING_CODE,
     Panel,
-    PersonYear,
     filter_cohort,
 )
 from healthmarkov.states import HealthState
 
 from conftest import assert_same_cells, make_panel, observed_ages
-from reference_ingest import reference_person_year_panel as build  # build_panel on PersonYears
+from reference_ingest import PersonYear, reference_person_year_panel as build  # build_panel on PersonYears
 from reference_synthetic import reference_person_years
 
 

@@ -6,6 +6,10 @@ accepts, MISSING rows, several birth cohorts, both line endings and single
 mutations.  A valid file must give the same panel as
 reference_panel.reference_read_cache; a malformed one the same error class,
 line and message (the message only for the package's own errors).
+
+``Panel.min_year`` is held to reference_panel.reference_min_year on panels
+of several birth cohorts, with a single observed cell or none: the same
+year, or the same EmptyCohortError.
 """
 
 import csv
@@ -17,16 +21,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from healthmarkov.errors import HealthMarkovError
 from healthmarkov.panel import (
+    ABSENT_CODE,
+    MISSING_CODE,
     PANEL_CACHE_COLUMNS,
     Panel,
-    PersonYear,
     _loadtxt_cells,
     build_panel,
 )
 from healthmarkov.states import STATE_LABELS, HealthState
 from healthmarkov.synthetic import generate_panel, random_chain
 
-from reference_panel import reference_build_panel, reference_read_cache
+from reference_ingest import PersonYear
+from reference_panel import reference_build_panel, reference_min_year, reference_read_cache
 
 PIDS = st.text(alphabet=st.sampled_from('ab7 ,"é日\0'), max_size=4)
 OBSERVED = st.tuples(st.just("obs"), st.sampled_from(STATE_LABELS), st.integers(1, 12),
@@ -238,3 +244,27 @@ def test_build_panel_matches_reference(people, end_shift):
         assert got[1] == want[1]
     else:
         assert_same_panel(got[1], want[1])
+
+
+@st.composite
+def observed_panels(draw):
+    """Small panels whose observed cells are none, exactly one, or any subset."""
+    n, n_ages = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    births = draw(st.lists(st.integers(1900, 2000), min_size=n, max_size=n))
+    states = np.full((n, n_ages), draw(st.sampled_from([ABSENT_CODE, MISSING_CODE])), dtype=np.int8)
+    layout = draw(st.sampled_from(["none", "single", "any"]))
+    if layout == "single" and states.size:
+        states[draw(st.integers(0, n - 1)), draw(st.integers(0, n_ages - 1))] = draw(st.integers(0, 4))
+    elif layout == "any":
+        cells = draw(st.lists(st.sampled_from([-2, -1, 0, 4]), min_size=states.size,
+                              max_size=states.size))
+        states[:] = np.array(cells, dtype=np.int8).reshape(n, n_ages)
+    return Panel([f"p{k}" for k in range(n)], births, draw(st.integers(0, 60)), states,
+                 np.zeros((n, n_ages)), np.where(states >= 0, 12, 0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(panel=observed_panels())
+def test_min_year_matches_reference(panel):
+    want = _outcome(reference_min_year, panel)
+    assert _outcome(lambda p: p.min_year, panel) == want

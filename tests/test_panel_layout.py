@@ -14,12 +14,12 @@ import pytest
 from healthmarkov import cli, kernels
 from healthmarkov.config import RunConfig
 from healthmarkov.ingest import load_claims_panel
-from healthmarkov.panel import Panel, PersonYear, filter_cohort
+from healthmarkov.panel import Panel, filter_cohort
 from healthmarkov.states import HealthState
 from healthmarkov.synthetic import generate_panel, random_chain, write_claims
 
 from conftest import make_panel
-from reference_ingest import reference_person_year_panel
+from reference_ingest import PersonYear, reference_person_year_panel
 
 
 def assert_column_major(panel):

@@ -74,15 +74,6 @@ class TestIterateForwardOrder1:
         with pytest.raises(UnsupportedCellError, match="state row Q2 unsupported at age 32 even pooled"):
             iterate_forward(fam, 30, Q.Q1, 2)
 
-    def test_at_reads_covered_ages_only(self):
-        fam = matrix_family({31: np.full((5, 5), 0.2), 32: np.eye(5)})
-        fc = iterate_forward(fam, 30, Q.Q2, 2)
-        np.testing.assert_array_equal(fc.at(30), np.eye(5)[1])
-        np.testing.assert_array_equal(fc.at(32), fc.distributions[2])
-        for age in (29, 33, 40):
-            with pytest.raises(HorizonError, match=f"age {age}; the forecast covers ages 30..32"):
-                fc.at(age)
-
     def test_pooling_uses_age_bin(self):
         sparse = np.zeros((5, 5))
         sparse[0] = [0.0, 1.0, 0.0, 0.0, 0.0]

@@ -90,17 +90,13 @@ class TestGeneratePanel:
         truth = random_chain(1, entry_age=20, exit_age=25)
         with pytest.raises(InvalidInputError):
             generate_panel(truth, 0)
-        with pytest.raises(InvalidInputError):
-            generate_panel(truth, 5, exit_age=30)
-        with pytest.raises(InvalidInputError):
-            generate_panel(truth, 5, entry_age=21)
 
     def test_attrition_independent_of_state_leaves_estimates_unbiased(self):
         truth = random_chain(33, entry_age=20, exit_age=26, attrition=0.15)
         panel = generate_panel(truth, 100_000)
         t = estimate_order2(panel, 24)
         true_t = truth.tensor_at(24)
-        n = t.pair_totals
+        n = t.totals
         for i in range(5):
             for j in range(5):
                 if n[i, j] < 50:
