@@ -509,6 +509,11 @@ def main(argv=None) -> int:
             overrides["output.dir"] = args.output_dir
         cfg = load_config(args.config, overrides)
         validate_config(cfg, args.command)
+        if args.command == "selftest":
+            summary = _cmd_selftest(cfg, args.chains)
+            print(json.dumps(summary, sort_keys=True))
+            return 0 if summary["passed"] else 1
+        # every other command writes its outputs there
         out_dir = cfg.output_dir
         try:
             os.makedirs(out_dir, exist_ok=True)
@@ -525,10 +530,6 @@ def main(argv=None) -> int:
             summary = _cmd_report(cfg, out_dir, args.figure_id)
         elif args.command == "project":
             summary = _cmd_project(cfg, out_dir)
-        elif args.command == "selftest":
-            summary = _cmd_selftest(cfg, args.chains)
-            print(json.dumps(summary, sort_keys=True))
-            return 0 if summary["passed"] else 1
         else:  # pragma: no cover - argparse enforces choices
             raise ConfigError(f"unknown command {args.command!r}")
         print(json.dumps(summary, sort_keys=True))

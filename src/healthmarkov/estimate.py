@@ -26,6 +26,7 @@ pooling body serves order one (``TransitionMatrix``, counted over pairs of
 ages) and order two (``TransitionTensor``, over triples), on one base type.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -521,7 +522,13 @@ def multi_year_state_frequency(
 
 @dataclass
 class ARFit:
-    """OLS fit of annual cost at one age on its lags plus year dummies."""
+    """OLS fit of annual cost at one age on its lags plus year dummies.
+
+    ``ar_regression`` fits without BLAS or LAPACK, so the fields are the
+    same bits on every CPU and thread count.  The test suite holds them to
+    an exact rational OLS within a relative 1e-12 of each value plus the
+    value that would move the fit by the size of the cost vector.
+    """
 
     age: int
     order: int
@@ -540,17 +547,34 @@ def ar_regression(panel: Panel, age: int, order: int = 1) -> ARFit:
     Year dummies use the panel's earliest observed year as base level;
     dummy levels absent from the estimation sample are dropped, and when
     the base year itself is absent the earliest sampled year takes its
-    place.  Fewer complete cases than parameters + 1 yields
+    place.  That is always so: a complete case was observed a year before
+    the year it is sampled in.  Fewer complete cases than parameters + 1 yields
     an unavailable fit; an exactly collinear design raises
     DegenerateFitError.  ``age`` and ``order`` must be integers (numpy
     integers included, bools not).
 
     The complete cases are the persons observed at every age of the
-    contiguous column block ``age - order .. age``; their costs in that
-    block are gathered once.  The design matrix is allocated once in C
-    order and filled in place: a column of ones, lag 1 .. ``order``, then
-    one 0/1 column per dummy level.  A panel of one birth cohort has one
-    calendar year per age and so no dummies.
+    contiguous column block ``age - order .. age``; their costs are
+    gathered once, column by column.  At one age, calendar year and birth
+    cohort determine each other, so the intercept and the dummies span the
+    indicators of the sampled cohorts, which are orthogonal.  The fit
+    therefore splits (Frisch-Waugh-Lovell): cohort means, summed exactly
+    by ``np.bincount`` over integer costs, remove that block from the cost
+    and lag columns; modified Gram-Schmidt on the demeaned lags and cost,
+    in column order, gives the lag coefficients, the residual sum and the
+    lag standard errors; the intercept and year effects are the cohort
+    means minus the fitted lag terms.  A panel of one birth cohort has one
+    calendar year per age, so no dummies, and one mean per column.
+
+    Every float sum is an ``np.add.reduce`` over elementwise products or a
+    ``np.bincount`` with weights, so it runs in one fixed order.  Unlike
+    normal equations, Gram-Schmidt on the augmented matrix does not square
+    the condition number (Bjorck, BIT 7, 1967; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 20).  The rank rule
+    is ``lstsq``'s with ``rcond=None``: a lag column counts as dependent
+    when its residual norm after the cohort block and the earlier lags is
+    at most eps * max(n, parameters) times the design's largest column
+    norm.
     """
     for name, value in (("age", age), ("order", order)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -560,53 +584,76 @@ def ar_regression(panel: Panel, age: int, order: int = 1) -> ARFit:
     if not (panel.has_age(age) and panel.has_age(age - order)):
         return ARFit(age=age, order=order, available=False, n=0)
     c = panel.column(age)
-    block = slice(c - order, c + 1)
-    rows = np.flatnonzero((panel.states[:, block] >= 0).all(axis=1))
+    rows = np.flatnonzero((panel.states[:, c - order : c + 1] >= 0).all(axis=1))
     n = rows.size
 
-    # at one age, calendar year and birth cohort determine each other
     births, cohort_of = panel.cohort_index
     years = births + age
     base_year = panel.min_year
     levels = []
-    if births.size > 1:
+    ref = 0  # cohort of the effective base level
+    if births.size > 1 and n:
         cohort = cohort_of.take(rows)
-        sampled = np.flatnonzero(np.bincount(cohort, minlength=births.size))
-        levels = [k for k in sampled if years[k] != base_year]
-        if base_year not in years[sampled] and levels:
-            levels = levels[1:]  # earliest sampled year becomes the effective base
+        sizes = np.bincount(cohort, minlength=births.size)
+        # every complete case was observed a year earlier, so the panel's
+        # earliest year is never sampled: the earliest sampled year is the base
+        ref, *levels = np.flatnonzero(sizes).tolist()
 
     n_params = 1 + order + len(levels)
     if n < n_params + 1:
         return ARFit(age=age, order=order, available=False, n=n)
 
-    # the transposed block is C-contiguous; its row order - k holds lag k
-    costs = panel.costs[:, block].T.take(rows, axis=1)
-    y = costs[order].astype(np.float64)
-    X = np.empty((n, n_params))
-    X[:, 0] = 1.0
-    for k in range(1, order + 1):
-        X[:, k] = costs[order - k]
-    for j, k in enumerate(levels, 1 + order):
-        X[:, j] = cohort == k
+    # rows in Gram-Schmidt order: lag 1 .. order, then the cost at age, each
+    # gathered from its own contiguous column
+    x = np.empty((order + 1, n))
+    for row, col in enumerate([*range(c - 1, c - order - 1, -1), c]):
+        x[row] = panel.costs[:, col].take(rows)
+    if births.size > 1:
+        sums = np.array([np.bincount(cohort, weights=col, minlength=births.size) for col in x])
+        means = sums / np.maximum(sizes, 1)
+        w = x - means.take(cohort, axis=1)
+    else:
+        means = np.add.reduce(x, axis=1, keepdims=True) / n
+        w = x - means
+    largest = max(float(n), *np.add.reduce(x[:order] * x[:order], axis=1).tolist())
+    floor = (float(np.finfo(np.float64).eps) * max(n, n_params)) ** 2 * largest
+    rank = 1 + len(levels)
+    sq = [0.0] * order  # squared residual norm of each lag column
+    mult = [[0.0] * (order + 1) for _ in range(order)]  # unit upper-triangular factor
+    for j in range(order):
+        dots = np.add.reduce(w[j:] * w[j], axis=1).tolist()
+        if dots[0] <= floor:
+            continue
+        rank += 1
+        sq[j] = dots[0]
+        for k, product in enumerate(dots[1:], j + 1):
+            mult[j][k] = product / dots[0]
+        w[j + 1 :] -= np.array(mult[j][j + 1 :])[:, None] * w[j]
+    if rank < n_params:
+        raise DegenerateFitError(f"design matrix at age {age} has rank {rank} < {n_params}")
 
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise DegenerateFitError(f"design matrix at age {age} has rank {rank} < {X.shape[1]}")
-    resid = y - X @ beta
-    dof = n - X.shape[1]
-    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    se = np.sqrt(np.diag(cov))
+    beta = [0.0] * order
+    for j in reversed(range(order)):
+        beta[j] = mult[j][order] - sum(mult[j][k] * beta[k] for k in range(j + 1, order))
+    sigma2 = float(np.add.reduce(w[order] * w[order])) / (n - n_params)
+    # the lag block of (X'X)^-1 is U^-1 diag(1 / sq) U^-T; row j of U^-1 gives its diagonal entry j
+    se = []
+    for j in range(order):
+        inv = {j: 1.0}
+        for k in range(j + 1, order):
+            inv[k] = -sum(inv[m] * mult[m][k] for m in range(j, k))
+        se.append(math.sqrt(sigma2 * sum(v * v / sq[k] for k, v in inv.items())))
+    # each cohort's own intercept: its mean cost less the fitted lag terms
+    alpha = means[order] - sum(b * m for b, m in zip(beta, means))
 
     return ARFit(
         age=age,
         order=order,
         available=True,
         n=n,
-        lag_coefficients=tuple(float(b) for b in beta[1 : 1 + order]),
-        lag_se=tuple(float(s) for s in se[1 : 1 + order]),
-        intercept=float(beta[0]),
-        year_effects={int(years[k]): float(b) for k, b in zip(levels, beta[1 + order :])},
+        lag_coefficients=tuple(beta),
+        lag_se=tuple(se),
+        intercept=float(alpha[ref]),
+        year_effects={int(years[k]): float(alpha[k] - alpha[ref]) for k in levels},
         base_year=base_year,
     )

@@ -203,6 +203,19 @@ def _columns(op, probs: np.ndarray) -> np.ndarray:
     return probs if isinstance(op, LiftedMatrix) else probs.T
 
 
+def _advance(op, probs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The column map of ``probs`` applied to ``v``, summed in a fixed order.
+
+    A lifted matrix sums each row of ``probs * v`` (numpy's pairwise sum
+    along a contiguous row); a first-order matrix adds its scaled rows one
+    after the other.  Neither calls BLAS, whose kernels sum in an order
+    that depends on the CPU and the thread count.
+    """
+    if isinstance(op, LiftedMatrix):
+        return np.add.reduce(probs * v, axis=1)
+    return np.add.reduce(probs * v[:, None], axis=0)
+
+
 def _step(model: Mapping[int, object], age: int, v: np.ndarray) -> np.ndarray:
     """Advance a state (first-order) or pair (lifted) distribution through the operator for ``age``.
 
@@ -213,15 +226,13 @@ def _step(model: Mapping[int, object], age: int, v: np.ndarray) -> np.ndarray:
     op = _operator(model, age)
     blocked = (v > MASS_EPS) & ~op.supported
     if not blocked.any():
-        return _columns(op, op.probs) @ v
-    # copy before transposing: a C-order copy of a transposed first-order
-    # matrix changes the last bits of the product
-    probs = _columns(op, op.probs.copy())
+        return _advance(op, op.probs, v)
+    probs = op.probs.copy()
     for c in np.where(blocked)[0]:
         # moves out of pair (i, j) land on pairs (j, .); out of a state, on any state
         lo = (N_STATES * int(c)) % v.size
-        probs[lo : lo + N_STATES, c] = _pooled(model, age, int(c))
-    return probs @ v
+        _columns(op, probs)[lo : lo + N_STATES, c] = _pooled(model, age, int(c))
+    return _advance(op, probs, v)
 
 
 def _forward(model: Mapping[int, object], start_age: int, v: np.ndarray, horizon: int) -> list[np.ndarray]:
@@ -265,21 +276,24 @@ _FORWARD_PASSES = 512
 
 
 @functools.lru_cache(maxsize=_FORWARD_PASSES)
-def _forward_pass(window: tuple, start_age: int, horizon: int, col: int) -> tuple[np.ndarray, ...]:
+def _forward_pass(window: tuple, start_age: int, horizon: int, col: int) -> np.ndarray:
     """Pair distributions after each of ``horizon`` steps from pair ``col`` at ``start_age``.
 
-    ``window`` holds the operator of every age in the 5-year bins of ages
-    start_age + 1 .. start_age + horizon, from the first bin's first age
-    on, with None for an absent age: all that the steps and their pooled
-    columns read.  Memoized by operator identity, start age, horizon and
-    start pair.  A pass that raises is not remembered, so it raises again,
-    with its message, on the next call.
+    One read-only (horizon, 25) array, row k - 1 the distribution after
+    step k.  ``window`` holds the operator of every age in the 5-year bins
+    of ages start_age + 1 .. start_age + horizon, from the first bin's
+    first age on, with None for an absent age: all that the steps and
+    their pooled columns read.  Memoized by operator identity, start age,
+    horizon and start pair.  A pass that raises is not remembered, so it
+    raises again, with its message, on the next call.
     """
     lo = _bin_ages(start_age + 1).start
     model = {age: op for age, op in enumerate(window, lo) if op is not None}
     v = np.zeros(N_PAIRS)
     v[col] = 1.0
-    return tuple(_forward(model, start_age, v, horizon))
+    passes = np.array(_forward(model, start_age, v, horizon))
+    passes.flags.writeable = False
+    return passes
 
 
 def project_cumulative(
@@ -308,9 +322,9 @@ def project_cumulative(
     previous, current = start
     i, j = _state_code(previous), _state_code(current)
     weights = current_cost_weights(costs)
-    # weights.dot(v) is the same BLAS ddot as weights @ v; one product over
-    # the stacked passes would change the last bits
-    per_period = [float(weights.dot(v)) for v in _forward_pass(window, start_age, horizon, N_STATES * i + j)]
+    passes = _forward_pass(window, start_age, horizon, N_STATES * i + j)
+    # one fixed-order sum per period: the bits of a reduce over that row alone
+    per_period = np.add.reduce(weights * passes, axis=1).tolist()
     return ProjectionResult(
         start_age=start_age,
         start_pair=(_STATES[i], _STATES[j]),

@@ -160,7 +160,9 @@ class Panel:
         the scan stops once even the panel's lowest birth year could not
         give an earlier year.
         """
-        lowest = int(self.birth_years.min(initial=0))
+        if not self.birth_years.size:
+            raise EmptyCohortError("panel has no observations")
+        lowest = int(self.birth_years.min())
         best = math.inf
         for c in range(self.n_ages):
             if lowest + c >= best:

@@ -20,8 +20,15 @@ first and took their quantiles in one call, unchanged apart from their
 names; they do not check the order of an age group.
 
 The differential tests in test_estimate_differential.py hold the rewritten
-estimators to them bit for bit."""
+estimators to them bit for bit, apart from the AR fit.  ``ar_regression``
+no longer calls BLAS or LAPACK, and ``reference_ar_regression``'s
+``lstsq`` path, whose bits depend on OpenBLAS's CPU kernel and thread
+count, is the body it replaced; the fits are held to it within a stated
+bound.  ``reference_exact_ar_fit`` solves the same design in exact
+rational arithmetic, the tight oracle for the new fit."""
 
+import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -341,6 +348,74 @@ def reference_ar_regression(panel: Panel, age: int, order: int = 1) -> ARFit:
         n=n,
         lag_coefficients=tuple(float(b) for b in beta[1 : 1 + order]),
         lag_se=tuple(float(s) for s in se[1 : 1 + order]),
+        intercept=float(beta[0]),
+        year_effects={lvl: float(b) for lvl, b in zip(levels, beta[1 + order :])},
+        base_year=base_year,
+    )
+
+
+def reference_exact_ar_fit(panel: Panel, age: int, order: int = 1) -> ARFit:
+    """``reference_ar_regression``'s design solved in exact rational arithmetic.
+
+    Costs are integers, so the Gram matrix and ``X'y`` are exact Python
+    integers and Gaussian elimination over ``Fraction`` gives the OLS
+    solution, the residual sum and ``(X'X)^-1`` without rounding.  Each
+    reported value is the exact one rounded once to float64 (a standard
+    error is the square root of its rounded variance).  An exactly
+    dependent design raises the DegenerateFitError of ``ar_regression``,
+    with the exact rank.
+    """
+    for name, value in (("age", age), ("order", order)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if order not in (1, 2):
+        raise InvalidInputError(f"order must be 1 or 2, got {order}")
+    if not (panel.has_age(age) and panel.has_age(age - order)):
+        return ARFit(age=age, order=order, available=False, n=0)
+    c = panel.column(age)
+    complete = (panel.states[:, c - order : c + 1] >= 0).all(axis=1)
+    n = int(complete.sum())
+    y = panel.costs[complete, c].tolist()
+    lags = [panel.costs[complete, c - k].tolist() for k in range(1, order + 1)]
+    years = (panel.birth_years[complete] + age).tolist()
+    base_year = reference_min_year(panel)
+    levels = sorted(set(years) - {base_year})
+    if base_year not in set(years) and levels:
+        levels = levels[1:]  # earliest sampled year becomes the effective base
+    if n < 1 + order + len(levels) + 1:
+        return ARFit(age=age, order=order, available=False, n=n)
+    X = [[1] + [lag[i] for lag in lags] + [int(years[i] == lvl) for lvl in levels] for i in range(n)]
+    p = len(X[0])
+    gram = [[sum(row[a] * row[b] for row in X) for b in range(p)] + [sum(row[a] * v for row, v in zip(X, y))]
+            for a in range(p)]
+    # [X'X | X'y | I], reduced to [I | beta | (X'X)^-1]
+    m = [[Fraction(v) for v in gram[a]] + [Fraction(int(a == b)) for b in range(p)] for a in range(p)]
+    rank = 0
+    for col in range(p):
+        pivot = next((r for r in range(rank, p) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        lead = m[rank][col]
+        m[rank] = [v / lead for v in m[rank]]
+        for r in range(p):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    if rank < p:
+        raise DegenerateFitError(f"design matrix at age {age} has rank {rank} < {p}")
+    beta = [m[a][p] for a in range(p)]
+    rss = sum(v * v for v in y) - sum(b * g[p] for b, g in zip(beta, gram))
+    sigma2 = rss / (n - p)
+    se = [math.sqrt(float(sigma2 * m[a][p + 1 + a])) for a in range(1, 1 + order)]
+    return ARFit(
+        age=age,
+        order=order,
+        available=True,
+        n=n,
+        lag_coefficients=tuple(float(b) for b in beta[1 : 1 + order]),
+        lag_se=tuple(se),
         intercept=float(beta[0]),
         year_effects={lvl: float(b) for lvl, b in zip(levels, beta[1 + order :])},
         base_year=base_year,

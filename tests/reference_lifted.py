@@ -6,9 +6,12 @@ its own ``_operator`` and ``_pooled_column``, unchanged apart from their
 names.  ``reference_project_cumulative`` is the lifted module's projection
 (horizon checks first, then one cost-weighted sum per period) stepping
 through ``reference_step_order2`` in pooling mode over the whole family,
-the one unsupported-cell policy of every forward pass.  The differential
-tests in test_lifted_differential.py hold the single stepper to them bit
-for bit.
+the one unsupported-cell policy of every forward pass.  They multiply
+through BLAS (``@``), as the package did until it summed each step and
+each cost weighting in a fixed order without BLAS, so their last bits
+depend on OpenBLAS's CPU kernel and thread count.  The differential tests
+in test_lifted_differential.py hold the single stepper to them within a
+relative bound.
 
 ``reference_lift`` and ``reference_validate`` are ``lift`` and
 ``LiftedMatrix.validate`` as they were before the pair layout table: a

@@ -2,9 +2,11 @@
 
 ``reference_step_order1`` and ``reference_pooled_row`` are the persistency
 module's ``_step_order1`` and ``_pooled_row``, unchanged apart from their
-names and the lookups they make through reference_lifted.  The
-differential tests in test_persistency_differential.py hold first-order
-``iterate_forward`` and ``persistency_difference`` to them bit for bit.
+names and the lookups they make through reference_lifted.  The step is
+a BLAS product (``v @ probs``), as the package's was until it summed each
+step in a fixed order without BLAS.  The differential tests in
+test_persistency_differential.py hold first-order ``iterate_forward`` and
+``persistency_difference`` to them within a relative bound.
 """
 
 from typing import Mapping

@@ -1,0 +1,140 @@
+"""Report bytes do not depend on OpenBLAS's CPU kernel or thread count.
+
+OpenBLAS picks a kernel per CPU (``OPENBLAS_CORETYPE`` forces one) and
+splits long products over its threads, and each kernel and split sums in
+its own order.  Every report that steps a distribution or fits a
+regression (k12-k16, f02, f03) and the ``project`` output run here in one
+subprocess per (core type, thread count), through ``cli.main``, on panels
+the subprocess simulates from fixed seeds: 2,000 persons for the curves
+and projections, 20,000 for the AR fits.  Every output byte must be equal
+across the six runs.
+
+A static check keeps BLAS from coming back: no module of the package may
+use ``@`` or name numpy's BLAS and LAPACK entry points.
+"""
+
+import ast
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Names through which numpy reaches BLAS or LAPACK.  ``einsum`` is one: it may
+#: hand a contraction to BLAS, and its own SIMD loops sum in lanes whose width,
+#: and so whose summation order, changes with the CPU.
+BLAS_NAMES = frozenset({"dot", "linalg", "einsum", "matmul", "tensordot", "inner", "vdot"})
+
+CORE_TYPES = ("Prescott", "Nehalem", "Haswell")
+THREADS = ("1", "2")
+
+CHILD = r"""
+import sys
+
+from healthmarkov import cli
+from healthmarkov.config import RunConfig
+from healthmarkov.panel import filter_cohort
+from healthmarkov.synthetic import generate_panel, random_chain
+
+
+def panel(n_persons, seed=7):
+    cfg = RunConfig()
+    truth = random_chain(seed=seed, entry_age=cfg.synth_entry_age, exit_age=cfg.synth_exit_age,
+                         alpha=cfg.synth_alpha, attrition=cfg.synth_attrition,
+                         cost_model=cfg.synth_cost_model, entry_year=cfg.synth_entry_year)
+    return filter_cohort(generate_panel(truth, n_persons), age_min=cfg.age_min, age_max=cfg.age_max)
+
+
+out, placeholder = sys.argv[1:3]
+curves, fits = panel(2_000), panel(20_000)
+jobs = [(curves, ["report", rid]) for rid in ("k12", "k13", "k14", "f02", "f03")]
+jobs += [(fits, ["report", rid]) for rid in ("k15", "k16")] + [(curves, ["project"])]
+for built, command in jobs:
+    cli._load_panel = lambda cfg, built=built: built
+    args = ["--output-dir", out, "--set", f"input.panel={placeholder}",
+            "--set", "project.q5_values=[267000,500000,1000000]", *command]
+    if cli.main(args) != 0:
+        raise SystemExit(f"{command} failed")
+"""
+
+
+def _blas_name() -> str:
+    try:
+        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+    except (KeyError, TypeError):  # an older numpy, or a build that does not say
+        return "unknown"
+
+
+def _skip_reason() -> str | None:
+    machine = platform.machine()
+    if machine.lower() not in ("x86_64", "amd64"):
+        return f"OPENBLAS_CORETYPE names x86-64 kernels; this machine is {machine}"
+    blas = _blas_name()
+    if "openblas" not in blas.lower():
+        return f"numpy's BLAS is {blas}, not OpenBLAS; OPENBLAS_CORETYPE and OPENBLAS_NUM_THREADS do not apply"
+    return None
+
+
+SKIP_REASON = _skip_reason()
+
+
+@pytest.mark.skipif(SKIP_REASON is not None, reason=str(SKIP_REASON))
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    placeholder = tmp_path / "panel.csv"  # the config check wants a file; the runs use built panels
+    placeholder.write_text("")
+    outputs = {}
+    for core in CORE_TYPES:
+        for threads in THREADS:
+            out = tmp_path / f"{core}-{threads}"
+            env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+            env.pop("HEALTHMARKOV_OUTPUT_DIR", None)
+            done = subprocess.run([sys.executable, "-c", CHILD, str(out), str(placeholder)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs[core, threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    names = ["f02.csv", "f03.csv", "k12.csv", "k13.csv", "k14.csv", "k15.csv", "k16.csv", "projections.json"]
+    first = (CORE_TYPES[0], THREADS[0])
+    assert sorted(outputs[first]) == names
+    differ = [f"{name}: {core} x {threads} threads" for (core, threads), files in outputs.items()
+              for name in names if files.get(name) != outputs[first][name]]
+    assert not differ, f"differs from {first[0]} x {first[1]} thread: " + "; ".join(differ)
+
+
+def blas_uses(source: str) -> list[str]:
+    """Line and spelling of every ``@``, ``@=`` and BLAS name in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append(f"{node.lineno}: {node.id}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            dotted = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            dotted += [alias.name for alias in node.names]
+            if any(BLAS_NAMES.intersection(name.split(".")) for name in dotted):
+                found.append(f"{node.lineno}: import {', '.join(dotted)}")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "y = a @ b", "a @= b", "y = w.dot(v)", "np.linalg.lstsq(X, y)", "import numpy.linalg",
+    "from numpy import einsum", "from numpy.linalg import inv", "np.matmul(a, b)",
+    "np.tensordot(a, b)", "np.inner(a, b)", "np.vdot(a, b)", "x = dot(a, b)",
+])
+def test_blas_check_sees_every_spelling(source):
+    assert blas_uses(source)
+
+
+def test_package_calls_no_blas():
+    found = [f"{path.name}:{use}" for path in sorted((SRC / "healthmarkov").glob("*.py"))
+             for use in blas_uses(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -2,7 +2,6 @@ import csv
 import json
 import os
 
-import numpy as np
 import pytest
 
 from healthmarkov.cli import REPORTS, main
@@ -285,8 +284,9 @@ class TestUnobservedPairs:
         for item in doc["projections"]:
             weights = current_cost_weights(CostVector.from_thresholds(q5_value=item["q5_value"]))
             fc = iterate_forward(fam, item["start_age"], tuple(item["start_pair"]), doc["horizon"])
-            # the values of the difference curves' stepper over the whole family, bit for bit
-            assert item["per_period"] == [float(weights.dot(v)) for v in fc.distributions[1:]]
+            # the values of the difference curves' stepper over the whole family, bit for bit,
+            # weighted by the projection's one fixed-order sum per period
+            assert item["per_period"] == (weights * fc.distributions[1:]).sum(axis=1).tolist()
             pooled |= any(((v > MASS_EPS) & ~fam[age].supported).any()
                           for age, v in zip(fc.ages[1:], fc.distributions))
         assert pooled
@@ -371,6 +371,18 @@ class TestSelftest:
         assert run("selftest", "--chains", "3") == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_writes_nothing_in_a_fresh_directory(self, tmp_path, monkeypatch):
+        # selftest writes no file, so it creates no output directory either
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("HEALTHMARKOV_OUTPUT_DIR", raising=False)
+        assert run("selftest", "--chains", "1") == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_dir_that_is_a_file_is_not_read(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run("--output-dir", str(taken), "selftest", "--chains", "1") == 0
 
 
 class TestCrossProcess:

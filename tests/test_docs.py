@@ -1,5 +1,5 @@
 """The README documents the configuration the code accepts, and the
-package's modules import nothing they do not use."""
+package's modules and the test modules import nothing they do not use."""
 
 import ast
 import re
@@ -9,6 +9,7 @@ from healthmarkov.config import CONFIG_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = README.parent / "src" / "healthmarkov"
+TESTS = README.parent / "tests"
 
 
 def config_block() -> str:
@@ -27,11 +28,13 @@ def test_readme_lists_exactly_the_config_keys():
 
 
 def test_modules_use_every_module_level_import():
-    # __init__ imports in order to re-export; every other module must read each name it binds
+    # the package's __init__ imports in order to re-export; every other module,
+    # the tests included, must read each name it binds.  No test module binds a
+    # name only for pytest's fixture injection, so none is exempt.
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted(TESTS.glob("*.py"))
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for stmt in tree.body:
@@ -40,5 +43,5 @@ def test_modules_use_every_module_level_import():
             for alias in stmt.names:
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in read:
-                    unused.append(f"{path.name}:{stmt.lineno} {name}")
+                    unused.append(f"{path.parent.name}/{path.name}:{stmt.lineno} {name}")
     assert unused == []

@@ -8,10 +8,14 @@ last age and ages outside it.  Every result must equal
 reference_estimate's bit for bit (NaN in the same places), or both must
 raise the same error class with the same message.
 
-AR fits are also compared on dense panels of 2,400 persons, orders 1 and
-2: one of a single birth cohort (a design without dummies) and one of
-three cohorts whose base year is never sampled.  A collinear design
-raises the reference's DegenerateFitError message.
+An AR fit is the exception: it must give the same error, message and rank
+included, or the same unavailable fit, as both exact rational OLS and the
+lstsq path it replaced, and each float of an available fit must lie within
+a stated bound of theirs (``EXACT_RTOL``, ``LSTSQ_RTOL``).  AR fits are
+also compared on dense panels of 2,400 persons, orders 1 and 2: one of a
+single birth cohort (a design without dummies) and one of three cohorts
+whose base year is never sampled.  A collinear design raises the
+reference's DegenerateFitError message.
 
 The cost summaries are held to their references the same way, on panels
 whose costs are sometimes all zero, over cells of every size from empty
@@ -27,6 +31,7 @@ from hypothesis.extra import numpy as hnp
 
 from healthmarkov.errors import DegenerateFitError, EmptyCohortError, InvalidInputError
 from healthmarkov.estimate import (
+    ARFit,
     ar_regression,
     conditional_cost_quantiles,
     exceedance_proportions,
@@ -40,6 +45,7 @@ from conftest import collinear_cost_panel
 from reference_estimate import (
     reference_ar_regression,
     reference_conditional_cost_quantiles,
+    reference_exact_ar_fit,
     reference_exceedance_proportions,
     reference_min_year,
     reference_multi_year_state_frequency,
@@ -107,9 +113,53 @@ def assert_same_paths(got, want):
         assert _same_array(other.denominators, path.denominators)
 
 
-def assert_same_fit(got, want):
-    # repr spells every float exactly, NaN included, and shows int vs numpy scalars
-    assert repr(got) == repr(want)
+#: Bounds on each AR value v against a reference value w: |v - w| <= rtol * (|w| + s),
+#: where s is the value that would move the fit by the norm of the cost vector y,
+#: ||y|| / ||x|| for the value's design column x (a lag, the ones, a year dummy).
+#: Against exact rational OLS the fit keeps 1e-12 (worst seen 9.8e-17).  Against
+#: lstsq the bound covers lstsq's own rounding, whose bits also depend on the BLAS
+#: kernel (worst seen 3.9e-8, on a one-lag fit of 7 persons).
+EXACT_RTOL = 1e-12
+LSTSQ_RTOL = 1e-6
+
+
+def _fit_values(panel, age, order, fit):
+    """(value, scale) of every float of an available fit."""
+    c = panel.column(age)
+    rows = (panel.states[:, c - order : c + 1] >= 0).all(axis=1)
+    y = float(np.sqrt(np.square(panel.costs[rows, c], dtype=np.float64).sum()))
+    values = []
+    for k in range(order):
+        x = float(np.sqrt(np.square(panel.costs[rows, c - 1 - k], dtype=np.float64).sum()))
+        values += [(fit.lag_coefficients[k], y / x), (fit.lag_se[k], y / x)]
+    values.append((fit.intercept, y / np.sqrt(rows.sum())))
+    years = panel.birth_years[rows] + age
+    values += [(effect, y / np.sqrt((years == year).sum())) for year, effect in sorted(fit.year_effects.items())]
+    return values
+
+
+def assert_close_fit(panel, age, order, got, want, rtol):
+    """The same outcome, error or unavailable fit exactly; each float of a fit within ``rtol``."""
+    if isinstance(want, tuple) or not want.available:
+        # repr spells every float exactly and shows int vs numpy scalars
+        assert repr(got) == repr(want)
+        return
+    assert isinstance(got, ARFit), got
+    fields = ("age", "order", "available", "n", "base_year")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert list(got.year_effects) == list(want.year_effects)
+    assert all(type(v) is float for v in (*got.lag_coefficients, *got.lag_se, got.intercept,
+                                          *got.year_effects.values()))
+    for (v, _), (w, s) in zip(_fit_values(panel, age, order, got), _fit_values(panel, age, order, want)):
+        assert abs(v - w) <= rtol * (abs(w) + s), (v, w, s)
+
+
+def assert_fit_matches(panel, age, order):
+    """``ar_regression`` against exact rational OLS and against the lstsq path it replaced."""
+    got = _outcome(ar_regression, panel, age, order)
+    assert_close_fit(panel, age, order, got, _outcome(reference_exact_ar_fit, panel, age, order), EXACT_RTOL)
+    assert_close_fit(panel, age, order, got, _outcome(reference_ar_regression, panel, age, order), LSTSQ_RTOL)
+    return got
 
 
 def assert_same_min_year(panel):
@@ -146,8 +196,7 @@ def test_estimators_match_reference(panel, data):
 
     for age in range(lo - 1, hi + 2):
         order = data.draw(st.sampled_from([1, 1, 2, 2, 3]))
-        assert_same_fit(_outcome(ar_regression, panel, age, order),
-                        _outcome(reference_ar_regression, panel, age, order))
+        assert_fit_matches(panel, age, order)
 
 
 def test_dense_panel_matches_reference():
@@ -165,9 +214,7 @@ def test_dense_panel_matches_reference():
     fits = []
     for age in panel.ages:
         for order in (1, 2):
-            got = _outcome(ar_regression, panel, age, order)
-            assert_same_fit(got, _outcome(reference_ar_regression, panel, age, order))
-            fits.append(got)
+            fits.append(assert_fit_matches(panel, age, order))
     available = [f for f in fits if not isinstance(f, tuple) and f.available]
     assert available and all(f.year_effects for f in available)
     # a complete case observed its lag a year earlier, so the panel's earliest
@@ -202,8 +249,7 @@ def test_dense_ar_fits_match_reference(births):
     available = []
     for age in panel.ages:
         for order in (1, 2):
-            got = _outcome(ar_regression, panel, age, order)
-            assert_same_fit(got, _outcome(reference_ar_regression, panel, age, order))
+            got = assert_fit_matches(panel, age, order)
             if not isinstance(got, tuple) and got.available:
                 available.append(got)
     assert {f.order for f in available} == {1, 2}
@@ -217,11 +263,29 @@ def test_dense_ar_fits_match_reference(births):
         assert all(sorted(f.year_effects) == [1961 + f.age, 1963 + f.age] for f in available)
 
 
+def test_base_level_is_the_earliest_sampled_cohort():
+    """The earliest cohort leaves after two ages; later fits take the next cohort as their base."""
+    rng = np.random.default_rng(13)
+    n, n_ages = 2_400, 6
+    births = rng.choice([1955, 1961, 1963], size=n)
+    states = rng.choice([0, 1, 2, 3, 4], size=(n, n_ages)).astype(np.int8)
+    states[births == 1955, 2:] = -1
+    panel = Panel([f"p{k:04d}" for k in range(n)], births, 40, states,
+                  rng.integers(1, 3_000_000, size=(n, n_ages)), np.where(states >= 0, 12, 0))
+    for age in panel.ages:
+        for order in (1, 2):
+            fit = assert_fit_matches(panel, age, order)
+            if age - order < 40:
+                continue
+            assert fit.base_year == 1995
+            assert sorted(fit.year_effects) == ([1961 + age] if age == 41 else []) + [1963 + age]
+
+
 def test_collinear_fit_raises_the_reference_error():
     panel = collinear_cost_panel()
     got = _outcome(ar_regression, panel, 41, 1)
     assert got[0] is DegenerateFitError
-    assert got == _outcome(reference_ar_regression, panel, 41, 1)
+    assert got == _outcome(reference_ar_regression, panel, 41, 1) == _outcome(reference_exact_ar_fit, panel, 41, 1)
 
 
 #: Quantile levels: the reports' own, arbitrary ones and, in one list of six, an invalid one.

@@ -286,7 +286,8 @@ class TestPooledProjection:
     def full_family_pooling(self, family, start_age, horizon):
         weights = current_cost_weights(COSTS)
         forecast = iterate_forward(family, start_age, self.START, horizon)
-        return [float(weights.dot(v)) for v in forecast.distributions[1:]]
+        # the projection's one fixed-order sum per period
+        return (weights * forecast.distributions[1:]).sum(axis=1).tolist()
 
     def test_pools_from_a_bin_age_outside_the_horizon(self):
         family = pooling_family([0, 0, 3, 1, 0])

@@ -9,7 +9,8 @@ line and message (the message only for the package's own errors).
 
 ``Panel.min_year`` is held to reference_panel.reference_min_year on panels
 of several birth cohorts, with a single observed cell or none: the same
-year, or the same EmptyCohortError.
+year, or the same EmptyCohortError.  On a panel of one birth cohort it
+reads no column past the first one with an observation.
 """
 
 import csv
@@ -268,3 +269,28 @@ def observed_panels(draw):
 def test_min_year_matches_reference(panel):
     want = _outcome(reference_min_year, panel)
     assert _outcome(lambda p: p.min_year, panel) == want
+
+
+class _ColumnReads:
+    """A state matrix that records the column of every read."""
+
+    def __init__(self, states):
+        self.states, self.columns = states, []
+        self.shape = states.shape
+
+    def __getitem__(self, key):
+        self.columns.append(key[1])
+        return self.states[key]
+
+
+@pytest.mark.parametrize("first_observed", [0, 1])
+def test_min_year_of_one_cohort_reads_at_most_two_columns(first_observed):
+    # one birth year: the first column with an observation gives the earliest year
+    states = np.full((1_000, 40), MISSING_CODE, dtype=np.int8)
+    states[::7, first_observed:] = 2
+    panel = Panel([f"p{k:04d}" for k in range(1_000)], np.full(1_000, 1960), 20, states,
+                  np.zeros(states.shape), np.where(states >= 0, 12, 0))
+    want = reference_min_year(panel)
+    reads = panel.states = _ColumnReads(panel.states)
+    assert panel.min_year == want == 1980 + first_observed
+    assert reads.columns == list(range(first_observed + 1))

@@ -5,7 +5,7 @@ import pytest
 
 from healthmarkov.errors import HorizonError, InvalidInputError, UnsupportedCellError
 from healthmarkov.estimate import TransitionMatrix
-from healthmarkov.lifted import lift, pair_index
+from healthmarkov.lifted import pair_index
 from healthmarkov.persistency import iterate_forward, persistency_difference
 from healthmarkov.states import HealthState
 from healthmarkov.synthetic import order1_consistent_chain, random_chain

@@ -4,8 +4,9 @@ Generated first-order families hold sparse counts, so some state rows have
 no support at some ages and mass can reach them; a row may also be empty
 across its whole 5-year bin, so pooling cannot help.  First-order
 ``iterate_forward`` and ``persistency_difference`` must give the values of
-reference_persistency's stepper in pooling mode bit for bit, or raise the
-same error class, at start ages and horizons that run past the last age.
+reference_persistency's stepper in pooling mode within ``STEP_RTOL`` (the
+reference sums through BLAS), or raise the same error class, at start ages
+and horizons that run past the last age.
 """
 
 import numpy as np
@@ -86,9 +87,16 @@ def assert_same_class(got, want):
     assert isinstance(got, Exception) and type(got) is type(want), (got, want)
 
 
-def assert_same_array(got, want):
+#: Bound on each distribution entry and target mass v against the reference's w:
+#: |v - w| <= STEP_RTOL * |w|.  Each is a sum of nonnegative products, so the
+#: bound is relative down to zero.  The reference sums through BLAS, whose bits
+#: depend on the CPU kernel and thread count (worst seen 4.1e-16).
+STEP_RTOL = 1e-13
+
+
+def assert_close_array(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert (np.abs(got - want) <= STEP_RTOL * np.abs(want)).all(), (got, want)
 
 
 def step_cases(family, start_age, rows):
@@ -123,7 +131,7 @@ def test_order1_forecasts_match_reference():
                 assert_same_class(got, want)
                 seen.add(("forecast", type(want).__name__))
             else:
-                assert_same_array(got.distributions, want)
+                assert_close_array(got.distributions, want)
                 seen.update(step_cases(family, start_age, want))
 
             starts = data.draw(st.none() | st.tuples(STATE, STATE))
@@ -135,8 +143,8 @@ def test_order1_forecasts_match_reference():
                 assert_same_class(got, want)
                 seen.add(("difference", type(want).__name__))
             else:
-                assert_same_array(got.worse_mass, want[0])
-                assert_same_array(got.better_mass, want[1])
+                assert_close_array(got.worse_mass, want[0])
+                assert_close_array(got.better_mass, want[1])
                 seen.add(("difference", "ok"))
 
     check()
