@@ -44,7 +44,7 @@ from .estimate import (
     state_fractions,
 )
 from .ingest import load_claims_panel
-from .lifted import lift_family, project_cumulative
+from .lifted import SHOCK_STARTS, lift_family, project_cumulative
 from .panel import Panel, filter_cohort
 from .persistency import persistency_difference
 from .states import CostVector, HealthState, MISSING, STATE_LABELS
@@ -242,7 +242,6 @@ def _ar_report(order):
 
 def _projection_rows(cfg, panel, q5_values):
     family = _lifted_family(cfg, panel)
-    starts = [(HealthState.Q1, HealthState.Q5), (HealthState.Q1, HealthState.Q1)]
     start_ages = cfg.start_ages or _feasible_start_ages(family, cfg.horizon)
     if not start_ages:
         raise UnsupportedCellError(
@@ -253,7 +252,7 @@ def _projection_rows(cfg, panel, q5_values):
     for q5 in q5_values:
         costs = CostVector.from_thresholds(q5_value=q5, thresholds=cfg.thresholds)
         for start_age in start_ages:
-            for start in starts:
+            for start in SHOCK_STARTS:
                 results.append(project_cumulative(family, costs, start_age, start, cfg.horizon))
     return results
 

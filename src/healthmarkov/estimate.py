@@ -93,20 +93,32 @@ def group_label(group: tuple[int, int]) -> str:
 # transition estimates
 
 
-@dataclass
+def _freeze(operator, *names) -> None:
+    """Set each named array of a frozen dataclass to a read-only copy; the caller's array stays writable."""
+    for name in names:
+        if (values := getattr(operator, name)) is not None:
+            array = np.array(values)
+            array.flags.writeable = False
+            object.__setattr__(operator, name, array)
+
+
+@dataclass(frozen=True, eq=False)
 class _TransitionEstimate:
     """Transition counts into one age and their probabilities, for either chain order.
 
     The last axis is the state at ``age``, the leading axes the conditioning
     states, oldest first; ``totals`` sums counts over the last axis.
+    Immutable, like a lifted operator: read-only arrays, identity hashing.
     """
 
     age: int
     probs: np.ndarray
     counts: np.ndarray
+    totals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.totals = self.counts.sum(axis=-1)
+        object.__setattr__(self, "totals", self.counts.sum(axis=-1))
+        _freeze(self, "probs", "counts", "totals")
 
     @property
     def supported(self) -> np.ndarray:

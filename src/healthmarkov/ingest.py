@@ -151,27 +151,42 @@ def aggregate_person_years(
     """Group monthly records into a person-year table; returns (table, sex map).
 
     The table is a PERSON_YEAR_DTYPE array with one row per (person,
-    grouping year), sorted by (person_id, year).  A contradictory sex
-    value or a duplicate (person, year, month) row raises as soon as its
-    record arrives.  Each (person, grouping year) keeps one accumulator,
-    [months seen, cost total, highest age]; once the stream ends, annual
-    costs are computed and classified as exact ints, then stored as int64,
-    so a cost or year past int64 raises OverflowError there.
+    grouping year), sorted by (person_id, year), aged grouping year - the
+    birth year all the person's records allow (the later one when two do).
+    A contradictory sex, a record that leaves no birth year and a duplicate
+    (person, year, month) row raise, in that order, as their record
+    arrives.  Each (person, grouping year) keeps one accumulator, [months
+    seen, cost total]; once the stream ends, annual costs are computed and
+    classified as exact ints, then stored as int64, so a cost or year past
+    int64 raises OverflowError there.
     """
     if year_convention not in YEAR_CONVENTIONS:
         raise InvalidInputError(f"year convention must be one of {YEAR_CONVENTIONS}")
     # months seen form a bit set: a group spans at most two calendar years,
     # so bit (year - gyear) * 12 + month - 1
     groups: dict[tuple[str, int], list[int]] = {}
-    sex_of: dict[str, str] = {}
+    # per person: [sex, lowest, highest year - age]; a record allows birth years year - age - 1 and year - age
+    persons: dict[str, list] = {}
     for rec in records:
         pid, year, month = rec.person_id, rec.year, rec.month
-        if sex_of.setdefault(pid, rec.sex) != rec.sex:
+        born = year - rec.age
+        person = persons.get(pid)
+        if person is None:
+            person = persons[pid] = [rec.sex, born, born]
+        if person[0] != rec.sex:
             raise DataFormatError(f"person {pid!r} appears with both sexes")
+        if not person[2] - 1 <= born <= person[1] + 1:
+            earlier = person[1] if person[2] > person[1] else f"{person[1] - 1} or {person[1]}"
+            raise DataFormatError(f"person {pid!r}: age {rec.age} in {year}-{month:02d} contradicts "
+                                  f"earlier records (birth year {earlier})")
+        if born < person[1]:
+            person[1] = born
+        elif born > person[2]:
+            person[2] = born
         gyear = grouping_year(year, month, year_convention)
         acc = groups.get((pid, gyear))
         if acc is None:
-            acc = groups[pid, gyear] = [0, 0, rec.age]
+            acc = groups[pid, gyear] = [0, 0]
         month_bit = 1 << ((year - gyear) * 12 + month - 1)
         if acc[0] & month_bit:
             raise DuplicateRecordError(
@@ -179,8 +194,6 @@ def aggregate_person_years(
             )
         acc[0] |= month_bit
         acc[1] += rec.cost
-        if rec.age > acc[2]:
-            acc[2] = rec.age
 
     keys = sorted(groups)
     accs = [groups[key] for key in keys]
@@ -190,12 +203,12 @@ def aggregate_person_years(
     codes = classify_costs(annual, thresholds)
     table = np.empty(len(keys), dtype=PERSON_YEAR_DTYPE)
     table["person_id"] = [pid for pid, _ in keys]
-    table["age"] = [acc[2] for acc in accs]
+    table["age"] = [gyear - persons[pid][1] for pid, gyear in keys]
     table["year"] = [gyear for _, gyear in keys]
     table["state"] = codes
     table["months_observed"] = months
     table["annual_cost"] = annual
-    return table, sex_of
+    return table, {pid: person[0] for pid, person in persons.items()}
 
 
 def load_claims_panel(

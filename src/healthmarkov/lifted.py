@@ -19,14 +19,15 @@ layout weights each pair by the cost of its current coordinate.  The
 equivalence of this algebra with exhaustive path enumeration is asserted
 by the oracle tests rather than argued from notation.
 
-One stepper, one bin pooler and one forward loop advance every
-distribution in the package: pairs through lifted matrices, and states
-through first-order ``TransitionMatrix`` operators read as ``probs.T``.
-Both index ``supported`` by the coordinate of the distribution.  There is
-one policy for a coordinate without support that carries mass, in every
-projection and difference curve: it moves by its counts pooled over the
-5-year age bin (ages 20-24, 25-29, ...), and UnsupportedCellError is
-raised only when the whole bin has no count for it.
+One checked entry, ``forward_distributions``, advances every distribution
+in the package, for difference curves and projections alike: pairs
+through lifted matrices, and states through first-order
+``TransitionMatrix`` operators read as ``probs.T``.  Its passes are
+memoized by operator identity; operators are frozen and hold read-only
+arrays, so a remembered pass cannot go stale.  A coordinate without
+support that carries mass moves by its counts pooled over the 5-year age
+bin (ages 20-24, 25-29, ...); UnsupportedCellError is raised only when
+the whole bin has no count for it.
 """
 
 import functools
@@ -36,13 +37,18 @@ from typing import Mapping
 import numpy as np
 
 from .errors import HorizonError, InvalidInputError, UnsupportedCellError
-from .estimate import TransitionTensor
+from .estimate import TransitionMatrix, TransitionTensor, _freeze
 from .states import N_STATES, STATE_LABELS, CostVector, HealthState, _state_code
 
 N_PAIRS = N_STATES * N_STATES
 
 #: Probability mass below which an unsupported column is considered unused.
 MASS_EPS = 1e-12
+
+#: The paper's comparison of start pairs, (worse, better): a fresh arrival in
+#: the top state against a continuous stay in the bottom state.
+SHOCK_STARTS = ((HealthState.Q1, HealthState.Q5), (HealthState.Q1, HealthState.Q1))
+
 
 def pair_index(previous, current) -> int:
     """Column/row index of the pair (previous, current), previous-major.
@@ -82,7 +88,7 @@ def current_cost_weights(costs: CostVector) -> np.ndarray:
     return costs.as_array()[_CURRENT_STATE]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LiftedMatrix:
     """One age's 25x25 pair-state operator.
 
@@ -90,16 +96,17 @@ class LiftedMatrix:
     had estimation support; ``counts`` keeps the underlying 5x5x5 counts
     when the matrix came from an estimate, enabling age-group pooling.
 
-    An operator is not mutated after construction: ``project_cumulative``
-    remembers forward passes by operator identity (operators compare and
-    hash by identity), so an operator changed in place would keep
-    yielding the distributions of its old values.
+    Immutable: it holds read-only copies of the arrays it is given, and
+    compares and hashes by identity, the key of the forward-pass memo.
     """
 
     probs: np.ndarray
     supported: np.ndarray
     age: int | None = None
     counts: np.ndarray | None = None
+
+    def __post_init__(self):
+        _freeze(self, "probs", "supported", "counts")
 
     def validate(self, atol: float = 1e-12) -> None:
         """Check the structural-zero pattern and column normalization.
@@ -150,9 +157,7 @@ def lift(tensor, age: int | None = None) -> LiftedMatrix:
 
     probs_mat = np.zeros((N_PAIRS, N_PAIRS))
     probs_mat[_PAIR_LAYOUT] = np.where(supported_pairs[..., None], probs, 0.0)
-    # a new array: the operator must not share its flags with the tensor
-    supported = supported_pairs.astype(bool).reshape(N_PAIRS)
-    return LiftedMatrix(probs=probs_mat, supported=supported, age=age, counts=counts)
+    return LiftedMatrix(probs=probs_mat, supported=supported_pairs.reshape(N_PAIRS), age=age, counts=counts)
 
 
 def lift_family(tensors: Mapping[int, object]) -> dict[int, LiftedMatrix]:
@@ -160,25 +165,9 @@ def lift_family(tensors: Mapping[int, object]) -> dict[int, LiftedMatrix]:
     return {age: lift(t, age=age) for age, t in tensors.items()}
 
 
-def _operator(model: Mapping[int, object], age: int):
-    if age not in model:
-        last = max(model) if model else None
-        raise HorizonError(f"no operator estimated for age {age}; last valid age is {last}")
-    return model[age]
-
-
 def _bin_ages(age: int) -> range:
     lo = (age // 5) * 5
     return range(lo, lo + 5)
-
-
-def _cell_kind(n: int) -> str:
-    """What a coordinate of an n-vector is: a lifted pair column or a first-order state row."""
-    return "pair column" if n == N_PAIRS else "state row"
-
-
-def _cell_name(n: int, c: int) -> str:
-    return pair_label(pair_from_index(c)) if n == N_PAIRS else HealthState(c + 1).name
 
 
 def _pooled(model: Mapping[int, object], age: int, c: int) -> np.ndarray:
@@ -186,65 +175,38 @@ def _pooled(model: Mapping[int, object], age: int, c: int) -> np.ndarray:
 
     ``c`` is state row c of first-order counts, or pair (i, j) = divmod(c, 5) of 5x5x5 counts.
     """
-    ops = [model.get(a) for a in _bin_ages(age)]
-    kept = [op.counts for op in ops if op is not None and op.counts is not None]
+    kept = [op.counts for op in map(model.get, _bin_ages(age)) if op is not None and op.counts is not None]
     counts = np.zeros(N_STATES, dtype=np.int64)
     for bin_counts in kept:
         counts += bin_counts.reshape(-1, N_STATES)[c]
     if counts.sum() == 0:
-        n = model[age].supported.size
+        lifted = model[age].supported.size == N_PAIRS
+        cell = f"pair column {pair_label(pair_from_index(c))}" if lifted else f"state row {_STATES[c].name}"
         why = "even pooled over its 5-year bin" if kept else "and no operator in its 5-year bin keeps counts to pool"
-        raise UnsupportedCellError(f"{_cell_kind(n)} {_cell_name(n, c)} unsupported at age {age} {why}")
+        raise UnsupportedCellError(f"{cell} unsupported at age {age} {why}")
     return counts / counts.sum()
-
-
-def _columns(op, probs: np.ndarray) -> np.ndarray:
-    """``probs`` of ``op`` as a column map: column c is the next distribution out of coordinate c."""
-    return probs if isinstance(op, LiftedMatrix) else probs.T
-
-
-def _advance(op, probs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The column map of ``probs`` applied to ``v``, summed in a fixed order.
-
-    A lifted matrix sums each row of ``probs * v`` (numpy's pairwise sum
-    along a contiguous row); a first-order matrix adds its scaled rows one
-    after the other.  Neither calls BLAS, whose kernels sum in an order
-    that depends on the CPU and the thread count.
-    """
-    if isinstance(op, LiftedMatrix):
-        return np.add.reduce(probs * v, axis=1)
-    return np.add.reduce(probs * v[:, None], axis=0)
 
 
 def _step(model: Mapping[int, object], age: int, v: np.ndarray) -> np.ndarray:
     """Advance a state (first-order) or pair (lifted) distribution through the operator for ``age``.
 
-    A coordinate without support that carries more than MASS_EPS of ``v``
-    moves by the distribution pooled over the age's 5-year bin; if the
-    whole bin has no count for it, UnsupportedCellError names it.
+    Column c of the column map, ``probs`` or a first-order ``probs.T``, is
+    the next distribution out of coordinate c.  A coordinate without
+    support that carries more than MASS_EPS of ``v`` moves by its counts
+    pooled over the age's 5-year bin.  Each entry sums one row of
+    ``column_map * v`` in numpy's fixed order, never through BLAS, whose
+    kernels sum in an order that depends on the CPU and the thread count.
     """
-    op = _operator(model, age)
+    op = model[age]
+    column_map = op.probs if isinstance(op, LiftedMatrix) else op.probs.T
     blocked = (v > MASS_EPS) & ~op.supported
-    if not blocked.any():
-        return _advance(op, op.probs, v)
-    probs = op.probs.copy()
-    for c in np.where(blocked)[0]:
-        # moves out of pair (i, j) land on pairs (j, .); out of a state, on any state
-        lo = (N_STATES * int(c)) % v.size
-        _columns(op, probs)[lo : lo + N_STATES, c] = _pooled(model, age, int(c))
-    return _advance(op, probs, v)
-
-
-def _forward(model: Mapping[int, object], start_age: int, v: np.ndarray, horizon: int) -> list[np.ndarray]:
-    """Distributions after each of ``horizon`` steps from ``v`` at ``start_age``.
-
-    Each step looks up its own operator: a missing age raises only after the steps before it.
-    """
-    steps = []
-    for age in range(start_age + 1, start_age + horizon + 1):
-        v = _step(model, age, v)
-        steps.append(v)
-    return steps
+    if blocked.any():
+        column_map = column_map.copy()
+        for c in np.where(blocked)[0]:
+            # moves out of pair (i, j) land on pairs (j, .); out of a state, on any state
+            lo = (N_STATES * int(c)) % v.size
+            column_map[lo : lo + N_STATES, c] = _pooled(model, age, int(c))
+    return np.add.reduce(column_map * v, axis=1)
 
 
 @dataclass
@@ -268,32 +230,81 @@ class ProjectionResult:
         }
 
 
-#: Forward passes ``project_cumulative`` remembers.  At least the number
-#: of (start age, start pair) keys of one Q5 sweep: f03 cycles through all
-#: of them once per Q5 value, and a smaller LRU would never hit.  The memo
+#: Forward passes remembered across every caller.  At least the number of
+#: (start age, start pair) keys of one Q5 sweep: f03 cycles through all of
+#: them once per Q5 value, and a smaller LRU would never hit.  The memo
 #: keeps the operators of its passes alive until they are evicted.
 _FORWARD_PASSES = 512
 
 
 @functools.lru_cache(maxsize=_FORWARD_PASSES)
 def _forward_pass(window: tuple, start_age: int, horizon: int, col: int) -> np.ndarray:
-    """Pair distributions after each of ``horizon`` steps from pair ``col`` at ``start_age``.
+    """Distributions from coordinate ``col`` at ``start_age`` through ``horizon`` steps.
 
-    One read-only (horizon, 25) array, row k - 1 the distribution after
-    step k.  ``window`` holds the operator of every age in the 5-year bins
-    of ages start_age + 1 .. start_age + horizon, from the first bin's
-    first age on, with None for an absent age: all that the steps and
-    their pooled columns read.  Memoized by operator identity, start age,
-    horizon and start pair.  A pass that raises is not remembered, so it
-    raises again, with its message, on the next call.
+    One read-only (horizon + 1, n) array: row 0 the indicator of ``col``,
+    row k the distribution after step k.  ``window`` holds the operator of
+    every age in the 5-year bins of ages start_age + 1 .. start_age +
+    horizon, None for an absent age: all that the steps and their pooling
+    read.  Memoized by operator identity, which cannot go stale, since
+    operators are immutable.  A pass that raises is not remembered.
     """
     lo = _bin_ages(start_age + 1).start
     model = {age: op for age, op in enumerate(window, lo) if op is not None}
-    v = np.zeros(N_PAIRS)
+    v = np.zeros(model[start_age + 1].supported.size)
     v[col] = 1.0
-    passes = np.array(_forward(model, start_age, v, horizon))
+    rows = [v]
+    for age in range(start_age + 1, start_age + horizon + 1):
+        v = _step(model, age, v)
+        rows.append(v)
+    passes = np.array(rows)
     passes.flags.writeable = False
     return passes
+
+
+def family_order(model: Mapping[int, object]) -> int:
+    """Chain order of a family: 1 for ``TransitionMatrix`` operators, 2 for ``LiftedMatrix`` ones."""
+    kinds = set(map(type, model.values()))
+    if kinds <= {TransitionMatrix}:
+        return 1
+    if kinds <= {LiftedMatrix}:
+        return 2
+    raise InvalidInputError(f"mixed or unknown operator family: {sorted(k.__name__ for k in kinds)}")
+
+
+def forward_distributions(
+    model: Mapping[int, object],
+    start_age: int,
+    start,
+    horizon: int,
+    lifted_only: bool = False,
+) -> tuple[tuple[HealthState, ...], np.ndarray]:
+    """The start as HealthStates, and ``_forward_pass``'s distributions from it.
+
+    The one way the package advances a distribution: a first-order family
+    from one state, a lifted family from a (previous, current) pair.
+    Checked in this order: horizon >= 1; one operator kind; an operator
+    for every age start_age + 1 .. start_age + horizon (HorizonError for
+    the first missing one); with ``lifted_only``, a lifted family; the start.
+    """
+    if horizon < 1:
+        raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
+    order = family_order(model)
+    lo = _bin_ages(start_age + 1).start
+    window = tuple([model.get(age) for age in range(lo, _bin_ages(start_age + horizon).stop)])
+    if None in window[start_age + 1 - lo : start_age + horizon + 1 - lo]:
+        age = next(age for age in range(start_age + 1, start_age + horizon + 1) if age not in model)
+        raise HorizonError(f"no operator estimated for age {age}; last valid age is {max(model, default=None)}")
+    if lifted_only and order == 1:
+        raise InvalidInputError("a projection needs lifted pair-state operators, got a first-order family")
+    try:
+        parts = (start,) if order == 1 else tuple(start)
+    except TypeError:  # a single state
+        parts = (start,)
+    codes = [_state_code(s) for s in parts]
+    if len(codes) != order:
+        raise InvalidInputError(f"a lifted family starts from a (previous, current) pair, got {start!r}")
+    col = codes[0] if order == 1 else N_STATES * codes[0] + codes[1]
+    return tuple([_STATES[c] for c in codes]), _forward_pass(window, start_age, horizon, col)
 
 
 def project_cumulative(
@@ -306,28 +317,19 @@ def project_cumulative(
     """Cumulative expected cost over ``horizon`` periods after the start pair.
 
     Uses the age-specific operators for start_age + 1 .. start_age + horizon
-    in sequence; a missing age raises HorizonError before any arithmetic.
-    An unsupported column that carries mass is pooled over its 5-year age
-    bin of the whole family, as in ``iterate_forward``.  The pair
-    distributions do not depend on ``costs``, so a sweep over cost vectors
-    steps each (operators, start pair) once and only re-weights.
+    in sequence, through ``forward_distributions``: its checks, and its
+    pooling of an unsupported column that carries mass over its 5-year age
+    bin of the whole family.  The pair distributions do not depend on
+    ``costs``, so a sweep over cost vectors steps each (operators, start
+    pair) once and only re-weights.
     """
-    if horizon < 1:
-        raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    lo = _bin_ages(start_age + 1).start
-    window = tuple([family.get(age) for age in range(lo, _bin_ages(start_age + horizon).stop)])
-    if None in window[start_age + 1 - lo : start_age + horizon + 1 - lo]:
-        for step in range(1, horizon + 1):
-            _operator(family, start_age + step)  # raises HorizonError for the first missing age
-    previous, current = start
-    i, j = _state_code(previous), _state_code(current)
+    start_pair, distributions = forward_distributions(family, start_age, start, horizon, lifted_only=True)
     weights = current_cost_weights(costs)
-    passes = _forward_pass(window, start_age, horizon, N_STATES * i + j)
     # one fixed-order sum per period: the bits of a reduce over that row alone
-    per_period = np.add.reduce(weights * passes, axis=1).tolist()
+    per_period = np.add.reduce(weights * distributions[1:], axis=1).tolist()
     return ProjectionResult(
         start_age=start_age,
-        start_pair=(_STATES[i], _STATES[j]),
+        start_pair=start_pair,
         horizon=horizon,
         per_period=per_period,
         cumulative=float(sum(per_period)),
@@ -341,11 +343,6 @@ def shock_cost_difference(
     start_age: int,
     horizon: int = 10,
 ) -> float:
-    """Extra cumulative cost of starting freshly in the top state.
-
-    Difference between the (Q1, Q5) start (a first-time arrival in the top
-    band) and the (Q1, Q1) start (continuously in the bottom band).
-    """
-    shocked = project_cumulative(family, costs, start_age, (HealthState.Q1, HealthState.Q5), horizon)
-    healthy = project_cumulative(family, costs, start_age, (HealthState.Q1, HealthState.Q1), horizon)
+    """Extra cumulative cost of the worse start of SHOCK_STARTS over the better one."""
+    shocked, healthy = (project_cumulative(family, costs, start_age, start, horizon) for start in SHOCK_STARTS)
     return shocked.cumulative - healthy.cumulative

@@ -6,12 +6,13 @@ measure how much extra probability mass a bad start leaves on a target
 state set, year by year.  The difference decays to zero as the start
 condition washes out; how slowly it decays is the persistency of a shock.
 
-Both chain orders run through the lifted module's one forward loop, so
-first-order curves (k12/k13) and pair-state curves (k14) are stepped,
-checked and pooled by the same code; only the starts depend on the order.
-A state row or pair column without support that carries mass is pooled
-over its 5-year age bin, as in every projection; if the whole bin has no
-count for it, UnsupportedCellError names it.
+Both chain orders go through ``lifted.forward_distributions``, the one
+checked and memoized forward pass of the package, so first-order curves
+(k12/k13), pair-state curves (k14) and cost projections are stepped,
+checked, pooled and remembered by the same code; only the starts depend
+on the order.  A cell without support that carries mass is pooled over
+its 5-year age bin; if the whole bin has no count for it,
+UnsupportedCellError names it.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimate import TransitionMatrix, _target_codes
-from .lifted import LiftedMatrix, _forward, _operator
-from .states import N_STATES, HealthState, _state_code
+from .estimate import _target_codes
+from .lifted import SHOCK_STARTS, family_order, forward_distributions
+from .states import N_STATES, HealthState
 
 
 @dataclass
@@ -53,15 +54,6 @@ def _codes(target) -> list[int]:
     return sorted(codes)
 
 
-def _family_order(model: Mapping[int, object]) -> int:
-    kinds = {type(op) for op in model.values()}
-    if kinds <= {TransitionMatrix}:
-        return 1
-    if kinds <= {LiftedMatrix}:
-        return 2
-    raise InvalidInputError(f"mixed or unknown operator family: {sorted(k.__name__ for k in kinds)}")
-
-
 def iterate_forward(
     model: Mapping[int, object],
     start_age: int,
@@ -73,26 +65,16 @@ def iterate_forward(
     start_condition is a single state for a first-order family or a
     (previous, current) pair for a lifted family.  An unsupported cell hit
     mid-iteration is replaced by the cell pooled over its enclosing 5-year
-    age bin; a missing age raises HorizonError before any step.
+    age bin; a missing age raises HorizonError before any step.  The
+    distributions are the memo's read-only array.
     """
-    if horizon < 1:
-        raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    order = _family_order(model)
-    for k in range(1, horizon + 1):
-        _operator(model, start_age + k)
-
-    starts = (start_condition,) if order == 1 else tuple(start_condition)
-    conditioning = tuple(HealthState(_state_code(s) + 1) for s in starts)
-    # indicator of the start state, or of the start pair in previous-major order
-    v = np.zeros(N_STATES ** order)
-    v[np.ravel_multi_index([int(s) - 1 for s in conditioning], (N_STATES,) * order)] = 1.0
-
+    conditioning, distributions = forward_distributions(model, start_age, start_condition, horizon)
     return ForecastDistribution(
         start_age=start_age,
         conditioning=conditioning,
         ages=list(range(start_age, start_age + horizon + 1)),
-        distributions=np.vstack([v] + _forward(model, start_age, v, horizon)),
-        order=order,
+        distributions=distributions,
+        order=len(conditioning),
     )
 
 
@@ -124,15 +106,11 @@ def persistency_difference(
     """Per-year difference in target mass between two start conditions.
 
     Defaults compare the worst start against the best: Q5 vs Q1 for a
-    first-order family, and a fresh arrival in the top state (Q1, Q5) vs a
-    continuous stay in the bottom state (Q1, Q1) for a lifted family.
+    first-order family, and the paper's SHOCK_STARTS for a lifted family.
     """
-    order = _family_order(model)
+    order = family_order(model)
     if starts is None:
-        if order == 1:
-            starts = (HealthState.Q5, HealthState.Q1)
-        else:
-            starts = ((HealthState.Q1, HealthState.Q5), (HealthState.Q1, HealthState.Q1))
+        starts = (HealthState.Q5, HealthState.Q1) if order == 1 else SHOCK_STARTS
     worse, better = starts
     fc_worse = iterate_forward(model, start_age, worse, horizon)
     fc_better = iterate_forward(model, start_age, better, horizon)

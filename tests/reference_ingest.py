@@ -5,7 +5,13 @@ row loop unpacked rows directly; ``reference_annualize``,
 ``reference_aggregate_person_years`` and ``reference_round_half_up_ratio``
 are ``annualize``, ``aggregate_person_years`` and ``round_half_up_ratio``
 from before aggregation kept one compact accumulator per person-year
-instead of every ClaimRecord.  ``reference_person_year_panel`` is
+instead of every ClaimRecord, with one change: ages follow the one
+birth-year rule of today's aggregation.  Each record (year, month, age)
+allows the birth years {year - age - 1, year - age}; the aggregation
+intersects these sets per person, as plain sets, and raises at the first
+record that empties one; ``reference_annualize`` stamps grouping year -
+birth year, the later one when two remain, instead of the group's
+highest age.  ``reference_person_year_panel`` is
 ``build_panel`` from before the aggregation returned a person-year table:
 it unpacks PersonYears into the columns of today's ``build_panel``.  They
 are unchanged apart from their names and the name of the builder called.
@@ -82,13 +88,14 @@ def reference_annualize(
     records: Iterable[ClaimRecord],
     thresholds: StateThresholds = DEFAULT_THRESHOLDS,
     year: int | None = None,
+    *,
+    birth_year: int,
 ) -> PersonYear:
     """Collapse one person-year's monthly records into a PersonYear.
 
     Annual cost is sum(costs) / n_months * 12, rounded half-up.  The
-    stamped age is the highest age observed in the group (the age reached
-    during that year).  ``year`` must be given when the records straddle a
-    calendar-year boundary (fiscal grouping).
+    stamped age is year - birth_year.  ``year`` must be given when the
+    records straddle a calendar-year boundary (fiscal grouping).
     """
     records = list(records)
     if not records:
@@ -114,7 +121,7 @@ def reference_annualize(
     annual = reference_round_half_up_ratio(total * 12, len(records))
     return PersonYear(
         person_id=records[0].person_id,
-        age=max(r.age for r in records),
+        age=int(year) - birth_year,
         year=int(year),
         months_observed=len(records),
         annual_cost=annual,
@@ -139,11 +146,20 @@ def reference_aggregate_person_years(
     # spans at most two calendar years, so bit (year - gyear) * 12 + month - 1
     months_seen: dict[tuple[str, int], int] = {}
     sex_of: dict[str, str] = {}
+    birth_years: dict[str, set[int]] = {}
     for rec in records:
         gyear = grouping_year(rec.year, rec.month, year_convention)
         prev_sex = sex_of.setdefault(rec.person_id, rec.sex)
         if prev_sex != rec.sex:
             raise DataFormatError(f"person {rec.person_id!r} appears with both sexes")
+        allowed = {rec.year - rec.age - 1, rec.year - rec.age}
+        earlier = birth_years.setdefault(rec.person_id, allowed)
+        if not earlier & allowed:
+            raise DataFormatError(
+                f"person {rec.person_id!r}: age {rec.age} in {rec.year}-{rec.month:02d} contradicts "
+                f"earlier records (birth year {' or '.join(str(b) for b in sorted(earlier))})"
+            )
+        birth_years[rec.person_id] = earlier & allowed
         key = (rec.person_id, gyear)
         month_bit = 1 << ((rec.year - gyear) * 12 + rec.month - 1)
         seen = months_seen.get(key, 0)
@@ -155,7 +171,7 @@ def reference_aggregate_person_years(
         groups.setdefault(key, []).append(rec)
 
     person_years = [
-        reference_annualize(group, thresholds=thresholds, year=gyear)
+        reference_annualize(group, thresholds=thresholds, year=gyear, birth_year=max(birth_years[pid]))
         for (pid, gyear), group in sorted(groups.items())
     ]
     return person_years, sex_of

@@ -10,7 +10,10 @@ and projections, 20,000 for the AR fits.  Every output byte must be equal
 across the six runs.
 
 A static check keeps BLAS from coming back: no module of the package may
-use ``@`` or name numpy's BLAS and LAPACK entry points.
+use ``@`` or name numpy's BLAS and LAPACK entry points.  A second one keeps
+one way to advance a distribution: outside ``lifted.py`` no module may name
+the memoized loop or its stepper, or import a private name from ``lifted``;
+they go through ``lifted.forward_distributions``.
 """
 
 import ast
@@ -137,4 +140,41 @@ def test_blas_check_sees_every_spelling(source):
 def test_package_calls_no_blas():
     found = [f"{path.name}:{use}" for path in sorted((SRC / "healthmarkov").glob("*.py"))
              for use in blas_uses(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+#: The forward loop and its stepper, which only lifted.py may name.
+FORWARD_INTERNALS = frozenset({"_forward_pass", "_step"})
+
+
+def forward_internals_used(source: str) -> list[str]:
+    """Line and spelling of every use of ``FORWARD_INTERNALS`` and private import from ``lifted``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in FORWARD_INTERNALS:
+            found.append(f"{node.lineno}: {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in FORWARD_INTERNALS:
+            found.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "lifted":
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            if private:
+                found.append(f"{node.lineno}: from {node.module} import {', '.join(private)}")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "from .lifted import _forward", "from healthmarkov.lifted import MASS_EPS, _operator",
+    "passes = _forward_pass(window, 30, 5, 0)", "v = lifted._step(model, 31, v)",
+])
+def test_forward_check_sees_every_spelling(source):
+    assert forward_internals_used(source)
+
+
+def test_forward_check_lets_the_entry_through():
+    assert forward_internals_used("from .lifted import SHOCK_STARTS, forward_distributions") == []
+
+
+def test_package_advances_distributions_through_one_entry():
+    found = [f"{path.name}:{use}" for path in sorted((SRC / "healthmarkov").glob("*.py"))
+             if path.name != "lifted.py" for use in forward_internals_used(path.read_text(encoding="utf-8"))]
     assert found == []

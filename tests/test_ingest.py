@@ -381,7 +381,57 @@ class TestLoadClaimsPanel:
         assert list(panel.person_ids) == ["a", "b"]
         assert panel.summary()["person_years"] == 3
 
+    def test_first_year_before_the_birthday_loads_at_the_ages_reached(self):
+        # born June 1969: fiscal 2010 holds April-May at 40, fiscal 2011 is full, at 41 then 42
+        rows = [(2010, m, 40) for m in (4, 5)] + [(2011, m, 41) for m in (4, 5)]
+        rows += [(2011, m, 42) for m in range(6, 13)] + [(2012, m, 42) for m in (1, 2, 3)]
+        assert len(rows) == 14
+        panel = load_claims_panel(claims("".join(f"a,M,{age},{year},{m},1000\n" for year, m, age in rows)))
+        assert panel.summary()["person_years"] == 2
+        assert panel.birth_years.tolist() == [1969]
+        assert observed_ages(panel) == [41, 42]
+
+    def test_ages_that_leave_no_birth_year_name_the_person(self):
+        text = "a,M,40,2010,4,1\nb,F,7,2010,4,1\na,M,43,2011,4,1\n"
+        with pytest.raises(DataFormatError) as err:
+            load_claims_panel(claims(text))
+        assert err.value.line is None
+        assert str(err.value) == "person 'a': age 43 in 2011-04 contradicts earlier records (birth year 1969 or 1970)"
+
     def test_duplicate_row_bubbles_up(self):
         text = "a,M,40,2010,4,1\na,M,40,2010,4,1\n"
         with pytest.raises(DuplicateRecordError):
             load_claims_panel(claims(text))
+
+
+@st.composite
+def observed_lives(draw):
+    """One person's birth year and month, the (year, month)s observed, and a year convention.
+
+    The observed months run from any month of any year for up to 40 months,
+    with gaps, so first and last years are often partial.
+    """
+    born, birth_month = draw(st.integers(1940, 1990)), draw(st.integers(1, 12))
+    first, span = draw(st.integers(2005 * 12, 2012 * 12 - 1)), draw(st.integers(1, 40))
+    keep = draw(st.lists(st.booleans(), min_size=span, max_size=span).filter(any))
+    months = [(k // 12, k % 12 + 1) for k in range(first, first + span) if keep[k - first]]
+    return born, birth_month, months, draw(st.sampled_from(["fiscal", "calendar"]))
+
+
+@given(observed_lives())
+def test_ages_are_the_ages_reached_in_the_grouping_year(life):
+    """Ages stamped at ingest against an oracle that knows the birth date.
+
+    A record's age is the age at the end of its month.  The person-year of
+    grouping year g gets g - birth year, the age reached in calendar year g.
+    Records that all fall before the birthday in their calendar year cannot
+    tell birth year b from b + 1; then b + 1, the later one, is taken.
+    """
+    born, birth_month, months, convention = life
+    text = "".join(f"a,F,{year - born - (month < birth_month)},{year},{month},100\n" for year, month in months)
+    panel = load_claims_panel(claims(text), year_convention=convention)
+
+    stamped = born if any(month >= birth_month for _, month in months) else born + 1
+    gyears = {year - (convention == "fiscal" and month < 4) for year, month in months}
+    assert panel.birth_years.tolist() == [stamped]
+    assert observed_ages(panel) == sorted(g - stamped for g in gyears)

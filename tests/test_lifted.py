@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from healthmarkov.errors import HorizonError, InvalidInputError, UnsupportedCellError
-from healthmarkov.estimate import TransitionTensor, estimate_order2_family
+from healthmarkov.estimate import TransitionTensor, estimate_order1_family, estimate_order2_family
 from healthmarkov.lifted import (
+    LiftedMatrix,
+    _forward_pass,
     current_cost_weights,
     lift,
     lift_family,
@@ -337,3 +340,69 @@ class TestShockCostDifference:
                 t[i, j] = (1 - lam) * low + lam * high
         fam = {age: lift(t, age=age) for age in range(21, 41)}
         assert shock_cost_difference(fam, COSTS, 25, horizon=10) > 0
+
+
+@pytest.fixture(scope="module")
+def estimated():
+    """(first-order family, lifted family) estimated from one small simulated panel."""
+    panel = generate_panel(random_chain(seed=3, entry_age=20, exit_age=45), 3_000)
+    return estimate_order1_family(panel), lift_family(estimate_order2_family(panel))
+
+
+class TestOneForwardPass:
+    """Every distribution goes through one checked entry and one memo over immutable operators."""
+
+    def test_in_place_writes_to_an_operator_raise(self, estimated):
+        order1, lifted = estimated
+        before = project_cumulative(lifted, COSTS, 30, (Q.Q1, Q.Q5), 5)
+        for op in (order1[31], lifted[31]):
+            for name in ("probs", "counts", "totals" if op is order1[31] else "supported"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(op, name)[0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                op.probs = np.zeros_like(op.probs)
+        assert project_cumulative(lifted, COSTS, 30, (Q.Q1, Q.Q5), 5) == before
+
+    def test_operators_copy_the_arrays_they_are_given(self):
+        probs, supported = np.eye(25), np.ones(25, dtype=bool)
+        op = LiftedMatrix(probs=probs, supported=supported)
+        probs[0, 0] = 0.5
+        assert probs.flags.writeable and op.probs[0, 0] == 1.0
+        assert dataclasses.replace(op, age=40).probs is not op.probs
+
+    def test_operators_compare_and_hash_by_identity(self, estimated):
+        order1, lifted = estimated
+        for op in (order1[31], lifted[31]):
+            twin = dataclasses.replace(op)
+            assert op != twin and hash(op) != hash(twin)
+
+    @pytest.mark.parametrize("call", [
+        lambda o1, l2: project_cumulative(o1, COSTS, 30, (Q.Q1, Q.Q5), 5),
+        lambda o1, l2: shock_cost_difference(o1, COSTS, 30, 5),
+        lambda o1, l2: iterate_forward(l2, 30, Q.Q5, 5),
+        lambda o1, l2: iterate_forward(l2, 30, (Q.Q1, Q.Q5, Q.Q5), 5),
+        lambda o1, l2: project_cumulative(l2, COSTS, 30, 5, 5),
+        lambda o1, l2: project_cumulative(l2, COSTS, 30, (1, 5, 5), 5),
+        lambda o1, l2: iterate_forward(o1, 30, (Q.Q1, Q.Q5), 5),
+    ], ids=["order-1 projection", "order-1 shock difference", "lifted from a state", "lifted from a triple",
+            "projection from a state", "projection from a triple", "order-1 from a pair"])
+    def test_a_family_and_start_that_do_not_fit_raise_invalid_input(self, estimated, call):
+        with pytest.raises(InvalidInputError):
+            call(*estimated)
+
+    def test_a_missing_age_is_reported_before_the_family_kind(self, estimated):
+        order1, _ = estimated
+        with pytest.raises(HorizonError):
+            project_cumulative(order1, COSTS, 40, (Q.Q1, Q.Q5), 10)
+
+    def test_curves_and_projections_share_their_passes(self, estimated):
+        _, lifted = estimated
+        family = {age: dataclasses.replace(op) for age, op in lifted.items()}  # operators no pass has seen
+        before = _forward_pass.cache_info()
+        forecast = iterate_forward(family, 28, (Q.Q1, Q.Q5), 6)
+        projected = project_cumulative(family, COSTS, 28, (Q.Q1, Q.Q5), 6)
+        after = _forward_pass.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        weights = current_cost_weights(COSTS)
+        assert projected.per_period == np.add.reduce(weights * forecast.distributions[1:], axis=1).tolist()
+        assert not forecast.distributions.flags.writeable

@@ -21,6 +21,8 @@ NaN, -0.0, slices that cancel to zero and unnormalized slices; and the
 same verdict on perturbed operators under three tolerances.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -59,7 +61,7 @@ def lifted_matrix(rng, age):
     probs = np.divide(counts, totals, out=np.zeros((5, 5, 5)), where=totals > 0)
     op = lift(TransitionTensor(age=age, probs=probs, counts=counts), age=age)
     if rng.random() < 0.5:
-        op.age = None
+        op = replace(op, age=None)
     return op
 
 
@@ -72,8 +74,7 @@ def families(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     family = {age: lifted_matrix(rng, age) for age in ages}
     if draw(st.booleans()):
-        for op in family.values():
-            op.counts = None
+        family = {age: replace(op, counts=None) for age, op in family.items()}
     return family
 
 
@@ -216,8 +217,7 @@ def test_cost_sweep_matches_reference():
         # same age keys, some operators shared and the others new
         other = {age: op if rng.random() < 0.5 else lifted_matrix(rng, age) for age, op in family.items()}
         if family[lo].counts is None:
-            for op in other.values():
-                op.counts = None
+            other = {age: op if op.counts is None else replace(op, counts=None) for age, op in other.items()}
         queries = [(data.draw(st.integers(lo - 1, hi)), data.draw(PAIR)) for _ in range(3)]
         queries = [(start_age, start, data.draw(horizons(hi - start_age))) for start_age, start in queries]
         failures = {}
