@@ -260,10 +260,8 @@ def _projection_rows(cfg, panel, q5_values):
 def _projection_report(q5_slice):
     def run(cfg, panel):
         results = _projection_rows(cfg, panel, cfg.q5_values[q5_slice])
-        rows = [
-            [r.start_age, "->".join(s.name for s in r.start_pair), r.q5_value, r.cumulative]
-            for r in results
-        ]
+        labels = {start: "->".join(s.name for s in start) for start in SHOCK_STARTS}
+        rows = [[r.start_age, labels[r.start_pair], r.q5_value, r.cumulative] for r in results]
         return ("start_age", "start_pair", "q5_value", "cumulative_cost"), rows
 
     return run

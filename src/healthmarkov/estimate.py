@@ -10,16 +10,18 @@ Probabilities are always formed from pooled counts, never by averaging
 probabilities; cells with zero support carry an explicit flag instead of
 a sentinel value.
 
-The per-age estimators read whole age columns, which the panel stores
-contiguously, and count with ``np.bincount``.  A frequency curve codes
-each person's cells over the ages it conditions on and the age itself as
-one base-7 number (cell code + 2 per digit, earliest age first) and counts
-those codes once per age; its condition sets then select and sum axes of
-that count table.  A retention path takes the indices of the persons
-meeting its start condition once per start age and counts their cell
-codes in each later column.  A cost summary slices an age's cost column
-first and selects from it, never gathering rows across the column-major
-matrices.
+The transition estimates and the frequency curves read the panel's
+transition tallies, ``Panel.pair_tally`` and ``Panel.triple_tally``: per
+age, the persons counted by their cell letters (cell code + 2: absent,
+missing, Q1..Q5) over two or three consecutive ages, counted once per
+panel.  A transition estimate takes the observed block, letters 2..6 on
+every axis; a frequency curve's condition sets select and sum the axes of
+the earlier ages.  The other per-age estimators read whole age columns,
+which the panel stores contiguously.  A retention path takes the indices
+of the persons meeting its start condition once per start age and counts
+their cell codes in each later column.  A cost summary slices an age's
+cost column first and selects from it, never gathering rows across the
+column-major matrices.
 
 The chain order is a value, not a fork: one counting, estimating and
 pooling body serves order one (``TransitionMatrix``, counted over pairs of
@@ -32,7 +34,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     DegenerateFitError,
     EmptyCohortError,
@@ -136,6 +137,9 @@ class TransitionTensor(_TransitionEstimate):
 #: Estimate type and what it counts, per chain order.
 _ORDERS = {1: (TransitionMatrix, "pairs"), 2: (TransitionTensor, "triples")}
 
+#: Tally letters of the observed states Q1..Q5; 0 is absent, 1 missing.
+_OBSERVED = slice(2, None)
+
 
 def _normalize_counts(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=-1, keepdims=True)
@@ -144,18 +148,21 @@ def _normalize_counts(counts: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _transition_counts(states: np.ndarray, order: int) -> np.ndarray:
-    # looked up per call, so the kernel bound to the module at call time runs
-    count = kernels.pair_counts if order == 1 else kernels.triple_counts
-    return count(states)
+def _tally(panel: Panel, lag: int) -> np.ndarray:
+    """The panel's tally over ``lag`` + 1 consecutive ages; row k ends at age age_min + lag + k."""
+    return panel.pair_tally if lag == 1 else panel.triple_tally
+
+
+def _observed_counts(panel: Panel, order: int) -> np.ndarray:
+    """Per-age observed transition counts: the Q1..Q5 block of the panel's tally."""
+    return _tally(panel, order)[(slice(None),) + (_OBSERVED,) * (order + 1)]
 
 
 def _estimate(panel: Panel, age: int, order: int) -> _TransitionEstimate:
     kind, noun = _ORDERS[order]
     if not (panel.has_age(age) and panel.has_age(age - order)):
         raise EmptyCohortError(f"panel covers {panel.age_min}..{panel.age_max}, no {noun} into age {age}")
-    c = panel.column(age)
-    counts = _transition_counts(panel.states[:, c - order : c + 1], order)[0]
+    counts = _observed_counts(panel, order)[panel.column(age) - order]
     if counts.sum() == 0:
         raise EmptyCohortError(f"no observed {noun} into age {age}")
     return kind(age=age, probs=_normalize_counts(counts), counts=counts)
@@ -165,7 +172,7 @@ def _estimate_family(panel: Panel, order: int) -> dict:
     kind, _ = _ORDERS[order]
     out = {}
     # count row k holds the transitions into age age_min + order + k
-    for age, counts in enumerate(_transition_counts(panel.states, order), panel.age_min + order):
+    for age, counts in enumerate(_observed_counts(panel, order), panel.age_min + order):
         if counts.sum() > 0:
             out[age] = kind(age=age, probs=_normalize_counts(counts), counts=counts)
     return out
@@ -246,6 +253,10 @@ def shock_frequency(panel: Panel, prior_condition: Sequence, target) -> Frequenc
     prior_condition is a sequence of 1 or 2 state sets in chronological
     order: the last entry conditions age t-1, a first entry conditions age
     t-2.  Ages whose conditioning set is empty are omitted from the curve.
+
+    Per age t, the panel's pair (one condition) or triple tally (two)
+    counts the persons by their letters at t-lag..t; each condition set
+    selects and sums the axis of its age, leaving the letters at t.
     """
     if not 1 <= len(prior_condition) <= 2:
         raise InvalidInputError("prior condition must cover one or two previous ages")
@@ -258,28 +269,17 @@ def shock_frequency(panel: Panel, prior_condition: Sequence, target) -> Frequenc
 
     target_codes, target_missing = _target_codes(target)
     lag = len(cond_codes)
-    width = N_STATES + 2  # cell code + 2: 0 absent, 1 missing, 2..6 Q1..Q5
-    # axis positions of each condition set, earliest age first
+    # tally letters of each condition set, earliest age first
     picks = [np.array(sorted(codes), dtype=np.intp) + 2 for codes in cond_codes]
-    # the +2 of every digit of the joint code, added once
-    shift = 2 * sum(width ** k for k in range(lag + 1))
 
     kept_ages: list[int] = []
     values: list[float] = []
     denoms: list[int] = []
     shares: list[np.ndarray] = []
-    for age in range(panel.age_min + lag, panel.age_max + 1):
-        c = panel.column(age)
-        # one base-7 code per person over the contiguous columns t-lag..t
-        joint = panel.states[:, c - lag].astype(np.intp)
-        for col in range(c - lag + 1, c + 1):
-            joint *= width
-            joint += panel.states[:, col]
-        joint += shift
-        tally = np.bincount(joint, minlength=width ** (lag + 1)).reshape((width,) * (lag + 1))
+    for age, tally in enumerate(_tally(panel, lag), panel.age_min + lag):
         for pick in picks:
             tally = tally[pick].sum(axis=0)
-        # in-panel at t: observed or attrition marker, codes -1..4
+        # in-panel at t: an attrition marker or observed, letters 1..6
         denom = int(tally[1:].sum())
         if denom == 0:
             continue

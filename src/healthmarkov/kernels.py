@@ -1,11 +1,16 @@
 """Array kernels behind the estimators and the cohort simulator.
 
-The kernels are plain numpy.  Transition counting reads the state matrix
-age-major, so each age is one contiguous row: for a panel's column-major
-int8 states that is a transposed view, not a copy (any other layout or
-dtype is copied once).  Per age it forms the pair or triple code in int8
-arithmetic and runs one ``bincount``.  No int64 copy of the whole matrix
-is made.
+The kernels are plain numpy.  Transition counting tallies every window of
+consecutive ages over seven cell letters, code + 2: 0 absent, 1 missing,
+2..6 Q1..Q5 (a code below -1 counts as absent).  It reads the state
+matrix age-major, so each age is one contiguous row: for a panel's
+column-major int8 states that is a transposed view, not a copy (any other
+layout or dtype is copied once).  Per window it forms the base-7 window
+code from the rows of its ages, int8 for pairs (at most 48) and int16 for
+triples (at most 342), and runs one ``bincount``; no temporary the size
+of the whole matrix is made.  The estimators read these tallies through
+``Panel.pair_tally`` and ``Panel.triple_tally``, which count each panel
+once.
 
 The cohort simulator advances every person one age per step and writes
 one contiguous age column per step.  Before stepping it copies the four
@@ -17,14 +22,14 @@ with the draw and summed in int8.  Persons are stepped in blocks of
 stay in cache through all its steps.  Counting four edges equals
 counting all five, capped at 4, only for rows that do not decrease, so
 the simulator rejects any other cdf.
-
-State matrices are int8 with codes 0-4 for observed states and negative
-codes for unobserved cells; kernels skip negative cells.
 """
 
 import numpy as np
 
 from .states import N_STATES
+
+#: Cell letters a tally counts, code + 2: absent, missing, Q1..Q5.
+N_LETTERS = N_STATES + 2
 
 
 def backend() -> str:
@@ -40,43 +45,50 @@ def _age_major(states) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(states).T, dtype=np.int8)
 
 
-def _window_counts(states, width: int) -> np.ndarray:
-    """Count the state codes of every window of ``width`` consecutive ages.
+def _letters(row) -> np.ndarray:
+    """Cell letter of every cell of one age row, int8: code + 2, a code below -1 counting as absent."""
+    letters = row + 2
+    letters[letters < 0] = 0
+    return letters
 
-    Returns int64 (n_ages - width + 1, 5 ** width); window code
-    sum_j 5 ** (width - 1 - j) * state_j is at most 124 for width 3, so it
-    is formed in int8.  A window with a negative cell gets code -1 (its
-    states' bitwise or has the sign bit set), which reads as 255 unsigned
-    and falls outside the counted codes; the wrapped code of such a window
-    is never looked at.
+
+def _window_counts(states, width: int) -> np.ndarray:
+    """Tally the cell letters of every window of ``width`` consecutive ages.
+
+    Returns int64 (n_ages - width + 1, 7 ** width).  The window code
+    sum_j 7 ** (width - 1 - j) * letter_j is formed in the narrowest of
+    int8 and int16 that holds it; each age's letters are formed once and
+    kept while a window holds that age.
     """
     t = _age_major(states)
-    n_codes = N_STATES ** width
+    n_codes = N_LETTERS**width
+    dtype = np.int8 if n_codes <= 128 else np.int16
     out = np.zeros((max(t.shape[0] - width + 1, 0), n_codes), dtype=np.int64)
+    window = [_letters(row) for row in t[: width - 1]]
     for k in range(out.shape[0]):
-        code = t[k]
-        seen = t[k]
-        for row in t[k + 1 : k + width]:
-            code = code * np.int8(N_STATES) + row
-            seen = seen | row
-        code = code | (seen >> 7)
-        out[k] = np.bincount(code.view(np.uint8), minlength=256)[:n_codes]
+        window.append(_letters(t[k + width - 1]))
+        code = window.pop(0).astype(dtype)
+        for letters in window:
+            code *= N_LETTERS
+            code += letters
+        out[k] = np.bincount(code, minlength=n_codes)
     return out
 
 
 def pair_counts(states: np.ndarray) -> np.ndarray:
-    """Count consecutive-age state pairs.
+    """Tally consecutive-age cell-letter pairs.
 
-    states: int8 (n_persons, n_ages).  Returns int64 (n_ages - 1, 5, 5)
-    where out[k, a, b] counts persons observed in state a at column k and
-    state b at column k + 1.
+    states: int8 (n_persons, n_ages).  Returns int64 (n_ages - 1, 7, 7)
+    where out[k, a, b] counts persons with letter a at column k and
+    letter b at column k + 1; ``out[:, 2:, 2:]`` counts the observed
+    state pairs.
     """
-    return _window_counts(states, 2).reshape(-1, N_STATES, N_STATES)
+    return _window_counts(states, 2).reshape(-1, N_LETTERS, N_LETTERS)
 
 
 def triple_counts(states: np.ndarray) -> np.ndarray:
-    """Count consecutive-age state triples; int64 (n_ages - 2, 5, 5, 5)."""
-    return _window_counts(states, 3).reshape(-1, N_STATES, N_STATES, N_STATES)
+    """Tally consecutive-age cell-letter triples; int64 (n_ages - 2, 7, 7, 7)."""
+    return _window_counts(states, 3).reshape(-1, N_LETTERS, N_LETTERS, N_LETTERS)
 
 
 #: Persons per simulate_paths block.  A block's pair codes, draws and

@@ -290,7 +290,7 @@ def forward_distributions(
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
     order = family_order(model)
     lo = _bin_ages(start_age + 1).start
-    window = tuple([model.get(age) for age in range(lo, _bin_ages(start_age + horizon).stop)])
+    window = tuple(map(model.get, range(lo, _bin_ages(start_age + horizon).stop)))
     if None in window[start_age + 1 - lo : start_age + horizon + 1 - lo]:
         age = next(age for age in range(start_age + 1, start_age + horizon + 1) if age not in model)
         raise HorizonError(f"no operator estimated for age {age}; last valid age is {max(model, default=None)}")
@@ -304,7 +304,7 @@ def forward_distributions(
     if len(codes) != order:
         raise InvalidInputError(f"a lifted family starts from a (previous, current) pair, got {start!r}")
     col = codes[0] if order == 1 else N_STATES * codes[0] + codes[1]
-    return tuple([_STATES[c] for c in codes]), _forward_pass(window, start_age, horizon, col)
+    return tuple(map(_STATES.__getitem__, codes)), _forward_pass(window, start_age, horizon, col)
 
 
 def project_cumulative(

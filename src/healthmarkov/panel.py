@@ -52,6 +52,7 @@ import warnings
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -73,9 +74,12 @@ class Panel:
     Rows are canonically ordered by person_id so that every downstream
     computation is independent of input order.  ``states``, ``costs`` and
     ``months`` are stored column-major whatever layout the caller passes,
-    so ``states[:, c]`` is contiguous.  The arrays are not mutated
-    after construction (filters build a new Panel), so values derived from
-    them, such as ``min_year``, are computed once per panel.
+    so ``states[:, c]`` is contiguous, and as read-only views: an in-place
+    write through the panel raises ValueError, while the caller's own
+    array stays writable.  Filters build a new Panel, so values derived
+    from the matrices (``min_year``, ``cohort_index`` and the transition
+    tallies ``pair_tally`` and ``triple_tally``) are computed once per
+    panel and cannot go stale.
     """
 
     def __init__(self, person_ids, birth_years, age_min, states, costs, months, sex=None):
@@ -119,9 +123,9 @@ class Panel:
         self.person_ids = person_ids
         self.birth_years = birth_years
         self.age_min = int(age_min)
-        self.states = states
-        self.costs = costs
-        self.months = months
+        self.states = _read_only(states)
+        self.costs = _read_only(costs)
+        self.months = _read_only(months)
         self.sex = sex
 
     # -- basic geometry ----------------------------------------------------
@@ -178,6 +182,26 @@ class Panel:
     def cohort_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct birth years, ascending, and each person's index into them."""
         return np.unique(self.birth_years, return_inverse=True)
+
+    # -- transition tallies --------------------------------------------------
+    # Each kernel is looked up per call, so the one bound to the module at
+    # call time runs.
+
+    @functools.cached_property
+    def pair_tally(self) -> np.ndarray:
+        """Per-age tally of consecutive-age cell letters, read-only int64 (n_ages - 1, 7, 7).
+
+        Row k counts the persons by their letters (cell code + 2: absent,
+        missing, Q1..Q5) at columns k and k + 1; ``[:, 2:, 2:]`` counts the
+        observed state pairs.  Counted once per panel by
+        ``kernels.pair_counts``.
+        """
+        return _read_only(kernels.pair_counts(self.states))
+
+    @functools.cached_property
+    def triple_tally(self) -> np.ndarray:
+        """Per-age tally of cell letters over columns k..k + 2, read-only int64 (n_ages - 2, 7, 7, 7)."""
+        return _read_only(kernels.triple_counts(self.states))
 
     # -- iteration / serialization -----------------------------------------
 
@@ -498,6 +522,13 @@ def filter_cohort(
         _take_persons(panel.months[:, window], persons),
         sex=None if panel.sex is None else panel.sex[keep],
     )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; ``array`` itself keeps its flags."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _take_persons(matrix, persons) -> np.ndarray:

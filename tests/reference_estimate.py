@@ -13,6 +13,11 @@ bool or non-integer ``age`` or ``order`` with the InvalidInputError
 ``ar_regression`` raises for it, and the AR fit without the
 ``log_transform`` option that ``ar_regression`` no longer has.
 
+``reference_joint_code_shock_frequency`` is ``shock_frequency`` from
+before it read the panel's tallies: per age it codes each person's cells
+over the ages t-lag..t as one base-7 number and counts the codes with
+one ``bincount``.  It is unchanged apart from its name.
+
 ``reference_conditional_cost_quantiles`` and
 ``reference_exceedance_proportions`` are ``conditional_cost_quantiles`` and
 ``exceedance_proportions`` before the cost summaries selected costs column
@@ -111,6 +116,76 @@ def reference_shock_frequency(
         cat = np.where(now[mask] >= 0, now[mask], _MISSING_IDX).astype(np.int64)
         counts = np.bincount(cat, minlength=N_STATES + 1)
         share = counts / denom
+        hit = share[list(target_codes)].sum() if target_codes else 0.0
+        if target_missing:
+            hit += share[_MISSING_IDX]
+        kept_ages.append(age)
+        values.append(float(hit))
+        denoms.append(denom)
+        shares.append(share)
+
+    if not kept_ages:
+        raise EmptyCohortError("prior condition never satisfied in the panel")
+    share_mat = np.vstack(shares)
+    breakdown = {label: share_mat[:, i] for i, label in enumerate(CATEGORY_LABELS)}
+    target_labels = tuple(
+        sorted(HealthState(code + 1).name for code in target_codes)
+        + ([MISSING] if target_missing else [])
+    )
+    return FrequencyCurve(
+        ages=kept_ages,
+        values=np.asarray(values),
+        denominators=np.asarray(denoms, dtype=np.int64),
+        breakdown=breakdown,
+        target=target_labels,
+    )
+
+
+def reference_joint_code_shock_frequency(panel: Panel, prior_condition: Sequence, target) -> FrequencyCurve:
+    """Frequency, per age t, of landing in ``target`` given prior states.
+
+    prior_condition is a sequence of 1 or 2 state sets in chronological
+    order: the last entry conditions age t-1, a first entry conditions age
+    t-2.  Ages whose conditioning set is empty are omitted from the curve.
+    """
+    if not 1 <= len(prior_condition) <= 2:
+        raise InvalidInputError("prior condition must cover one or two previous ages")
+    cond_codes = []
+    for entry in prior_condition:
+        codes, missing = _target_codes(entry)
+        if missing or not codes:
+            raise InvalidInputError("prior conditions must be non-empty sets of health states")
+        cond_codes.append(codes)
+
+    target_codes, target_missing = _target_codes(target)
+    lag = len(cond_codes)
+    width = N_STATES + 2  # cell code + 2: 0 absent, 1 missing, 2..6 Q1..Q5
+    # axis positions of each condition set, earliest age first
+    picks = [np.array(sorted(codes), dtype=np.intp) + 2 for codes in cond_codes]
+    # the +2 of every digit of the joint code, added once
+    shift = 2 * sum(width ** k for k in range(lag + 1))
+
+    kept_ages: list[int] = []
+    values: list[float] = []
+    denoms: list[int] = []
+    shares: list[np.ndarray] = []
+    for age in range(panel.age_min + lag, panel.age_max + 1):
+        c = panel.column(age)
+        # one base-7 code per person over the contiguous columns t-lag..t
+        joint = panel.states[:, c - lag].astype(np.intp)
+        for col in range(c - lag + 1, c + 1):
+            joint *= width
+            joint += panel.states[:, col]
+        joint += shift
+        tally = np.bincount(joint, minlength=width ** (lag + 1)).reshape((width,) * (lag + 1))
+        for pick in picks:
+            tally = tally[pick].sum(axis=0)
+        # in-panel at t: observed or attrition marker, codes -1..4
+        denom = int(tally[1:].sum())
+        if denom == 0:
+            continue
+        # the attrition category comes last
+        share = np.append(tally[2:], tally[1]) / denom
         hit = share[list(target_codes)].sum() if target_codes else 0.0
         if target_missing:
             hit += share[_MISSING_IDX]

@@ -13,7 +13,9 @@ A static check keeps BLAS from coming back: no module of the package may
 use ``@`` or name numpy's BLAS and LAPACK entry points.  A second one keeps
 one way to advance a distribution: outside ``lifted.py`` no module may name
 the memoized loop or its stepper, or import a private name from ``lifted``;
-they go through ``lifted.forward_distributions``.
+they go through ``lifted.forward_distributions``.  A third one keeps one
+count per panel: outside ``panel.py`` no module may name the counting
+kernels; estimators read ``Panel.pair_tally`` and ``Panel.triple_tally``.
 """
 
 import ast
@@ -177,4 +179,41 @@ def test_forward_check_lets_the_entry_through():
 def test_package_advances_distributions_through_one_entry():
     found = [f"{path.name}:{use}" for path in sorted((SRC / "healthmarkov").glob("*.py"))
              if path.name != "lifted.py" for use in forward_internals_used(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+#: The counting kernels, which only panel.py may name.
+COUNTING_KERNELS = frozenset({"pair_counts", "triple_counts"})
+
+
+def counting_kernels_named(source: str) -> list[str]:
+    """Line and spelling of every name, attribute and import of ``COUNTING_KERNELS``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in COUNTING_KERNELS:
+            found.append(f"{node.lineno}: {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in COUNTING_KERNELS:
+            found.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            named = [alias.name for alias in node.names if alias.name in COUNTING_KERNELS]
+            if named:
+                found.append(f"{node.lineno}: from {node.module} import {', '.join(named)}")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "from .kernels import pair_counts", "from healthmarkov.kernels import N_LETTERS, triple_counts",
+    "counts = kernels.pair_counts(panel.states)", "count = triple_counts",
+])
+def test_counting_check_sees_every_spelling(source):
+    assert counting_kernels_named(source)
+
+
+def test_counting_check_lets_the_tallies_through():
+    assert counting_kernels_named("tally = panel.pair_tally if lag == 1 else panel.triple_tally") == []
+
+
+def test_package_counts_only_through_the_panel():
+    found = [f"{path.name}:{use}" for path in sorted((SRC / "healthmarkov").glob("*.py"))
+             if path.name != "panel.py" for use in counting_kernels_named(path.read_text(encoding="utf-8"))]
     assert found == []

@@ -8,6 +8,13 @@ last age and ages outside it.  Every result must equal
 reference_estimate's bit for bit (NaN in the same places), or both must
 raise the same error class with the same message.
 
+``shock_frequency`` reads the panel's pair and triple tallies; it is also
+held to the per-age joint-code body it replaced, for every non-empty set
+of health states as the condition on t-1 alone, on t-1 after a drawn
+condition on t-2, and on t-2 before a drawn condition on t-1, with drawn
+targets, MISSING among them, on panels whose rows hold gaps, attrition
+markers and absent cells.
+
 An AR fit is the exception: it must give the same error, message and rank
 included, or the same unavailable fit, as both exact rational OLS and the
 lstsq path it replaced, and each float of an available fit must lie within
@@ -23,6 +30,8 @@ up, with and without a current state and a log-CDF.  An inverted age
 group (lo > hi), which the references do not check, must raise the
 InvalidInputError that the estimators now raise for it.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -47,6 +56,7 @@ from reference_estimate import (
     reference_conditional_cost_quantiles,
     reference_exact_ar_fit,
     reference_exceedance_proportions,
+    reference_joint_code_shock_frequency,
     reference_min_year,
     reference_multi_year_state_frequency,
     reference_shock_frequency,
@@ -197,6 +207,47 @@ def test_estimators_match_reference(panel, data):
     for age in range(lo - 1, hi + 2):
         order = data.draw(st.sampled_from([1, 1, 2, 2, 3]))
         assert_fit_matches(panel, age, order)
+
+
+#: Every non-empty set of health states, as 1-based state numbers.
+PRIOR_SETS = [set(states) for k in range(1, 6) for states in itertools.combinations(range(1, 6), k)]
+
+
+def cell_kinds(states) -> set[str]:
+    """Which unobserved cells a state matrix holds: absent, a gap before a later observation, attrition."""
+    kinds = set()
+    for row in states:
+        for k, code in enumerate(row):
+            if code == -2:
+                kinds.add("absent")
+            elif code == -1:
+                kinds.add("gap" if (row[k + 1 :] >= 0).any() else "attrition")
+    return kinds
+
+
+def test_shock_frequency_matches_the_joint_code_body():
+    seen = set()
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(panel=panels(), data=st.data())
+    def check(panel, data):
+        seen.update(cell_kinds(panel.states))
+        for prior_set in PRIOR_SETS:
+            other = data.draw(STATE_SET)
+            for prior in ([prior_set], [other, prior_set], [prior_set, other]):
+                target = data.draw(TARGET)
+                got = _outcome(shock_frequency, panel, prior, target)
+                assert_same_curve(got, _outcome(reference_joint_code_shock_frequency, panel, prior, target))
+                if not isinstance(got, tuple):
+                    seen.add(("lag", len(prior)))
+                    seen.update(("target", label) for label in got.target if label == "MISSING")
+                    seen.add(("prior", len(prior), frozenset(prior_set)))
+
+    check()
+    assert {"absent", "gap", "attrition", ("lag", 1), ("lag", 2), ("target", "MISSING")} <= seen
+    assert {("prior", 1, frozenset(prior_set)) for prior_set in PRIOR_SETS} <= seen
+    assert {("prior", 2, frozenset(prior_set)) for prior_set in PRIOR_SETS} <= seen
 
 
 def test_dense_panel_matches_reference():

@@ -1,11 +1,14 @@
 """Differential tests: the rewritten kernels against the versions they replaced.
 
-``kernels.pair_counts`` and ``kernels.triple_counts`` must return what
-reference_kernels' column-at-a-time versions return: the same values,
-dtype and shape.  Generated state matrices hold observed codes 0..4 and
-every negative int8 code, -128..-1 (all of which are unobserved), in
-matrices of 0 to 2,055 persons and of 0 to 9 ages, passed C-ordered,
-Fortran-ordered, as strided views or as int64.
+``kernels.pair_counts`` and ``kernels.triple_counts`` tally seven cell
+letters, code + 2 (absent, missing, Q1..Q5).  Their observed block, letters
+2..6 on every axis, must be what reference_kernels' column-at-a-time
+versions return: the same values, dtype and shape.  The whole tally must
+equal a brute-force one, each window's letters added with ``np.add.at``,
+with every code below -1 read as absent.  Generated state matrices hold
+observed codes 0..4 and every negative int8 code, -128..-1 (all of which
+are unobserved), in matrices of 0 to 2,055 persons and of 0 to 9 ages,
+passed C-ordered, Fortran-ordered, as strided views or as int64.
 
 ``kernels.simulate_paths`` must return what the whole-row simulator
 returned, element for element, in int8 and column-major, for every cdf
@@ -54,6 +57,22 @@ def assert_same_counts(got, want):
     assert np.array_equal(got, want)
 
 
+def observed_block(tally):
+    """The Q1..Q5 block of a letter tally: letters 2..6 on every letter axis."""
+    return tally[(slice(None),) + (slice(2, None),) * (tally.ndim - 1)]
+
+
+def brute_letter_tally(states, width):
+    """Seven-letter tally of every window of ``width`` ages, one ``np.add.at`` per window."""
+    codes = np.asarray(states).astype(np.int64)
+    letters = np.where(codes < -1, 0, codes + 2)
+    n_windows = max(codes.shape[1] - width + 1, 0)
+    out = np.zeros((n_windows,) + (7,) * width, dtype=np.int64)
+    for k in range(n_windows):
+        np.add.at(out[k], tuple(letters[:, k + j] for j in range(width)), 1)
+    return out
+
+
 def test_counts_match_reference():
     seen = set()
 
@@ -66,8 +85,12 @@ def test_counts_match_reference():
         seen.add(("persons", min(states.shape[0], 2)))
         seen.add(("ages", min(states.shape[1], 5)))
         seen.update(int(code) for code in np.unique(states) if code < 0)
-        assert_same_counts(kernels.pair_counts(states), reference_pair_counts(states))
-        assert_same_counts(kernels.triple_counts(states), reference_triple_counts(states))
+        pairs = kernels.pair_counts(states)
+        triples = kernels.triple_counts(states)
+        assert_same_counts(observed_block(pairs), reference_pair_counts(states))
+        assert_same_counts(observed_block(triples), reference_triple_counts(states))
+        assert_same_counts(pairs, brute_letter_tally(states, 2))
+        assert_same_counts(triples, brute_letter_tally(states, 3))
 
     check()
     assert {"C", "F", "every other age", "every third person", "int64"} <= seen
@@ -88,10 +111,14 @@ def test_every_negative_code_is_skipped_in_every_position():
     states = np.vstack(rows + [observed])
     pairs = kernels.pair_counts(states)
     triples = kernels.triple_counts(states)
-    assert_same_counts(pairs, reference_pair_counts(states))
-    assert_same_counts(triples, reference_triple_counts(states))
-    assert triples.sum() == 1 and triples[0, 4, 2, 3] == 1
-    assert pairs[0, 4, 2] == 1 + len(NEGATIVE) and pairs[1, 2, 3] == 1 + len(NEGATIVE)
+    observed_pairs, observed_triples = observed_block(pairs), observed_block(triples)
+    assert_same_counts(observed_pairs, reference_pair_counts(states))
+    assert_same_counts(observed_triples, reference_triple_counts(states))
+    assert observed_triples.sum() == 1 and observed_triples[0, 4, 2, 3] == 1
+    assert observed_pairs[0, 4, 2] == 1 + len(NEGATIVE) and observed_pairs[1, 2, 3] == 1 + len(NEGATIVE)
+    # every window is tallied once: -1 as missing (letter 1), every lower code as absent (0)
+    assert triples.sum() == len(states)
+    assert triples[0, 1, 4, 5] == 1 and triples[0, 0, 4, 5] == len(NEGATIVE) - 1
 
 
 SIM_BLOCK = kernels._SIMULATE_BLOCK

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from healthmarkov import cli, kernels
+from healthmarkov.config import RunConfig
 from healthmarkov.errors import (
     ConfigError,
     DataFormatError,
@@ -14,9 +16,11 @@ from healthmarkov.panel import (
     Panel,
     filter_cohort,
 )
+from healthmarkov.estimate import estimate_order1_family, estimate_order2_family, shock_frequency
 from healthmarkov.states import HealthState
+from healthmarkov.synthetic import generate_panel
 
-from conftest import assert_same_cells, make_panel, observed_ages
+from conftest import assert_same_cells, make_panel, observed_ages, sticky_top_chain
 from reference_ingest import PersonYear, reference_person_year_panel as build  # build_panel on PersonYears
 from reference_synthetic import reference_person_years
 
@@ -218,6 +222,73 @@ class TestFilterCohort:
         panel = make_panel([[0, 1]], sex=np.array(["M"], dtype=object))
         with pytest.raises(EmptyCohortError):
             filter_cohort(panel, sex="F")
+
+
+class TestReadOnlyMatrices:
+    def test_writes_through_the_panel_raise_and_the_callers_array_stays_writable(self):
+        states = np.asfortranarray([[0, 1, -1], [2, -2, 4]], dtype=np.int8)
+        costs = np.asfortranarray([[10, 20, 0], [30, 0, 50]], dtype=np.int64)
+        months = np.asfortranarray(np.where(states >= 0, 12, 0), dtype=np.int8)
+        panel = Panel(["a", "b"], [1970, 1970], 30, states, costs, months)
+        for name, matrix in (("states", states), ("costs", costs), ("months", months)):
+            view = getattr(panel, name)
+            assert np.shares_memory(view, matrix), name  # a view, not a copy
+            with pytest.raises(ValueError):
+                view[0, 0] = 0
+            assert matrix.flags.writeable, name
+        states[0, 0] = 3
+        assert panel.states[0, 0] == 3
+
+    def test_tallies_are_read_only(self):
+        panel = make_panel([[0, 1, 2], [4, -1, -2]])
+        for tally in (panel.pair_tally, panel.triple_tally):
+            with pytest.raises(ValueError):
+                tally[0] = 0
+
+
+class TestTallies:
+    REPORTS = ("k05", "k06", "k07", "k08", "k09", "k10", "k11", "k12", "k13", "k14", "f02", "f03")
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Names of the counting kernels called through the kernels module, in call order."""
+        calls = []
+        for name in ("pair_counts", "triple_counts"):
+            def counted(states, kernel=getattr(kernels, name), name=name):
+                calls.append(name)
+                return kernel(states)
+
+            monkeypatch.setattr(kernels, name, counted)
+        return calls
+
+    def test_each_width_is_counted_once_for_every_counting_report(self, kernel_calls):
+        panel = generate_panel(sticky_top_chain(entry_age=20, exit_age=36, seed=3), 400)
+        cfg = RunConfig(start_ages=(22, 23, 25), q5_values=(267_000, 500_000))
+        estimate_order1_family(panel)
+        estimate_order2_family(panel)
+        for rid in self.REPORTS:
+            header, rows = cli.REPORTS[rid][0](cfg, panel)
+            assert rows, rid
+        assert sorted(kernel_calls) == ["pair_counts", "triple_counts"]
+
+    def test_a_filtered_panel_counts_again(self, kernel_calls):
+        panel = generate_panel(sticky_top_chain(entry_age=20, exit_age=36, seed=3), 400)
+        estimate_order2_family(panel)
+        filtered = filter_cohort(panel, age_max=30)
+        for _ in range(2):
+            estimate_order1_family(filtered)
+            estimate_order2_family(filtered)
+            shock_frequency(filtered, ["Q1"], ["Q5"])
+        assert kernel_calls == ["triple_counts", "pair_counts", "triple_counts"]
+        assert filtered.pair_tally.shape == (filtered.n_ages - 1, 7, 7)
+
+    def test_tallies_count_every_cell_letter(self):
+        panel = make_panel([[0, 1, 2], [4, -1, -2], [-2, 3, 3]])
+        # letters: code + 2, so absent 0, missing 1, Q1..Q5 2..6
+        assert panel.pair_tally.sum() == 6 and panel.triple_tally.sum() == 3
+        assert panel.pair_tally[0, 2, 3] == panel.pair_tally[0, 6, 1] == panel.pair_tally[0, 0, 5] == 1
+        assert panel.pair_tally[1, 3, 4] == panel.pair_tally[1, 1, 0] == panel.pair_tally[1, 5, 5] == 1
+        assert panel.triple_tally[0, 2, 3, 4] == panel.triple_tally[0, 6, 1, 0] == panel.triple_tally[0, 0, 5, 5] == 1
 
 
 class TestSummary:

@@ -5,8 +5,9 @@ perfbench/run.py writes ``kernels.backend()`` into every run record.  A
 rename of either would otherwise surface only in the benchmark's own
 smoke run.  The benchmark also counts one ``project_cumulative`` span per
 f02/f03 row, takes ``synthetic.claims_rows`` from the return value of
-``write_claims``, times each estimate family's counting kernel under the
-kernel's own name, times the cohort simulator as one ``simulate_paths``
+``write_claims``, times each panel's counting kernels under their own
+names, once per panel and width, inside the first estimator that reads
+the count, times the cohort simulator as one ``simulate_paths``
 span per simulated panel, counts ``ingest.rows`` as the records one
 ``parse_claims`` generator yields per ``ingest`` and
 ``ingest.person_years`` as the length of the table
@@ -180,7 +181,7 @@ def test_one_simulate_paths_span_per_generated_panel(tracing):
 
 
 def test_counting_kernels_and_k12_curves_are_traced(tracing):
-    # each family calls its kernel through the kernels module, where the tracer binds it
+    # a panel counts through the kernels module, where the tracer binds it, once per width
     import healthmarkov.cli as cli
     import healthmarkov.estimate as estimate
     from healthmarkov.config import RunConfig
@@ -188,7 +189,7 @@ def test_counting_kernels_and_k12_curves_are_traced(tracing):
 
     from conftest import sticky_top_chain
 
-    panel = generate_panel(sticky_top_chain(entry_age=20, exit_age=36, seed=3), 400)
+    panel, fresh = (generate_panel(sticky_top_chain(entry_age=20, exit_age=36, seed=3), 400) for _ in range(2))
     cfg = RunConfig(start_ages=(22, 23, 25))
     tracer = tracing.Tracer("t")
     try:
@@ -198,6 +199,8 @@ def test_counting_kernels_and_k12_curves_are_traced(tracing):
         family_spans = tracer.records()
         header, rows = cli.REPORTS["k12"][0](cfg, panel)
         report_spans = tracer.records()[len(family_spans):]
+        assert cli.REPORTS["k12"][0](cfg, fresh) == (header, rows)
+        fresh_spans = tracer.records()[len(family_spans) + len(report_spans):]
     finally:
         tracer.uninstall()
 
@@ -214,12 +217,16 @@ def test_counting_kernels_and_k12_curves_are_traced(tracing):
     assert start_ages == set(cfg.start_ages)
     assert curves == len(start_ages)
     assert steps == 2 * curves * cfg.horizon
-    assert [r["metric"] for r in report_spans if r["metric"].startswith("kernels.")] == ["kernels.pair_counts_s"]
+    # k12 reads the pair tally its panel already holds; a fresh panel counts it once
+    assert [r["metric"] for r in report_spans if r["metric"].startswith("kernels.")] == []
+    assert [r["metric"] for r in fresh_spans if r["metric"].startswith("kernels.")] == ["kernels.pair_counts_s"]
 
 
 def test_estimator_reports_keep_their_work_under_the_traced_estimators(tracing):
     # perfbench times the frequency, retention and cost-summary estimators by
-    # name; each report's counting runs inside one span per estimator call
+    # name; each report's counting runs inside one span per estimator call.
+    # The first frequency curve of each lag on a fresh panel counts its
+    # tally, one kernel span under its estimator span; later reports count nothing.
     import healthmarkov.cli as cli
     from healthmarkov.config import RunConfig
     from healthmarkov.estimate import five_year_groups
@@ -236,21 +243,28 @@ def test_estimator_reports_keep_their_work_under_the_traced_estimators(tracing):
         "k03": {"estimate.cost_summary_s": len(five_year_groups(panel.age_min, panel.age_max))},
         "table8": {"estimate.cost_summary_s": 1},
     }
-    for rid, spans in expected.items():
-        tracer = tracing.Tracer("t")
-        try:
-            tracer.install()
-            header, rows = cli.REPORTS[rid][0](cfg, panel)
-        finally:
-            tracer.uninstall()
-        records = tracer.records()
-        [report] = [r for r in records if r["parent"] is None]
-        assert report["metric"] == "cli.self_s", rid
-        children = [r for r in records if r is not report]
-        assert {r["metric"] for r in children} == set(spans), rid
-        assert len(children) == sum(spans.values()), rid
-        assert all(r["parent"] == report["id"] for r in children), rid
-        assert rows, rid
+    # k06 conditions on one earlier age, k08 on two
+    first_counts = {"k06": ["kernels.pair_counts_s"], "k08": ["kernels.triple_counts_s"]}
+    for first_pass in (True, False):
+        for rid, spans in expected.items():
+            tracer = tracing.Tracer("t")
+            try:
+                tracer.install()
+                header, rows = cli.REPORTS[rid][0](cfg, panel)
+            finally:
+                tracer.uninstall()
+            records = tracer.records()
+            [report] = [r for r in records if r["parent"] is None]
+            assert report["metric"] == "cli.self_s", rid
+            counting = [r for r in records if r["metric"].startswith("kernels.")]
+            children = [r for r in records if r is not report and r not in counting]
+            assert {r["metric"] for r in children} == set(spans), rid
+            assert len(children) == sum(spans.values()), rid
+            assert all(r["parent"] == report["id"] for r in children), rid
+            assert [r["metric"] for r in counting] == (first_counts.get(rid, []) if first_pass else []), rid
+            frequency = [r["id"] for r in children if r["metric"] == "estimate.frequency_s"]
+            assert all([r["parent"]] == frequency for r in counting), rid
+            assert rows, rid
 
 
 def test_one_ar_span_per_k15_and_k16_row_under_the_report(tracing):
