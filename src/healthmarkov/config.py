@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .ingest import YEAR_CONVENTIONS
 from .states import DEFAULT_UPPER_BOUNDS, StateThresholds
 
 OUTPUT_DIR_ENV = "HEALTHMARKOV_OUTPUT_DIR"
@@ -153,8 +154,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
 
 def validate_config(cfg: RunConfig, command: str) -> None:
     """Command-specific checks: referenced paths exist, lists are usable."""
-    if cfg.year_convention not in ("fiscal", "calendar"):
-        raise ConfigError(f"ingest.year_convention must be fiscal or calendar, got {cfg.year_convention!r}")
+    if cfg.year_convention not in YEAR_CONVENTIONS:
+        raise ConfigError(f"ingest.year_convention must be {' or '.join(YEAR_CONVENTIONS)}, got {cfg.year_convention!r}")
     if cfg.sex not in (None, "M", "F"):
         raise ConfigError(f"cohort.sex must be M, F or null, got {cfg.sex!r}")
     if cfg.age_min > cfg.age_max:

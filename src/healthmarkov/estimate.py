@@ -30,7 +30,7 @@ ages) and order two (``TransitionTensor``, over triples), on one base type.
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     EmptyCohortError,
     InvalidInputError,
 )
-from .panel import Panel
+from .panel import Panel, _read_only
 from .states import (
     CATEGORY_LABELS,
     MISSING,
@@ -72,18 +72,23 @@ def _target_codes(target) -> tuple[set[int], bool]:
     return codes, missing
 
 
-def _check_group(group) -> tuple[int, int]:
-    """``group`` as (lo, hi); an inverted group is a caller error, not an empty cell."""
+def _group_ages(panel: Panel, group, lag: int) -> range:
+    """Ages of ``group`` the panel holds with the ``lag`` ages before; lo > hi raises."""
     lo, hi = group
     if lo > hi:
         raise InvalidInputError(f"age group {group} is empty")
-    return lo, hi
+    return range(max(lo, panel.age_min + lag), min(hi, panel.age_max) + 1)
+
+
+def _bin_ages(age: int) -> range:
+    """The standard 5-year age bin holding ``age``."""
+    lo = (age // 5) * 5
+    return range(lo, lo + 5)
 
 
 def five_year_groups(age_min: int, age_max: int) -> list[tuple[int, int]]:
     """Standard 5-year bins intersecting [age_min, age_max]."""
-    lo = (age_min // 5) * 5
-    return [(a, a + 4) for a in range(lo, age_max + 1, 5)]
+    return [(a, a + 4) for a in range(_bin_ages(age_min).start, age_max + 1, 5)]
 
 
 def group_label(group: tuple[int, int]) -> str:
@@ -98,9 +103,7 @@ def _freeze(operator, *names) -> None:
     """Set each named array of a frozen dataclass to a read-only copy; the caller's array stays writable."""
     for name in names:
         if (values := getattr(operator, name)) is not None:
-            array = np.array(values)
-            array.flags.writeable = False
-            object.__setattr__(operator, name, array)
+            object.__setattr__(operator, name, _read_only(np.array(values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,28 +201,16 @@ def estimate_order2_family(panel: Panel) -> dict[int, TransitionTensor]:
     return _estimate_family(panel, 2)
 
 
-def pool_order1(family: Mapping[int, TransitionMatrix], ages: Iterable[int], age: int | None = None) -> TransitionMatrix:
-    """Pool counts (not probabilities) over several single-age estimates."""
-    ages = list(ages)  # read twice: to pick counts and to name the ages in the error
-    picked = [family[a].counts for a in ages if a in family]
-    if not picked:
-        raise EmptyCohortError(f"no estimates among ages {ages}")
-    counts = np.sum(picked, axis=0)
-    return TransitionMatrix(age=age if age is not None else -1, probs=_normalize_counts(counts), counts=counts)
-
-
 # ---------------------------------------------------------------------------
 # fractions and frequency curves
 
 
 def state_fractions(panel: Panel, age_group: tuple[int, int]) -> tuple[np.ndarray, int]:
     """Share of each state among observed person-years in the age group."""
-    lo, hi = _check_group(age_group)
-    lo = max(lo, panel.age_min)
-    hi = min(hi, panel.age_max)
-    if hi < lo:
+    ages = _group_ages(panel, age_group, 0)
+    if not ages:
         raise EmptyCohortError(f"panel does not cover ages {age_group}")
-    block = panel.states[:, lo - panel.age_min : hi - panel.age_min + 1]
+    block = panel.states[:, ages.start - panel.age_min : ages.stop - panel.age_min]
     # one pass per code over the int8 cells, in storage order; a bincount
     # would first widen every cell to intp
     cells = block.ravel(order="K")
@@ -314,6 +305,20 @@ def shock_frequency(panel: Panel, prior_condition: Sequence, target) -> Frequenc
 # conditional cost summaries
 
 
+def _arrival_costs(panel: Panel, ages: range, prior: int, current: int | None) -> np.ndarray:
+    """Pooled costs at ``ages`` of persons in ``prior`` a year before and in ``current`` (None: observed)."""
+    pooled = [np.empty(0, dtype=np.int64)]
+    for age in ages:
+        c = panel.column(age)
+        now = panel.states[:, c]
+        mask = now >= 0 if current is None else now == current
+        mask &= panel.states[:, c - 1] == prior
+        if mask.any():
+            # the age's cost column first, so the mask selects from contiguous memory
+            pooled.append(panel.costs[:, c][mask])
+    return np.concatenate(pooled)
+
+
 @dataclass
 class CostSummary:
     """Distribution summary of annual cost at age t under a prior-state condition."""
@@ -355,23 +360,12 @@ def conditional_cost_quantiles(
         raise InvalidInputError("quantiles must lie strictly between 0 and 1")
     prior = _state_code(prior_state)
     current = None if current_state is None else _state_code(current_state)
-    lo, hi = _check_group(age_group)
-
-    pooled: list[np.ndarray] = []
-    for age in range(max(lo, panel.age_min + 1), min(hi, panel.age_max) + 1):
-        c = panel.column(age)
-        now = panel.states[:, c]
-        mask = now >= 0 if current is None else now == current
-        mask &= panel.states[:, c - 1] == prior
-        if mask.any():
-            # the age's cost column first, so the mask selects from contiguous memory
-            pooled.append(panel.costs[:, c][mask])
+    costs = _arrival_costs(panel, _group_ages(panel, age_group, 1), prior, current)
     cur_state = None if current is None else HealthState(current + 1)
-    if not pooled:
+    n = int(costs.size)
+    if not n:
         return CostSummary(age_group=age_group, prior_state=HealthState(prior + 1),
                            current_state=cur_state, n=0)
-    costs = np.concatenate(pooled)
-    n = int(costs.size)
     summary = CostSummary(
         age_group=age_group,
         prior_state=HealthState(prior + 1),
@@ -430,16 +424,8 @@ def exceedance_proportions(
 
     rows = []
     for group in age_groups:
-        lo, hi = _check_group(group)
-        pooled = []
-        for age in range(max(lo, panel.age_min + 1), min(hi, panel.age_max) + 1):
-            c = panel.column(age)
-            mask = panel.states[:, c] == to_state
-            mask &= panel.states[:, c - 1] == from_state
-            if mask.any():
-                pooled.append(panel.costs[:, c][mask])
-        if pooled:
-            costs = np.concatenate(pooled)
+        costs = _arrival_costs(panel, _group_ages(panel, group, 1), from_state, to_state)
+        if costs.size:
             rows.append(ExceedanceRow(
                 age_group=group,
                 n=int(costs.size),
@@ -497,10 +483,9 @@ def multi_year_state_frequency(
 
     out: dict[tuple[int, int], DecayPath] = {}
     for group in age_groups:
-        lo, hi = _check_group(group)
         hits = np.zeros(horizon, dtype=np.int64)
         totals = np.zeros(horizon, dtype=np.int64)
-        for age in range(max(lo, panel.age_min + lag), min(hi, panel.age_max) + 1):
+        for age in _group_ages(panel, group, lag):
             reach = min(horizon, panel.age_max - age)
             if reach < 1:
                 continue
@@ -536,8 +521,11 @@ def multi_year_state_frequency(
 class ARFit:
     """OLS fit of annual cost at one age on its lags plus year dummies.
 
-    ``ar_regression`` fits without BLAS or LAPACK, so the fields are the
-    same bits on every CPU and thread count.  The test suite holds them to
+    ``base_year`` is the earliest calendar year in the fit's sample: the
+    base level that ``intercept`` holds and ``year_effects`` are measured
+    from.  An unavailable fit has none.  ``ar_regression`` fits without
+    BLAS or LAPACK, so the fields are the same bits on every CPU and
+    thread count.  The test suite holds them to
     an exact rational OLS within a relative 1e-12 of each value plus the
     value that would move the fit by the size of the cost vector.
     """
@@ -556,11 +544,10 @@ class ARFit:
 def ar_regression(panel: Panel, age: int, order: int = 1) -> ARFit:
     """Regress cost at ``age`` on cost at the previous ``order`` ages.
 
-    Year dummies use the panel's earliest observed year as base level;
-    dummy levels absent from the estimation sample are dropped, and when
-    the base year itself is absent the earliest sampled year takes its
-    place.  That is always so: a complete case was observed a year before
-    the year it is sampled in.  Fewer complete cases than parameters + 1 yields
+    Year dummies take the earliest sampled year as base level and one
+    level for each later sampled year.  The panel's earliest observed year
+    is never sampled: a complete case was observed a year before the year
+    it is sampled in.  Fewer complete cases than parameters + 1 yields
     an unavailable fit; an exactly collinear design raises
     DegenerateFitError.  ``age`` and ``order`` must be integers (numpy
     integers included, bools not).
@@ -601,14 +588,12 @@ def ar_regression(panel: Panel, age: int, order: int = 1) -> ARFit:
 
     births, cohort_of = panel.cohort_index
     years = births + age
-    base_year = panel.min_year
     levels = []
-    ref = 0  # cohort of the effective base level
+    ref = 0  # cohort of the base level
     if births.size > 1 and n:
         cohort = cohort_of.take(rows)
         sizes = np.bincount(cohort, minlength=births.size)
-        # every complete case was observed a year earlier, so the panel's
-        # earliest year is never sampled: the earliest sampled year is the base
+        # the earliest sampled cohort, and so year, is the base
         ref, *levels = np.flatnonzero(sizes).tolist()
 
     n_params = 1 + order + len(levels)
@@ -667,5 +652,5 @@ def ar_regression(panel: Panel, age: int, order: int = 1) -> ARFit:
         lag_se=tuple(se),
         intercept=float(alpha[ref]),
         year_effects={int(years[k]): float(alpha[k] - alpha[ref]) for k in levels},
-        base_year=base_year,
+        base_year=int(years[ref]),
     )

@@ -37,7 +37,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import HorizonError, InvalidInputError, UnsupportedCellError
-from .estimate import TransitionMatrix, TransitionTensor, _freeze
+from .estimate import TransitionMatrix, TransitionTensor, _bin_ages, _freeze
+from .panel import _read_only
 from .states import N_STATES, STATE_LABELS, CostVector, HealthState, _state_code
 
 N_PAIRS = N_STATES * N_STATES
@@ -165,11 +166,6 @@ def lift_family(tensors: Mapping[int, object]) -> dict[int, LiftedMatrix]:
     return {age: lift(t, age=age) for age, t in tensors.items()}
 
 
-def _bin_ages(age: int) -> range:
-    lo = (age // 5) * 5
-    return range(lo, lo + 5)
-
-
 def _pooled(model: Mapping[int, object], age: int, c: int) -> np.ndarray:
     """Next-state distribution out of coordinate ``c``, pooled over the age's 5-year bin.
 
@@ -256,9 +252,7 @@ def _forward_pass(window: tuple, start_age: int, horizon: int, col: int) -> np.n
     for age in range(start_age + 1, start_age + horizon + 1):
         v = _step(model, age, v)
         rows.append(v)
-    passes = np.array(rows)
-    passes.flags.writeable = False
-    return passes
+    return _read_only(np.array(rows))
 
 
 def family_order(model: Mapping[int, object]) -> int:

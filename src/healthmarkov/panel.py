@@ -47,7 +47,6 @@ panel's storage types raises OverflowError.
 import csv
 import functools
 import io
-import math
 import warnings
 
 import numpy as np
@@ -74,12 +73,17 @@ class Panel:
     Rows are canonically ordered by person_id so that every downstream
     computation is independent of input order.  ``states``, ``costs`` and
     ``months`` are stored column-major whatever layout the caller passes,
-    so ``states[:, c]`` is contiguous, and as read-only views: an in-place
-    write through the panel raises ValueError, while the caller's own
-    array stays writable.  Filters build a new Panel, so values derived
-    from the matrices (``min_year``, ``cohort_index`` and the transition
-    tallies ``pair_tally`` and ``triple_tally``) are computed once per
-    panel and cannot go stale.
+    so ``states[:, c]`` is contiguous.  Every array attribute is a
+    read-only view: an in-place write through the panel raises ValueError,
+    while the caller's own array stays writable.  Filters build a new
+    Panel, and values derived from the arrays (``cohort_index`` and the
+    transition tallies ``pair_tally`` and ``triple_tally``) are computed
+    once per panel.
+
+    An array passed already sorted by person, with the panel's dtype and,
+    for a matrix, column-major layout, is kept without a copy.  A later
+    write through the caller's array then changes the panel too, and a
+    value derived before the write goes stale.
     """
 
     def __init__(self, person_ids, birth_years, age_min, states, costs, months, sex=None):
@@ -120,13 +124,13 @@ class Panel:
             if ((costs < 0) & (states >= 0)).any():
                 raise InvalidInputError("observed annual costs must be >= 0")
 
-        self.person_ids = person_ids
-        self.birth_years = birth_years
+        self.person_ids = _read_only(person_ids)
+        self.birth_years = _read_only(birth_years)
         self.age_min = int(age_min)
         self.states = _read_only(states)
         self.costs = _read_only(costs)
         self.months = _read_only(months)
-        self.sex = sex
+        self.sex = None if sex is None else _read_only(sex)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -153,30 +157,6 @@ class Panel:
 
     def has_age(self, age: int) -> bool:
         return self.age_min <= age <= self.age_max
-
-    @functools.cached_property
-    def min_year(self) -> int:
-        """Earliest observed year; base level for year dummies.
-
-        Column c holds age age_min + c, so the earliest year observed in it
-        is the lowest birth year among the persons observed there plus
-        age_min + c.  Columns are read in order, each one contiguous, and
-        the scan stops once even the panel's lowest birth year could not
-        give an earlier year.
-        """
-        if not self.birth_years.size:
-            raise EmptyCohortError("panel has no observations")
-        lowest = int(self.birth_years.min())
-        best = math.inf
-        for c in range(self.n_ages):
-            if lowest + c >= best:
-                break
-            births = self.birth_years[self.states[:, c] >= 0]
-            if births.size:
-                best = min(best, int(births.min()) + c)
-        if best == math.inf:
-            raise EmptyCohortError("panel has no observations")
-        return best + self.age_min
 
     @functools.cached_property
     def cohort_index(self) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, HorizonError, InvalidInputError
-from .ingest import CLAIMS_COLUMNS
+from .ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS, grouping_year
 from .lifted import LiftedMatrix, lift
 from .panel import Panel
 from .states import (
@@ -331,12 +331,11 @@ def _month_templates(year_convention: str) -> np.ndarray:
 
     Template ``r`` takes the row heads ``person_id,sex,age,year,`` for the
     person-year's year and the next one, then the costs base and base + 1;
-    its first ``r`` months cost base + 1, the rest base.
+    its first ``r`` months cost base + 1, the rest base.  The months are
+    those ``grouping_year`` groups into one year, in calendar order.
     """
-    if year_convention == "fiscal":
-        calendar = [(0, m) for m in range(4, 13)] + [(1, m) for m in range(1, 4)]
-    else:
-        calendar = [(0, m) for m in range(1, 13)]
+    calendar = [(shift, month) for shift in (0, 1) for month in range(1, 13)
+                if grouping_year(shift, month, year_convention) == 0]
     return np.array(
         [
             "".join(
@@ -372,7 +371,7 @@ def write_claims(panel: Panel, path, sex_default: str = "M", year_convention: st
     of ``_CLAIMS_BLOCK_CELLS`` (person, age) cells at a time, so memory is
     bounded by the block and not by the file.
     """
-    if year_convention not in ("fiscal", "calendar"):
+    if year_convention not in YEAR_CONVENTIONS:
         raise InvalidInputError(f"unknown year convention {year_convention!r}")
     sexes = _claims_sexes(panel, sex_default)
     templates = _month_templates(year_convention)

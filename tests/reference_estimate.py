@@ -4,14 +4,17 @@
 ``reference_ar_regression`` are the implementations of ``shock_frequency``,
 ``multi_year_state_frequency`` and ``ar_regression`` before their masks were
 built from code lookup tables and whole column blocks; ``reference_min_year``
-is the uncached ``Panel.min_year`` of the same time, taking the panel as its
-``self``.  They are unchanged apart from their names, the AR fit reading
-``reference_min_year(panel)`` in place of ``panel.min_year``, the
-retention reference rejecting an inverted age group (lo > hi) with the
-InvalidInputError the estimators raise for it, and the AR fit rejecting a
-bool or non-integer ``age`` or ``order`` with the InvalidInputError
-``ar_regression`` raises for it, and the AR fit without the
-``log_transform`` option that ``ar_regression`` no longer has.
+is the panel's earliest observed year as the package's former
+``Panel.min_year`` computed it, taking the panel as its ``self``.  They are
+unchanged apart from their names, the AR fit reading
+``reference_min_year(panel)`` in place of ``panel.min_year`` and reporting
+the effective base, the earliest sampled year, as its ``base_year`` (and,
+like ``ar_regression``, leaving a panel with no observed cell unavailable
+rather than raising), the retention reference rejecting an inverted age
+group (lo > hi) with the InvalidInputError the estimators raise for it, the
+AR fit rejecting a bool or non-integer ``age`` or ``order`` with the
+InvalidInputError ``ar_regression`` raises for it, and the AR fit without
+the ``log_transform`` option that ``ar_regression`` no longer has.
 
 ``reference_joint_code_shock_frequency`` is ``shock_frequency`` from
 before it read the panel's tallies: per age it codes each person's cells
@@ -68,6 +71,22 @@ def reference_min_year(self) -> int:
         raise EmptyCohortError("panel has no observations")
     years = self.birth_years[:, None] + (self.age_min + np.arange(self.n_ages))[None, :]
     return int(years[observed].min())
+
+
+def _base_and_levels(panel: Panel, years) -> tuple[int | None, list[int]]:
+    """The base year of an AR fit over the sampled ``years``, and its dummy levels.
+
+    The base is the panel's earliest observed year, and the earliest
+    sampled year takes its place when it is absent from the sample.
+    """
+    sampled = set(years)
+    if not sampled:
+        return None, []
+    base_year = reference_min_year(panel)
+    levels = sorted(sampled - {base_year})
+    if base_year not in sampled:
+        base_year, *levels = levels  # earliest sampled year becomes the effective base
+    return base_year, levels
 
 
 def reference_shock_frequency(
@@ -396,10 +415,7 @@ def reference_ar_regression(panel: Panel, age: int, order: int = 1) -> ARFit:
     lags = [panel.costs[complete, c - k].astype(np.float64) for k in range(1, order + 1)]
 
     years = panel.birth_years[complete] + age
-    base_year = reference_min_year(panel)
-    levels = sorted(set(years.tolist()) - {base_year})
-    if base_year not in set(years.tolist()) and levels:
-        levels = levels[1:]  # earliest sampled year becomes the effective base
+    base_year, levels = _base_and_levels(panel, years.tolist())
     dummies = [(years == lvl).astype(np.float64) for lvl in levels]
 
     n_params = 1 + order + len(dummies)
@@ -453,10 +469,7 @@ def reference_exact_ar_fit(panel: Panel, age: int, order: int = 1) -> ARFit:
     y = panel.costs[complete, c].tolist()
     lags = [panel.costs[complete, c - k].tolist() for k in range(1, order + 1)]
     years = (panel.birth_years[complete] + age).tolist()
-    base_year = reference_min_year(panel)
-    levels = sorted(set(years) - {base_year})
-    if base_year not in set(years) and levels:
-        levels = levels[1:]  # earliest sampled year becomes the effective base
+    base_year, levels = _base_and_levels(panel, years)
     if n < 1 + order + len(levels) + 1:
         return ARFit(age=age, order=order, available=False, n=n)
     X = [[1] + [lag[i] for lag in lags] + [int(years[i] == lvl) for lvl in levels] for i in range(n)]

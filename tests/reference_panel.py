@@ -7,10 +7,6 @@ package no longer has.  The
 differential tests in test_panel_differential.py hold the columnar code to
 them: the same panel for every valid file, and the same error class and
 line for every malformed one.
-
-``reference_min_year`` is the body ``Panel.min_year`` had before it read
-the state matrix column by column: a row-wise first observed column per
-person.
 """
 
 import csv
@@ -152,17 +148,3 @@ def reference_build_panel(
             raise InvalidInputError(f"sex mapping is missing person {exc.args[0]!r}") from None
 
     return Panel(ids, births, age_min, states, costs, months, sex=sex_arr)
-
-
-def reference_min_year(self) -> int:
-    """Earliest observed year; base level for year dummies.
-
-    A person's years rise with age, so their earliest observed year is
-    their birth year plus the age of their first observed column.
-    """
-    observed = self.states >= 0
-    seen = observed.any(axis=1)
-    if not seen.any():
-        raise EmptyCohortError("panel has no observations")
-    first = observed.argmax(axis=1)
-    return int((self.birth_years[seen] + first[seen]).min()) + self.age_min

@@ -1,10 +1,12 @@
-"""The README documents the configuration the code accepts, and the
-package's modules and the test modules import nothing they do not use."""
+"""The README documents the configuration the code accepts and shows only
+public names, and the package's modules and the test modules import
+nothing they do not use."""
 
 import ast
 import re
 from pathlib import Path
 
+import healthmarkov
 from healthmarkov.config import CONFIG_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -12,19 +14,25 @@ PACKAGE = README.parent / "src" / "healthmarkov"
 TESTS = README.parent / "tests"
 
 
-def config_block() -> str:
-    """The fenced block under the README's "Config keys" heading."""
+def readme_block(heading: str) -> str:
+    """The first fenced block under a README heading."""
     text = README.read_text(encoding="utf-8")
-    section = text[text.index("### Config keys") :]
+    section = text[text.index(heading) :]
     return section.split("```")[1]
 
 
 def test_readme_lists_exactly_the_config_keys():
     keys = set()
-    for line in config_block().splitlines():
+    for line in readme_block("### Config keys").splitlines():
         line = re.sub(r"\([^)]*\)", "", line.split("#")[0])  # drop comments and parenthesized values
         keys.update(re.findall(r"[a-z_][a-z0-9_]*(?:\.[a-z0-9_]+)*", line))
     assert keys == set(CONFIG_KEYS)
+
+
+def test_library_sketch_uses_only_exported_names():
+    names = set(re.findall(r"\bhm\.(\w+)", readme_block("## Library sketch")))
+    assert "estimate_order1" in names  # the pattern finds the sketch's calls
+    assert sorted(names - set(healthmarkov.__all__)) == []
 
 
 def test_modules_use_every_module_level_import():

@@ -20,7 +20,6 @@ from healthmarkov.estimate import (
     exceedance_proportions,
     five_year_groups,
     multi_year_state_frequency,
-    pool_order1,
     shock_frequency,
     state_fractions,
 )
@@ -504,20 +503,6 @@ class TestARRegression:
 class TestHelpers:
     def test_five_year_groups(self):
         assert five_year_groups(22, 33) == [(20, 24), (25, 29), (30, 34)]
-
-    def test_pool_counts_not_probabilities(self):
-        panel = cycle_panel(n=8, n_ages=5)
-        family = estimate_order1_family(panel)
-        pooled = pool_order1(family, [31, 32, 33])
-        assert pooled.counts.sum() == 8 * 3
-
-    def test_pool_reads_a_generator_of_ages_once(self):
-        panel = cycle_panel(n=8, n_ages=5)
-        family = estimate_order1_family(panel)
-        pooled = pool_order1(family, (a for a in [31, 32, 33]))
-        assert pooled.counts.sum() == 8 * 3
-        with pytest.raises(EmptyCohortError, match=r"no estimates among ages \[40, 41\]"):
-            pool_order1({}, (a for a in [40, 41]))
 
 
 class TestStateParser:

@@ -38,7 +38,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from healthmarkov.errors import DegenerateFitError, EmptyCohortError, InvalidInputError
+from healthmarkov.errors import DegenerateFitError, InvalidInputError
 from healthmarkov.estimate import (
     ARFit,
     ar_regression,
@@ -165,24 +165,31 @@ def assert_close_fit(panel, age, order, got, want, rtol):
 
 
 def assert_fit_matches(panel, age, order):
-    """``ar_regression`` against exact rational OLS and against the lstsq path it replaced."""
+    """``ar_regression`` against exact rational OLS and against the lstsq path it replaced.
+
+    An available fit's base year is also its earliest sampled year, and
+    later than the panel's earliest observed year, which no fit samples.
+    """
     got = _outcome(ar_regression, panel, age, order)
     assert_close_fit(panel, age, order, got, _outcome(reference_exact_ar_fit, panel, age, order), EXACT_RTOL)
     assert_close_fit(panel, age, order, got, _outcome(reference_ar_regression, panel, age, order), LSTSQ_RTOL)
+    if not isinstance(got, tuple) and got.available:
+        assert got.base_year == earliest_sampled_year(panel, age, order)
+        assert got.base_year > reference_min_year(panel)
     return got
 
 
-def assert_same_min_year(panel):
-    want = _outcome(reference_min_year, panel)
-    for _ in range(2):
-        assert _outcome(lambda: panel.min_year) == want
+def earliest_sampled_year(panel, age, order):
+    """The earliest calendar year of a person observed at every age ``age - order .. age``."""
+    c = panel.column(age)
+    complete = (panel.states[:, c - order : c + 1] >= 0).all(axis=1)
+    return int(panel.birth_years[complete].min()) + age
 
 
 @settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(panel=panels(), data=st.data())
 def test_estimators_match_reference(panel, data):
-    assert_same_min_year(panel)
     lo, hi = panel.age_min, panel.age_max
     groups = st.lists(st.tuples(st.integers(lo - 6, hi + 2), st.integers(lo - 2, hi + 6)),
                       max_size=3)
@@ -260,7 +267,6 @@ def test_dense_panel_matches_reference():
     births = rng.choice([1950, 1951, 1953, 1956], size=n)
     panel = Panel([f"p{k:03d}" for k in range(n)], births, 30, states, costs,
                   np.where(states >= 0, 12, 0))
-    assert_same_min_year(panel)
 
     fits = []
     for age in panel.ages:
@@ -269,8 +275,9 @@ def test_dense_panel_matches_reference():
     available = [f for f in fits if not isinstance(f, tuple) and f.available]
     assert available and all(f.year_effects for f in available)
     # a complete case observed its lag a year earlier, so the panel's earliest
-    # year is never sampled and the earliest sampled year takes its place
-    assert all(f.base_year == 1980 and len(f.year_effects) == 3 for f in available)
+    # year is never sampled and the earliest sampled year is the base
+    assert all(f.base_year == earliest_sampled_year(panel, f.age, f.order) and len(f.year_effects) == 3
+               for f in available)
 
     for prior in (["Q1"], ["Q5"], ["Q1", "Q5"], [{"Q4", "Q5"}, "Q2"]):
         for target in (["Q5"], ["Q4", "Q5"], ["Q5", "MISSING"], ["MISSING"]):
@@ -308,9 +315,10 @@ def test_dense_ar_fits_match_reference(births):
     if len(births) == 1:
         assert not any(f.year_effects for f in available)
     else:
-        # the base year 2000 is the 1960 cohort at the first age, which no fit
-        # samples, so that cohort's year becomes the effective base
-        assert all(f.base_year == 2000 for f in available)
+        # the panel's earliest year, 2000, is the 1960 cohort at the first age,
+        # which no fit samples; each fit's base is its earliest sampled year
+        assert all(f.base_year == earliest_sampled_year(panel, f.age, f.order) == 1960 + f.age
+                   for f in available)
         assert all(sorted(f.year_effects) == [1961 + f.age, 1963 + f.age] for f in available)
 
 
@@ -328,7 +336,7 @@ def test_base_level_is_the_earliest_sampled_cohort():
             fit = assert_fit_matches(panel, age, order)
             if age - order < 40:
                 continue
-            assert fit.base_year == 1995
+            assert fit.base_year == earliest_sampled_year(panel, age, order)
             assert sorted(fit.year_effects) == ([1961 + age] if age == 41 else []) + [1963 + age]
 
 
@@ -482,33 +490,11 @@ def test_dense_panel_cost_summaries_match_reference():
 
 @pytest.mark.parametrize("states", [np.full((3, 4), -2), np.full((3, 4), -1),
                                     np.zeros((0, 4)), np.zeros((3, 0))])
-def test_min_year_of_unobserved_panel_raises_every_time(states):
+def test_ar_fit_of_unobserved_panel_is_unavailable(states):
     n, n_ages = states.shape
     panel = Panel([f"p{k}" for k in range(n)], [1960] * n, 30, states,
                   np.zeros((n, n_ages)), np.zeros((n, n_ages)))
-    for _ in range(3):
-        with pytest.raises(EmptyCohortError):
-            panel.min_year
-
-
-def test_min_year_comes_from_each_persons_first_observed_column():
-    # the earliest-born person is first observed late and the earliest
-    # observed column belongs to the latest cohort; the middle one sets it
-    states = np.array([[-2, -1, -1, 3], [-1, 0, 2, 2], [4, -2, 1, -1], [-2, -2, -2, -2]])
-    panel = Panel(["a", "b", "c", "d"], [1940, 1941, 1944, 1900], 20, states,
-                  np.zeros((4, 4)), np.where(states >= 0, 12, 0))
-    assert panel.min_year == reference_min_year(panel) == 1941 + 20 + 1
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_min_year_matches_reference_on_multi_cohort_panels(seed):
-    rng = np.random.default_rng(seed)
-    n, n_ages = rng.integers(50, 400), rng.integers(1, 45)
-    unobserved = rng.choice([0.0, 0.5, 0.95])
-    states = np.where(rng.random((n, n_ages)) < unobserved, rng.choice([-2, -1], (n, n_ages)),
-                      rng.integers(0, 5, (n, n_ages))).astype(np.int8)
-    births = rng.integers(1920, 2000, n)
-    panel = Panel([f"p{k:03d}" for k in range(n)], births, int(rng.integers(0, 60)), states,
-                  np.zeros((n, n_ages)), np.where(states >= 0, 12, 0))
-    assert len(panel.cohort_index[0]) > 1
-    assert_same_min_year(panel)
+    for age in range(29, 35):
+        for order in (1, 2):
+            fit = assert_fit_matches(panel, age, order)
+            assert (fit.available, fit.n, fit.base_year) == (False, 0, None)

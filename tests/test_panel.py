@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,8 @@ from healthmarkov.synthetic import generate_panel
 from conftest import assert_same_cells, make_panel, observed_ages, sticky_top_chain
 from reference_ingest import PersonYear, reference_person_year_panel as build  # build_panel on PersonYears
 from reference_synthetic import reference_person_years
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "healthmarkov"
 
 
 def missing_cells(panel) -> list[tuple[str, int, int]]:
@@ -239,11 +244,101 @@ class TestReadOnlyMatrices:
         states[0, 0] = 3
         assert panel.states[0, 0] == 3
 
+    def test_person_arrays_are_read_only_views(self):
+        ids = np.array(["a", "b"], dtype=object)
+        births = np.array([1970, 1971], dtype=np.int32)
+        sex = np.array(["M", "F"], dtype=object)
+        panel = Panel(ids, births, 30, [[0, 1], [2, 3]], [[1, 2], [3, 4]], [[12, 12], [12, 12]], sex=sex)
+        for name, array in (("person_ids", ids), ("birth_years", births), ("sex", sex)):
+            view = getattr(panel, name)
+            assert np.shares_memory(view, array), name
+            with pytest.raises(ValueError):
+                view[0] = view[1]
+            assert array.flags.writeable, name
+        before = panel.cohort_index[0].tolist()
+        with pytest.raises(ValueError):
+            panel.birth_years[0] = 1960
+        assert panel.cohort_index[0].tolist() == before == [1970, 1971]
+
     def test_tallies_are_read_only(self):
         panel = make_panel([[0, 1, 2], [4, -1, -2]])
         for tally in (panel.pair_tally, panel.triple_tally):
             with pytest.raises(ValueError):
                 tally[0] = 0
+
+
+def panel_attributes() -> frozenset:
+    """Names the Panel class defines and the attributes its __init__ sets."""
+    panel = next(node for node in ast.parse((PACKAGE / "panel.py").read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.ClassDef) and node.name == "Panel")
+    names = {node.name for node in panel.body if isinstance(node, ast.FunctionDef)}
+    init = next(node for node in panel.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    names.update(node.attr for node in ast.walk(init)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return frozenset(names - {"__init__"})
+
+
+PANEL_ATTRIBUTES = panel_attributes()
+
+
+def panel_attributes_assigned(source: str) -> list[str]:
+    """Line and spelling of every assignment, deletion or setattr of a Panel attribute outside Panel.__init__.
+
+    Lexical: an attribute of any object that bears a Panel attribute's name counts.
+    """
+    tree = ast.parse(source)
+    inside_init = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Panel":
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    inside_init.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside_init:
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) \
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in ("setattr", "__setattr__"):
+            if node.args[1].value in PANEL_ATTRIBUTES:
+                found.append(f"{node.lineno}: setattr {node.args[1].value}")
+            continue
+        else:
+            continue
+        for target in targets:
+            for part in ast.walk(target):
+                if isinstance(part, ast.Attribute) and isinstance(part.ctx, (ast.Store, ast.Del)) \
+                        and part.attr in PANEL_ATTRIBUTES:
+                    found.append(f"{node.lineno}: .{part.attr}")
+    return found
+
+
+class TestNoPanelAttributeAssigned:
+    @pytest.mark.parametrize("source", [
+        "panel.birth_years = births", "self.states, self.costs = states, costs", "p.age_min += 1",
+        "setattr(panel, 'person_ids', ids)", "object.__setattr__(panel, 'sex', sex)", "del panel.pair_tally",
+        pytest.param("class Panel:\n    def filter(self):\n        self.months = None", id="Panel method"),
+    ])
+    def test_check_sees_every_spelling(self, source):
+        assert panel_attributes_assigned(source)
+
+    @pytest.mark.parametrize("source", [
+        "cfg.output_dir = out", "states = panel.states", "states[0, 0] = 3",
+        pytest.param("class Panel:\n    def __init__(self, states):\n        self.states = states", id="Panel.__init__"),
+    ])
+    def test_check_lets_reads_and_other_objects_through(self, source):
+        assert panel_attributes_assigned(source) == []
+
+    def test_check_knows_the_panel(self):
+        assert {"person_ids", "birth_years", "age_min", "states", "sex", "pair_tally"} <= PANEL_ATTRIBUTES
+
+    def test_no_module_assigns_a_panel_attribute_outside_its_init(self):
+        found = [f"{path.name}:{use}" for path in sorted(PACKAGE.glob("*.py"))
+                 for use in panel_attributes_assigned(path.read_text(encoding="utf-8"))]
+        assert found == []
 
 
 class TestTallies:
