@@ -431,6 +431,8 @@ def _cmd_project(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _cmd_selftest(cfg: RunConfig, n_chains: int) -> dict:
+    if n_chains < 1:
+        raise InvalidInputError(f"--chains must be at least 1, got {n_chains}")
     t0 = time.perf_counter()
     worst = 0.0
     horizons = range(1, 6)

@@ -137,8 +137,8 @@ class TransitionTensor(_TransitionEstimate):
     """Second-order estimate at one age: probs[i, j, k] = p(state k at age | i at age-2, j at age-1)."""
 
 
-#: Estimate type and what it counts, per chain order.
-_ORDERS = {1: (TransitionMatrix, "pairs"), 2: (TransitionTensor, "triples")}
+#: Estimate type per chain order.
+_ORDERS = {1: TransitionMatrix, 2: TransitionTensor}
 
 #: Tally letters of the observed states Q1..Q5; 0 is absent, 1 missing.
 _OBSERVED = slice(2, None)
@@ -161,34 +161,14 @@ def _observed_counts(panel: Panel, order: int) -> np.ndarray:
     return _tally(panel, order)[(slice(None),) + (_OBSERVED,) * (order + 1)]
 
 
-def _estimate(panel: Panel, age: int, order: int) -> _TransitionEstimate:
-    kind, noun = _ORDERS[order]
-    if not (panel.has_age(age) and panel.has_age(age - order)):
-        raise EmptyCohortError(f"panel covers {panel.age_min}..{panel.age_max}, no {noun} into age {age}")
-    counts = _observed_counts(panel, order)[panel.column(age) - order]
-    if counts.sum() == 0:
-        raise EmptyCohortError(f"no observed {noun} into age {age}")
-    return kind(age=age, probs=_normalize_counts(counts), counts=counts)
-
-
 def _estimate_family(panel: Panel, order: int) -> dict:
-    kind, _ = _ORDERS[order]
+    kind = _ORDERS[order]
     out = {}
     # count row k holds the transitions into age age_min + order + k
     for age, counts in enumerate(_observed_counts(panel, order), panel.age_min + order):
         if counts.sum() > 0:
             out[age] = kind(age=age, probs=_normalize_counts(counts), counts=counts)
     return out
-
-
-def estimate_order1(panel: Panel, age: int) -> TransitionMatrix:
-    """Estimate the transition matrix into ``age`` from observed (age-1, age) pairs."""
-    return _estimate(panel, age, 1)
-
-
-def estimate_order2(panel: Panel, age: int) -> TransitionTensor:
-    """Estimate the pair-conditional tensor into ``age`` from observed triples."""
-    return _estimate(panel, age, 2)
 
 
 def estimate_order1_family(panel: Panel) -> dict[int, TransitionMatrix]:

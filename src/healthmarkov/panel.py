@@ -21,7 +21,7 @@ Panel cache.  ``write_cache`` writes a CSV with the header
 in-span cell; a missing-marker row has state ``MISSING``, months 0 and an
 empty cost.  ``read_cache`` parses columns, not rows.  A file spelled as
 write_cache spells it is read by one ``np.loadtxt`` call with a structured
-dtype, its person_id width sized from the data, and checked with
+dtype, its person_ids as Python strings of any length, and checked with
 vectorized masks.  Any other file (a malformed one, or one with fields
 that only ``int()`` or the csv module accept, such as ``1_000``, padded
 labels or bare carriage returns) is split by ``csv.reader`` and checked
@@ -259,10 +259,9 @@ def _loadtxt_cells(raw: bytes):
     file, so that _csv_cells alone decides errors and their line numbers.
     """
     if not raw.startswith(_CACHE_HEADER_LINES) or b"\0" in raw:
-        return None  # fixed-width numpy strings would drop trailing NULs
-    pid_width = _pid_width(raw)
+        return None  # the fixed-width cost and state fields would drop trailing NULs
     dtype = np.dtype([
-        ("pid", f"U{pid_width + 1}"), ("age", "i8"), ("year", "i8"), ("months", "i8"),
+        ("pid", object), ("age", "i8"), ("year", "i8"), ("months", "i8"),
         ("cost", f"S{_COST_DIGITS + 1}"), ("state", "S8"),
     ])
     try:
@@ -274,29 +273,17 @@ def _loadtxt_cells(raw: bytes):
             )
     except (ValueError, Warning):
         return None
-    if not len(table) or np.char.str_len(table["pid"]).max() > pid_width:
-        return None  # empty body, or a field reaching the width may be truncated
+    if not len(table):
+        return None
     codes = _label_codes(table["state"])
     costs, plain = _plain_digits(table["cost"])
     if (codes == _UNKNOWN_LABEL).any() or not plain[codes >= 0].all():
         return None
-    return np.char.strip(table["pid"]), table["age"], table["year"], codes, table["months"], costs
+    return _strip(table["pid"]), table["age"], table["year"], codes, table["months"], costs
 
 
-def _pid_width(raw: bytes) -> int:
-    """Upper bound on the characters of a one-line person_id field below the header.
-
-    An unquoted first field ends at its line's first comma, a quoted one at
-    the end of its line at the latest; bytes bound characters from above.
-    """
-    b = np.frombuffer(raw, dtype=np.uint8)
-    newlines = np.flatnonzero(b == ord("\n"))
-    starts = newlines + 1
-    line_ends = np.append(newlines[1:], len(b))
-    commas = np.append(np.flatnonzero(b == ord(",")), len(b))
-    field_ends = np.minimum(commas[np.searchsorted(commas, starts)], line_ends)
-    quoted = b[np.minimum(starts, len(b) - 1)] == ord('"')
-    return int((np.where(quoted, line_ends, field_ends) - starts).max())
+#: str.strip over an object array: the rule both readers apply to every field they keep.
+_strip = np.frompyfunc(str.strip, 1, 1)
 
 
 def _label_codes(labels) -> np.ndarray:
@@ -345,9 +332,7 @@ def _csv_cells(text: str):
     ragged = np.flatnonzero((n_fields != 0) & (n_fields != n_columns))
     stop = ragged[0] if len(ragged) else len(records)
     lines = np.flatnonzero(n_fields[:stop])  # 0-based record index; blank records count
-    fields = np.array(
-        [[f.strip() for f in records[i]] for i in lines], dtype=object
-    ).reshape(len(lines), n_columns)
+    fields = _strip(np.array([records[i] for i in lines], dtype=object).reshape(len(lines), n_columns))
     pids, age_s, year_s, months_s, cost_s, state_s = fields.T
 
     ages, years = _to_int(age_s), _to_int(year_s)

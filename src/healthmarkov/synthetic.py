@@ -142,8 +142,6 @@ class GroundTruthChain:
     def from_json(cls, source) -> "GroundTruthChain":
         if hasattr(source, "read"):
             doc = json.load(source)
-        elif isinstance(source, str) and source.lstrip().startswith("{"):
-            doc = json.loads(source)
         else:
             with open(source, encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -311,12 +309,10 @@ def generate_panel(truth: GroundTruthChain, n_persons: int) -> Panel:
 _CLAIMS_BLOCK_CELLS = 1 << 12
 
 
-def _claims_sexes(panel: Panel, sex_default) -> list[str]:
-    """Each person's sex as written to claims; rejects what ingest would."""
+def _claims_sexes(panel: Panel) -> list[str]:
+    """Each person's sex as written to claims, "M" without ``panel.sex``; rejects what ingest would."""
     if panel.sex is None:
-        if str(sex_default) not in ("M", "F"):
-            raise InvalidInputError(f"sex_default must be 'M' or 'F', got {sex_default!r}")
-        return [str(sex_default)] * panel.n_persons
+        return ["M"] * panel.n_persons
     sexes = [str(s) for s in panel.sex]
     for p, text in enumerate(sexes):
         if text not in ("M", "F"):
@@ -355,7 +351,7 @@ def _row_prefixes(person_ids, sexes) -> np.ndarray:
     return np.array([line[:-2] + "," for line in lines], dtype=object)
 
 
-def write_claims(panel: Panel, path, sex_default: str = "M", year_convention: str = "fiscal") -> int:
+def write_claims(panel: Panel, path, year_convention: str = "fiscal") -> int:
     """Write the panel as monthly claims rows; returns rows written.
 
     Each observed person-year becomes 12 monthly rows whose costs sum to
@@ -365,15 +361,15 @@ def write_claims(panel: Panel, path, sex_default: str = "M", year_convention: st
     per person-year, whatever ``months_observed`` says, so a panel with
     fewer observed months comes back from ingest with 12.
 
-    Every sex value (``panel.sex``, or ``sex_default`` when the panel has
-    none) must be "M" or "F"; otherwise InvalidInputError is raised and no
+    A panel without ``panel.sex`` writes "M" for every person; otherwise
+    every sex value must be "M" or "F", or InvalidInputError is raised and no
     file is created.  Rows are formatted from the panel's arrays, one block
     of ``_CLAIMS_BLOCK_CELLS`` (person, age) cells at a time, so memory is
     bounded by the block and not by the file.
     """
     if year_convention not in YEAR_CONVENTIONS:
         raise InvalidInputError(f"unknown year convention {year_convention!r}")
-    sexes = _claims_sexes(panel, sex_default)
+    sexes = _claims_sexes(panel)
     templates = _month_templates(year_convention)
     head = "{}{},{},".format  # person_id,sex, prefix, age and year -> head of a row
     cells = panel.states.reshape(-1)  # person-major: one int8 copy of the column-major matrix

@@ -372,6 +372,14 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    @pytest.mark.parametrize("chains", ["0", "-3"])
+    def test_no_chains_is_usage_error(self, chains, capsys):
+        # a run that checks nothing must not report PASS
+        assert run("selftest", "--chains", chains) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert f"--chains must be at least 1, got {chains}" in err
+
     def test_writes_nothing_in_a_fresh_directory(self, tmp_path, monkeypatch):
         # selftest writes no file, so it creates no output directory either
         monkeypatch.chdir(tmp_path)

@@ -31,7 +31,7 @@ def test_readme_lists_exactly_the_config_keys():
 
 def test_library_sketch_uses_only_exported_names():
     names = set(re.findall(r"\bhm\.(\w+)", readme_block("## Library sketch")))
-    assert "estimate_order1" in names  # the pattern finds the sketch's calls
+    assert "estimate_order1_family" in names  # the pattern finds the sketch's calls
     assert sorted(names - set(healthmarkov.__all__)) == []
 
 

@@ -13,9 +13,7 @@ from healthmarkov.estimate import (
     _target_codes,
     ar_regression,
     conditional_cost_quantiles,
-    estimate_order1,
     estimate_order1_family,
-    estimate_order2,
     estimate_order2_family,
     exceedance_proportions,
     five_year_groups,
@@ -28,6 +26,7 @@ from healthmarkov.states import MISSING, HealthState, _state_code
 from healthmarkov.synthetic import generate_panel, order1_consistent_chain, random_chain
 
 from conftest import collinear_cost_panel, make_panel, panel_from_costs, sticky_top_chain
+from reference_kernels import reference_pair_counts, reference_triple_counts
 
 Q = HealthState
 
@@ -41,7 +40,7 @@ def cycle_panel(n=10, n_ages=6, entry_age=30):
 class TestOrder1:
     def test_deterministic_cycle_gives_permutation(self):
         panel = cycle_panel()
-        m = estimate_order1(panel, 31)
+        m = estimate_order1_family(panel)[31]
         expected = np.zeros((5, 5))
         expected[0, 1] = 1.0
         assert m.counts[0, 1] == 10
@@ -50,12 +49,12 @@ class TestOrder1:
 
     def test_all_stay_top(self):
         panel = make_panel(np.full((7, 3), 4, dtype=np.int8))
-        m = estimate_order1(panel, 31)
+        m = estimate_order1_family(panel)[31]
         np.testing.assert_allclose(m.probs[4], [0, 0, 0, 0, 1])
 
     def test_missing_excluded_from_denominator(self):
         states = [[0, 0], [0, -1], [0, 1]]
-        m = estimate_order1(make_panel(states), 31)
+        m = estimate_order1_family(make_panel(states))[31]
         assert m.totals[0] == 2
         np.testing.assert_allclose(m.probs[0], [0.5, 0.5, 0, 0, 0])
 
@@ -67,18 +66,13 @@ class TestOrder1:
             np.testing.assert_allclose(sums[m.supported], 1.0, atol=1e-12)
             assert (m.probs[~m.supported] == 0).all()
 
-    def test_no_pairs_raises(self):
-        panel = make_panel([[0, 0]])
-        with pytest.raises(EmptyCohortError):
-            estimate_order1(panel, 99)
-
     def test_recovery_within_3_sigma(self):
         truth = random_chain(11, entry_age=20, exit_age=24)
         panel = generate_panel(truth, 40_000)
-        m = estimate_order1(panel, 23)
+        m = estimate_order1_family(panel)[23]
         # truth order-1 rows at age 23 are mixtures; check via pair composition instead:
         # every row with solid support should match the empirical tensor marginal
-        t = estimate_order2(panel, 23)
+        t = estimate_order2_family(panel)[23]
         marg = t.counts.sum(axis=0)
         np.testing.assert_array_equal(marg, m.counts)
 
@@ -90,10 +84,9 @@ class TestOrder1:
             panel.person_ids[perm], panel.birth_years[perm], panel.age_min,
             panel.states[perm], panel.costs[perm], panel.months[perm],
         )
+        family, shuffled_family = estimate_order1_family(panel), estimate_order1_family(shuffled)
         for age in (31, 32, 33):
-            np.testing.assert_array_equal(
-                estimate_order1(panel, age).counts, estimate_order1(shuffled, age).counts
-            )
+            np.testing.assert_array_equal(family[age].counts, shuffled_family[age].counts)
 
     def test_sharding_pools_to_the_full_panel(self):
         truth = random_chain(6, entry_age=30, exit_age=35)
@@ -104,9 +97,10 @@ class TestOrder1:
                   panel.states[s], panel.costs[s], panel.months[s])
             for s in (slice(None, half), slice(half, None))
         ]
+        families = [estimate_order1_family(shard) for shard in shards]
         for age in (32, 34):
-            whole = estimate_order1(panel, age).counts
-            pooled = sum(estimate_order1(shard, age).counts for shard in shards)
+            whole = estimate_order1_family(panel)[age].counts
+            pooled = sum(family[age].counts for family in families)
             np.testing.assert_array_equal(whole, pooled)
 
 
@@ -120,7 +114,7 @@ class TestOrder2:
             for k in range(2, 6):
                 states[p, k] = states[p, k - 2]
         panel = make_panel(states)
-        t = estimate_order2(panel, 32)
+        t = estimate_order2_family(panel)[32]
         for i, j in starts:
             np.testing.assert_allclose(t.probs[i, j], np.eye(5)[i])
 
@@ -136,15 +130,14 @@ class TestOrder2:
         # every (t-1, t) pair also has t-2 observed for t >= entry + 2
         truth = random_chain(13, entry_age=20, exit_age=30, attrition=0.15)
         panel = generate_panel(truth, 2_000)
+        order1, order2 = estimate_order1_family(panel), estimate_order2_family(panel)
         for age in range(22, 31):
-            t = estimate_order2(panel, age)
-            m = estimate_order1(panel, age)
-            np.testing.assert_array_equal(t.counts.sum(axis=0), m.counts)
+            np.testing.assert_array_equal(order2[age].counts.sum(axis=0), order1[age].counts)
 
     def test_order1_data_has_equal_slices(self):
         truth = order1_consistent_chain(21, entry_age=20, exit_age=26)
         panel = generate_panel(truth, 60_000)
-        t = estimate_order2(panel, 24)
+        t = estimate_order2_family(panel)[24]
         for j in range(5):
             rows = t.probs[:, j, :][t.supported[:, j]]
             ns = t.totals[:, j][t.supported[:, j]]
@@ -158,7 +151,7 @@ class TestOrder2:
     def test_sticky_chain_slices_differ(self):
         truth = sticky_top_chain(entry_age=20, exit_age=30)
         panel = generate_panel(truth, 100_000)
-        t = estimate_order2(panel, 26)
+        t = estimate_order2_family(panel)[26]
         # conditioning on the older state changes top-state retention by >= 0.3
         assert t.probs[4, 4, 4] - t.probs[0, 4, 4] >= 0.3
 
@@ -172,10 +165,12 @@ class TestFamilies:
         order2 = estimate_order2_family(panel)
         assert sorted(order1) == [31, 32, 35, 36]
         assert sorted(order2) == [32, 36]
-        for family, single in ((order1, estimate_order1), (order2, estimate_order2)):
+        # row k of a reference count holds the transitions into column k + order
+        for family, counts, order in ((order1, reference_pair_counts(panel.states), 1),
+                                      (order2, reference_triple_counts(panel.states), 2)):
             for age, est in family.items():
                 assert est.age == age
-                np.testing.assert_array_equal(est.counts, single(panel, age).counts)
+                np.testing.assert_array_equal(est.counts, counts[panel.column(age) - order])
 
 
 class TestStateFractions:

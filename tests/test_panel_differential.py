@@ -208,10 +208,17 @@ def test_edge_files_match_reference(tmp_path, body):
 
 def test_write_cache_output_takes_the_columnar_path(tmp_path):
     panel = generate_panel(random_chain(seed=3, entry_age=20, exit_age=40, attrition=0.05), 300)
-    path = tmp_path / "panel.csv"
-    panel.write_cache(path)
-    assert _loadtxt_cells(path.read_bytes()) is not None
-    assert_same_panel(Panel.read_cache(path), reference_read_cache(path))
+    # ids of 1 to 300 characters with inner spaces, commas, quotes and non-ASCII letters
+    alphabet = 'a b,c"dé日'
+    ids = [(alphabet * 40)[:n - 1] + "z" for n in range(1, 301)]
+    wide = Panel(ids, panel.birth_years, panel.age_min, panel.states, panel.costs, panel.months)
+    for name, written in (("panel.csv", panel), ("wide.csv", wide)):
+        path = tmp_path / name
+        written.write_cache(path)
+        assert _loadtxt_cells(path.read_bytes()) is not None
+        read = Panel.read_cache(path)
+        assert_same_panel(read, reference_read_cache(path))
+        assert read.person_ids.tolist() == written.person_ids.tolist()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -81,7 +81,6 @@ def panels(draw):
         "block": block,
         "ids": id_kind,
         "sex": sex_kind,
-        "sex_default": draw(st.sampled_from(["M", "F"])),
         "convention": draw(st.sampled_from(["fiscal", "calendar"])),
     }
 
@@ -128,7 +127,7 @@ def test_claims_bytes_match_reference(tmp_path):
     @given(case=panels())
     def check(case):
         seen.update(features(case))
-        kwargs = {"sex_default": case["sex_default"], "year_convention": case["convention"]}
+        kwargs = {"year_convention": case["convention"]}
         with mock.patch.object(synthetic, "_CLAIMS_BLOCK_CELLS", case["block"]):
             got = write_claims(case["panel"], got_path, **kwargs)
         want = reference_write_claims(case["panel"], want_path, **kwargs)
