@@ -66,6 +66,11 @@ class TestOrder1:
             np.testing.assert_allclose(sums[m.supported], 1.0, atol=1e-12)
             assert (m.probs[~m.supported] == 0).all()
 
+    def test_ages_without_pairs_are_absent(self):
+        # one observed pair lands in 31; a missing middle age leaves no pair at all
+        assert sorted(estimate_order1_family(make_panel([[0, 0]]))) == [31]
+        assert estimate_order1_family(make_panel([[0, -1, 2], [-2, -2, -2]])) == {}
+
     def test_recovery_within_3_sigma(self):
         truth = random_chain(11, entry_age=20, exit_age=24)
         panel = generate_panel(truth, 40_000)

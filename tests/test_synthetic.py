@@ -134,6 +134,17 @@ class TestClaimsRoundTrip:
         np.testing.assert_array_equal(again.months, panel.months)
         np.testing.assert_array_equal(again.costs, panel.costs)
 
+    def test_panel_without_sex_writes_m_for_every_person(self, tmp_path):
+        template = generate_panel(random_chain(83, entry_age=25, exit_age=27), 3)
+        panel = Panel(template.person_ids, template.birth_years, template.age_min,
+                      template.states, template.costs, template.months)
+        assert panel.sex is None
+        path = tmp_path / "claims.csv"
+        write_claims(panel, path)
+        again = load_claims_panel(path)
+        assert_same_cells(again, panel)
+        assert list(again.sex) == ["M", "M", "M"]
+
     @pytest.mark.parametrize("sex", [[None, None], ["M", None], ["F", "X"], ["m", "F"]])
     def test_sex_that_ingest_rejects_is_refused_before_writing(self, tmp_path, sex):
         panel = generate_panel(random_chain(80, entry_age=25, exit_age=27), 2)
