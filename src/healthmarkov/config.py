@@ -165,13 +165,11 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     if command == "ingest":
         if not cfg.claims_path:
             raise ConfigError("ingest needs input.claims")
-        if not os.path.exists(cfg.claims_path):
-            raise ConfigError(f"input.claims does not exist: {cfg.claims_path}")
+        _require_file("input.claims", cfg.claims_path)
     if command in ("estimate", "report", "project"):
         if not cfg.panel_path:
             raise ConfigError(f"{command} needs input.panel (a panel cache file)")
-        if not os.path.exists(cfg.panel_path):
-            raise ConfigError(f"input.panel does not exist: {cfg.panel_path}")
+        _require_file("input.panel", cfg.panel_path)
     if command in ("project", "report"):
         if not cfg.q5_values:
             raise ConfigError("project.q5_values must be non-empty")
@@ -182,3 +180,10 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             raise ConfigError("synth.entry_age must be below synth.exit_age")
         if not 0.0 <= cfg.synth_attrition <= 1.0:
             raise ConfigError("synth.attrition must lie in [0, 1]")
+
+
+def _require_file(key: str, path: str) -> None:
+    if not os.path.exists(path):
+        raise ConfigError(f"{key} does not exist: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(f"{key} is a directory, not a file: {path}")

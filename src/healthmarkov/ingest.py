@@ -1,17 +1,30 @@
-"""Streaming claims ingestion: monthly records -> a person-year table -> a Panel.
+"""Claims ingestion: monthly records -> a person-year table -> a Panel.
 
 Input CSV (UTF-8, header required; a leading byte-order mark, as
 spreadsheet programs write it, is skipped when reading from a path):
 
     person_id,sex,age,year,month,cost_yen
 
-with sex in {M, F}, month 1-12 and cost_yen a non-negative integer.  The
-parser is a generator with constant memory.  Aggregation into person-years
-keeps one small accumulator per (person, year) until the stream ends,
-because a duplicate (person, year, month) row may arrive anywhere later in
-the file; it holds no record.  Annual costs and states are then computed
-for all person-years at once, into one structured array with a row per
-person-year, whose columns go straight to ``panel.build_panel``.
+with sex in {M, F}, month 1-12 and cost_yen a non-negative integer.
+``parse_claims`` yields one ClaimRecord per data row, in input order, but
+parses the text a block of whole lines (about _BLOCK_CHARS characters) at
+a time.  A plain block, one as ``synthetic.write_claims`` writes it, is
+decoded by one ``np.loadtxt`` call and checked with whole-column masks:
+ASCII with no quote, NUL, bare carriage return or blank line, no line past
+the csv field limit, one row per line, and every field valid as written
+(ids non-empty and already stripped, sex exactly M or F).  Any other
+block goes, with the rest of the stream, to the row loop (``csv.reader``
+and ``int()``), which alone decides errors: their class, message and
+1-based line, and the records yielded before them, are those of a
+row-by-row parse.  The one difference: a strictly decoding text stream may
+raise its DataFormatError for undecodable bytes a block earlier.
+
+Aggregation into person-years keeps one small accumulator per (person,
+year) until the stream ends, because a duplicate (person, year, month) row
+may arrive anywhere later in the file; it holds no record.  Annual costs
+and states are then computed for all person-years at once, into one
+structured array with a row per person-year, whose columns go straight to
+``panel.build_panel``.
 
 Annual cost is mean observed monthly cost times 12, rounded half-up to
 integer yen, so part-year enrollees are scaled to a full-year equivalent.
@@ -19,13 +32,13 @@ integer yen, so part-year enrollees are scaled to a full-year equivalent.
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DataFormatError, DuplicateRecordError, InvalidInputError
-from .panel import PANEL_CACHE_COLUMNS, Panel, build_panel
+from .panel import PANEL_CACHE_COLUMNS, Panel, _loadtxt, _strip, build_panel
 from .states import DEFAULT_THRESHOLDS, StateThresholds, classify_costs
 
 CLAIMS_COLUMNS = ("person_id", "sex", "age", "year", "month", "cost_yen")
@@ -38,8 +51,7 @@ PERSON_YEAR_DTYPE = np.dtype(
     [("person_id", object)] + [(name, np.int64) for name in PANEL_CACHE_COLUMNS[1:]])
 
 
-@dataclass(frozen=True, slots=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     """One monthly claims total for one person."""
 
     person_id: str
@@ -55,7 +67,8 @@ def parse_claims(source) -> Iterator[ClaimRecord]:
 
     Malformed rows raise DataFormatError carrying the 1-based line number;
     so do bytes that are not UTF-8 and rows the csv module cannot split.
-    A strictly decoding text stream raises it without a line: it decodes in chunks.
+    A strictly decoding text stream raises it without a line, and possibly
+    a block of records early: the stream decodes in chunks.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         # undecodable bytes become lone surrogates, which fail their row's checks
@@ -67,18 +80,31 @@ def parse_claims(source) -> Iterator[ClaimRecord]:
         raise InvalidInputError(f"cannot read claims from {type(source).__name__}")
 
 
+#: Characters of claims text read per block; a block ends at the first line end past it.
+_BLOCK_CHARS = 1 << 18
+
+_BLOCK_DTYPE = np.dtype(list(zip(ClaimRecord._fields, [object, object, "i8", "i8", "i8", "i8"])))
+
+
 def _parse_stream(fh) -> Iterator[ClaimRecord]:
-    reader = csv.reader(fh)
     n_fields = len(CLAIMS_COLUMNS)
     lineno = 0  # the last record read; a csv error belongs to the next one
     try:
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         lineno = 1
         if header is None or tuple(h.strip() for h in header) != CLAIMS_COLUMNS:
             raise DataFormatError(
                 f"claims file must start with header {','.join(CLAIMS_COLUMNS)}", line=1
             )
-        for lineno, row in enumerate(reader, start=2):
+        while lines := fh.readlines(_BLOCK_CHARS):
+            records = _block_records(lines)
+            if records is None:
+                break
+            lineno += len(lines)  # a plain block holds one record per line
+            del lines  # hold one block at a time
+            yield from records
+            del records  # an exhausted zip still holds all but its first column
+        for lineno, row in enumerate(csv.reader(chain(lines, fh)), start=lineno + 1):
             if len(row) != n_fields:
                 if not row:
                     continue
@@ -118,6 +144,25 @@ def _parse_stream(fh) -> Iterator[ClaimRecord]:
         raise DataFormatError(f"unreadable CSV record: {exc}", line=lineno + 1) from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"claims stream holds bytes that are not {exc.encoding}") from None
+
+
+def _block_records(lines: list[str]) -> Iterator[ClaimRecord] | None:
+    """The records of a plain block of lines, or None if the row loop must parse it."""
+    text = "".join(lines)
+    if not (text.isascii() and '"' not in text and "\0" not in text
+            and text.count("\r") == text.count("\r\n") and "\n" not in lines and "\r\n" not in lines
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        return None
+    table = _loadtxt(lines, _BLOCK_DTYPE)
+    if table is None or len(table) != len(lines):
+        return None
+    pid, sex, age, year, month, cost = (table[name] for name in ClaimRecord._fields)
+    valid = ((pid != "") & (_strip(pid) == pid) & ((sex == "M") | (sex == "F"))
+             & (age >= 0) & (age <= 120) & (month >= 1) & (month <= 12) & (cost >= 0))
+    if not valid.all():
+        return None
+    columns = [table[name].tolist() for name in ClaimRecord._fields]
+    return map(tuple.__new__, repeat(ClaimRecord), zip(*columns))
 
 
 def grouping_year(year: int, month: int, convention: str = "fiscal") -> int:
@@ -167,33 +212,38 @@ def aggregate_person_years(
     groups: dict[tuple[str, int], list[int]] = {}
     # per person: [sex, lowest, highest year - age]; a record allows birth years year - age - 1 and year - age
     persons: dict[str, list] = {}
-    for rec in records:
-        pid, year, month = rec.person_id, rec.year, rec.month
-        born = year - rec.age
-        person = persons.get(pid)
-        if person is None:
-            person = persons[pid] = [rec.sex, born, born]
-        if person[0] != rec.sex:
+    fiscal = year_convention == "fiscal"
+    last_pid = None  # a person's rows usually run together, so keep their person and group
+    for pid, sex, age, year, month, cost in records:
+        born = year - age
+        if pid != last_pid:
+            last_pid, last_gyear = pid, None
+            person = persons.get(pid)
+            if person is None:
+                person = persons[pid] = [sex, born, born]
+        if person[0] != sex:
             raise DataFormatError(f"person {pid!r} appears with both sexes")
         if not person[2] - 1 <= born <= person[1] + 1:
             earlier = person[1] if person[2] > person[1] else f"{person[1] - 1} or {person[1]}"
-            raise DataFormatError(f"person {pid!r}: age {rec.age} in {year}-{month:02d} contradicts "
+            raise DataFormatError(f"person {pid!r}: age {age} in {year}-{month:02d} contradicts "
                                   f"earlier records (birth year {earlier})")
         if born < person[1]:
             person[1] = born
         elif born > person[2]:
             person[2] = born
-        gyear = grouping_year(year, month, year_convention)
-        acc = groups.get((pid, gyear))
-        if acc is None:
-            acc = groups[pid, gyear] = [0, 0]
+        gyear = year - 1 if fiscal and month < 4 else year  # grouping_year's rule, without a call per row
+        if gyear != last_gyear:
+            last_gyear = gyear
+            acc = groups.get((pid, gyear))
+            if acc is None:
+                acc = groups[pid, gyear] = [0, 0]
         month_bit = 1 << ((year - gyear) * 12 + month - 1)
         if acc[0] & month_bit:
             raise DuplicateRecordError(
                 f"duplicate record for person {pid!r}, year {year}, month {month}"
             )
         acc[0] |= month_bit
-        acc[1] += rec.cost
+        acc[1] += cost
 
     keys = sorted(groups)
     accs = [groups[key] for key in keys]

@@ -264,16 +264,8 @@ def _loadtxt_cells(raw: bytes):
         ("pid", object), ("age", "i8"), ("year", "i8"), ("months", "i8"),
         ("cost", f"S{_COST_DIGITS + 1}"), ("state", "S8"),
     ])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy < 2 parses "1.0" as an int with a warning
-            table = np.loadtxt(
-                io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""),
-                dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1,
-            )
-    except (ValueError, Warning):
-        return None
-    if not len(table):
+    table = _loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""), dtype, skiprows=1)
+    if table is None or not len(table):
         return None
     codes = _label_codes(table["state"])
     costs, plain = _plain_digits(table["cost"])
@@ -282,7 +274,22 @@ def _loadtxt_cells(raw: bytes):
     return _strip(table["pid"]), table["age"], table["year"], codes, table["months"], costs
 
 
-#: str.strip over an object array: the rule both readers apply to every field they keep.
+def _loadtxt(lines, dtype, skiprows=0):
+    """Structured array of CSV lines via one ``np.loadtxt`` call, or None if numpy refuses them.
+
+    A refusal sends the caller to its csv-module path, which decides every
+    error; numpy < 2 parsing "1.0" as an int, with a warning, is one.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                              skiprows=skiprows, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
+#: str.strip over an object array: the rule every CSV reader applies to the fields it keeps.
 _strip = np.frompyfunc(str.strip, 1, 1)
 
 

@@ -72,6 +72,13 @@ class TestIngest:
         assert run("--output-dir", str(tmp_path), "ingest") == 2
         assert run("--output-dir", str(tmp_path), "--set", "input.claims=/no/such.csv", "ingest") == 2
 
+    def test_directory_as_input_is_usage_error(self, tmp_path, capsys):
+        folder = tmp_path / "claims"
+        folder.mkdir()
+        assert run("--output-dir", str(tmp_path), "--set", f"input.claims={folder}", "ingest") == 2
+        err = capsys.readouterr().err
+        assert f"input.claims is a directory, not a file: {folder}" in err and "Traceback" not in err
+
     def test_duplicate_row_is_data_error(self, tmp_path):
         path = tmp_path / "claims.csv"
         path.write_text(HEADER + "a,M,40,2010,4,1\na,M,40,2010,4,1\n")
@@ -113,6 +120,11 @@ class TestIngest:
 
 
 class TestEstimate:
+    def test_directory_as_panel_is_usage_error(self, tmp_path, capsys):
+        assert run("--output-dir", str(tmp_path), "--set", f"input.panel={tmp_path}", "estimate") == 2
+        err = capsys.readouterr().err
+        assert f"input.panel is a directory, not a file: {tmp_path}" in err and "Traceback" not in err
+
     def test_outputs_exist_and_are_stochastic(self, pipeline):
         assert run(
             "--output-dir", str(pipeline),

@@ -68,6 +68,7 @@ class TestParse:
             "a,M,40,2010,4,ten",        # non-integer
             "a,M,40,2010,4",            # missing field
             ",M,40,2010,4,1000",        # empty id
+            "a,M,40.0,2010,4,1000",     # int() refuses a decimal point
         ],
     )
     def test_malformed_rows(self, row):
@@ -124,6 +125,11 @@ class TestParse:
     def test_numbers_keep_every_separator_strip_removes(self):
         # int() alone refuses \x1c-\x1f around a number; str.strip removes them
         rows = list(parse_claims(claims(" a ,\x1cM, \x1c40\x1f,2010 ,\x1e4,\t1000\n")))
+        assert rows == [ClaimRecord("a", "M", 40, 2010, 4, 1000)]
+
+    def test_integers_follow_int(self):
+        # numpy refuses 1_000, so the row loop reads this block
+        rows = list(parse_claims(claims("a,M,40,2010,4,1_000\n")))
         assert rows == [ClaimRecord("a", "M", 40, 2010, 4, 1000)]
 
     def test_parser_is_lazy(self):

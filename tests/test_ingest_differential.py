@@ -9,6 +9,12 @@ Generated claims files hold runs of consecutive months that straddle
 calendar and fiscal years, duplicates in the same and in a later group,
 contradictory sexes, malformed and blank rows, a byte-order mark, ids
 that need quoting, padded fields, and costs and years past int64.
+
+``parse_claims`` reads blocks of lines and decodes plain blocks in one
+numpy call; the block tests hold it to ``reference_parse_stream`` with
+blocks of a few lines, so odd rows, quoted line breaks and line endings
+fall on every side of a block boundary, and pin that files as
+``write_claims`` writes them never leave the plain-block path.
 """
 
 import csv
@@ -17,12 +23,14 @@ import os
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from healthmarkov import ingest
-from healthmarkov.errors import DuplicateRecordError
-from healthmarkov.ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS
+from healthmarkov.errors import DataFormatError, DuplicateRecordError
+from healthmarkov.ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS, parse_claims
 from healthmarkov.states import DEFAULT_THRESHOLDS, StateThresholds
+from healthmarkov.synthetic import generate_panel, random_chain, write_claims
 
 from reference_ingest import (
     reference_aggregate_person_years,
@@ -232,3 +240,202 @@ def test_load_claims_panel_matches_reference_chain():
 
         check()
     assert REACHED <= seen, REACHED - seen
+
+
+# -- block boundaries --------------------------------------------------------
+
+LIMIT = csv.field_size_limit()
+#: Rows a plain block refuses, as (label, row bytes without a line end).
+ODD_ROWS = [
+    ("blank line", b""),
+    ("quoted line break", b'"x\ny",M,40,2010,4,1000'),
+    ("quoted id", b'"a,b",F,40,2010,4,1000'),
+    ("quote inside an id", b'a"b,M,40,2010,4,1000'),
+    ("padded id", b" a\t,M,40,2010,4,1000"),
+    ("padded fields", b" a ,M , 40,2010 ,4, 1000 "),
+    ("plus sign", b"a,M,+40,2010,+4,+5"),
+    ("underscore", b"a,M,40,2010,4,1_000"),
+    ("decimal point", b"a,M,40.0,2010,4,1000"),
+    ("full-width digits", "a,M,\uff14\uff10,2010,4,1000".encode()),
+    ("separator-padded numbers", b"a,\x1cM,\x1c40\x1f,2010,\x1e4,1000\x1d"),
+    ("non-ASCII id", "\u00e9\u65e5,F,40,2010,4,1000".encode()),
+    ("surrogate-escaped id", b"b\xff\xfe,M,40,2010,4,5"),
+    ("surrogate-escaped number", b"b,M,40,2010,4,5\xff"),
+    ("NUL", b"a\0,M,40,2010,4,1000"),
+    ("field past the csv limit", b"b," + b"9" * (LIMIT + 1) + b",40,2010,5,1"),
+    ("id past the csv limit", b"x" * (LIMIT + 1) + b",M,40,2010,5,1"),
+    ("line past the csv limit", b"x" * (LIMIT - 1) + b",M,40,2010,5,1"),
+    ("bad sex", b"a,X,40,2010,4,1"),
+    ("negative age", b"a,M,-1,2010,4,1"),
+    ("age 121", b"a,M,121,2010,4,1"),
+    ("month 0", b"a,M,40,2010,0,1"),
+    ("month 13", b"a,M,40,2010,13,1"),
+    ("negative cost", b"a,M,40,2010,4,-1"),
+    ("empty id", b",M,40,2010,4,1"),
+    ("missing field", b"a,M,40,2010,4"),
+    ("year past int64", b"a,M,40,18446744073709551616,4,1"),
+]
+ENDINGS = [b"\n", b"\r\n", b"\r"]
+
+
+@st.composite
+def blocky_files(draw, odd):
+    """Claims bytes of plain rows, then the row odd (unless None) and up to two odd rows after it.
+
+    Returns the bytes, a block size in characters, and labels of the line ends.
+    """
+    rows = [f"p{draw(st.integers(0, 10**draw(st.integers(0, 6))))},{draw(st.sampled_from('MF'))},"
+            f"{draw(st.integers(0, 120))},{draw(st.integers(2000, 2020))},{draw(st.integers(1, 12))},"
+            f"{draw(st.integers(0, 10**draw(st.integers(0, 9))))}".encode()
+            for _ in range(draw(st.integers(0, 30)))]
+    if odd is not None:
+        first = draw(st.integers(0, len(rows)))
+        rows.insert(first, odd)
+        for _ in range(draw(st.integers(0, 2))):
+            rows.insert(draw(st.integers(first + 1, len(rows))), draw(st.sampled_from(ODD_ROWS))[1])
+    ending = draw(st.sampled_from(ENDINGS))
+    lines = [b",".join(c.encode() for c in CLAIMS_COLUMNS), *rows]
+    ends = [ending] * len(lines)
+    if draw(st.integers(0, 4)) == 0:  # one line end of another kind
+        ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(ENDINGS))
+    labels = {f"{end!r} line ends" for end in ends}
+    if draw(st.booleans()):
+        ends[-1] = b""
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    if draw(st.integers(0, 4)) == 0:
+        data = b"\xef\xbb\xbf" + data
+    return data, draw(st.sampled_from([1, 16, 64, 200])), labels
+
+
+def error_of(exc):
+    return type(exc), str(exc), exc.line
+
+
+def reference_rows(path):
+    """(records, error) of reference_parse_stream over the text parse_claims reads from path.
+
+    The reference predates two rules of the row loop, which this adds: a
+    record the csv module cannot split, and a person_id holding bytes that
+    are not UTF-8, raise DataFormatError at the 1-based index of their
+    record in a plain ``csv.reader`` pass.
+    """
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        text = fh.read()
+    read, data_lines = 0, []  # records csv.reader splits; the index of each data record
+    try:
+        for row in csv.reader(io.StringIO(text, newline="")):
+            read += 1
+            if row and read > 1:
+                data_lines.append(read)
+    except csv.Error:
+        pass
+    records = []
+    try:
+        for rec in reference_parse_stream(io.StringIO(text, newline="")):
+            try:
+                rec.person_id.encode("utf-8")
+            except UnicodeEncodeError:
+                return records, error_of(DataFormatError(
+                    f"person_id {rec.person_id!r} holds bytes that are not UTF-8",
+                    line=data_lines[len(records)]))
+            records.append(rec)
+    except csv.Error as exc:
+        return records, error_of(DataFormatError(f"unreadable CSV record: {exc}", line=read + 1))
+    except DataFormatError as exc:
+        return records, error_of(exc)
+    return records, None
+
+
+def current_rows(source):
+    """(records, error) of parse_claims(source)."""
+    records = []
+    try:
+        for rec in parse_claims(source):
+            records.append(rec)
+    except DataFormatError as exc:
+        return records, error_of(exc)
+    return records, None
+
+
+def recording_blocks(blocks):
+    """ingest._block_records, appending (lines, whether they took the plain path) to blocks."""
+    block_records = ingest._block_records
+
+    def recorded(lines):
+        records = block_records(lines)
+        blocks.append((lines, records is not None))
+        return records
+
+    return recorded
+
+
+BLOCK_CASES = [("none", None), *ODD_ROWS]
+
+
+@pytest.mark.parametrize("label,odd", BLOCK_CASES, ids=[label for label, _ in BLOCK_CASES])
+def test_parse_claims_matches_reference_across_block_boundaries(tmp_path, label, odd):
+    seen = set()
+    path = tmp_path / "claims.csv"
+
+    @settings(max_examples=30, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(blocky_files(odd))
+    def check(case):
+        data, block_chars, labels = case
+        path.write_bytes(data)
+        want = reference_rows(path)
+        blocks = []
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(ingest, "_block_records", recording_blocks(blocks)):
+            got = current_rows(path)
+            with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+                from_stream = current_rows(io.StringIO(fh.read(), newline=""))
+        assert got == want
+        assert from_stream == want
+        assert all(type(v) is (str if k < 2 else int) for rec in got[0] for k, v in enumerate(rec))
+        seen.update(labels)
+        plain = [took for _, took in blocks]
+        if plain[:1] == [True] and False in plain:
+            seen.add("plain block before the row loop")
+        if len(plain) > 1 and all(plain):
+            seen.add("plain blocks only")
+        if any("".join(lines).count('"') % 2 for lines, _ in blocks):
+            seen.add("quoted line break across a block end")
+
+    check()
+    reached = {f"{end!r} line ends" for end in ENDINGS}
+    if odd is None:
+        reached.add("plain blocks only")
+    else:
+        reached.add("plain block before the row loop")
+    if label == "quoted line break":
+        reached.add("quoted line break across a block end")
+    assert reached <= seen, reached - seen
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_write_claims_output_takes_the_plain_block_path(tmp_path, seed):
+    panel = generate_panel(random_chain(seed, entry_age=20, exit_age=30, attrition=0.1), 30)
+    path = tmp_path / "claims.csv"
+    rows = write_claims(panel, path)
+    crlf = path.read_bytes()
+    assert crlf.count(b"\r\n") == rows + 1
+    blocks = []
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), \
+            mock.patch.object(ingest, "_block_records", recording_blocks(blocks)):
+        for data in (crlf, crlf.replace(b"\r\n", b"\n")):
+            path.write_bytes(data)
+            blocks.clear()
+            assert sum(1 for _ in parse_claims(path)) == rows
+            assert len(blocks) > 10 and all(took for _, took in blocks)
+
+        # a quoted id in the second row sends the first block, and the rest, to the row loop
+        lines = crlf.split(b"\r\n")
+        pid = lines[2].split(b",")[0]
+        lines[2] = b'"' + pid + b'"' + lines[2][len(pid):]
+        path.write_bytes(b"\r\n".join(lines))
+        blocks.clear()
+        got = current_rows(path)
+        assert [took for _, took in blocks] == [False]
+    assert got == reference_rows(path)
+    assert got[1] is None and len(got[0]) == rows
