@@ -29,12 +29,26 @@ with the same masks: numpy reports neither the line of a short row nor
 the blank lines it skips.  Both feed ``build_panel``, the one panel
 builder, which claims ingestion calls with its person-year table too.
 
+Parsed-cells memo.  ``write_cache`` also saves what parsing its own CSV
+gives (the observed rows as columns, and the last year) in one file
+beside it, ``<cache path>.npy``, keyed by the SHA-256 of the CSV bytes.
+``read_cache`` hashes the CSV it reads and takes the columns from the
+memo only when the memo's format and digest match those bytes and every
+array in it loads with its expected dtype and length; otherwise it
+parses the CSV.  So an edited, replaced or truncated CSV, a missing,
+stale or damaged memo, or a CSV copied without its memo reads exactly as
+the CSV alone, only slower, and a read never writes a file.  The memo is
+trusted exactly as far as the CSV beside it: it is checked against those
+bytes, not against tampering.  Either way the columns go through
+``build_panel`` and all its checks.
+
 Errors ``read_cache`` raises, in this order:
 
 - DataFormatError at the first offending line (1-based ``line``; blank
   lines are skipped but counted), for that line's first failing check:
-  header (line 1), field count, integer age/year, state label, integer
-  months/cost (not checked on MISSING rows);
+  bytes that are not UTF-8, header (line 1), field count, integer
+  age/year, state label, integer months/cost, cost >= 0 (the last two
+  not checked on MISSING rows);
 - DuplicateRecordError for a repeated (person, year), EmptyCohortError
   when no observed row is left, DataFormatError (no line) for a person
   whose rows imply two birth years.
@@ -46,7 +60,10 @@ panel's storage types raises OverflowError.
 
 import csv
 import functools
+import hashlib
 import io
+import os
+import re
 import warnings
 
 import numpy as np
@@ -200,7 +217,7 @@ class Panel:
         }
 
     def write_cache(self, path) -> int:
-        """Write the canonical one-row-per-cell CSV; returns rows written."""
+        """Write the canonical one-row-per-cell CSV and its memo; returns rows written."""
         rows, cols = np.nonzero(self.states != ABSENT_CODE)
         codes = self.states[rows, cols]
         observed = codes >= 0
@@ -219,6 +236,8 @@ class Panel:
             writer = csv.writer(fh)
             writer.writerow(PANEL_CACHE_COLUMNS)
             writer.writerows(table)
+        del table, costs  # an exhausted zip still holds the lists it did not finish
+        _write_memo(path)
         return len(codes)
 
     @classmethod
@@ -226,13 +245,133 @@ class Panel:
         """Rebuild a panel from its cache file (see the module docstring)."""
         with open(path, "rb") as fh:
             raw = fh.read()
-        cells = _loadtxt_cells(raw)
+        cells = _memo_cells(path, hashlib.sha256(raw).digest())
         if cells is None:
-            cells = _csv_cells(raw.decode("utf-8"))
-        pids, ages, years, codes, months, costs = cells
-        end_year = int(years.max()) if len(years) else None
-        obs = codes >= 0
-        return build_panel(pids[obs], ages[obs], years[obs], codes[obs], months[obs], costs[obs], end_year)
+            cells = _cache_cells(raw)
+        del raw
+        columns, end_year = cells
+        return build_panel(*columns, end_year)
+
+
+def _cache_cells(raw: bytes):
+    """The observed rows of a cache file as build_panel's columns, and the file's last year."""
+    cells = _loadtxt_cells(raw)
+    if cells is None:
+        cells = _csv_cells(raw)
+    pids, ages, years, codes, months, costs = cells
+    end_year = int(years.max()) if len(years) else None
+    obs = codes >= 0
+    return (pids[obs], ages[obs], years[obs], codes[obs], months[obs], costs[obs]), end_year
+
+
+# -- parsed-cells memo -------------------------------------------------------
+
+#: First bytes of a memo, ahead of the CSV's SHA-256.  Bump the number
+#: whenever _cache_cells returns something else for some file, or the
+#: layout below changes, so that every older memo falls back to the CSV.
+_MEMO_FORMAT = b"healthmarkov panel cells 1\n"
+
+#: dtype of each array after the key, in file order: end_year (none or
+#: one), the distinct person ids as one UTF-8 text with the character
+#: offset where each ends, each row's index into those ids, then ages,
+#: years, codes, months and costs.
+_MEMO_DTYPES = tuple(map(np.dtype, ("i8", "u1", "i8", "i8", "i8", "i8", "i1", "i8", "i8")))
+
+
+def _memo_path(path) -> str:
+    return os.fsdecode(path) + ".npy"
+
+
+def _write_memo(path) -> None:
+    """Save the parse of the cache file at ``path`` beside it; on failure remove any old memo."""
+    memo = _memo_path(path)
+    tmp = f"{memo}.{os.getpid()}.tmp"
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(tmp, "wb") as fh:
+            for array in _memo_arrays(raw):
+                np.save(fh, array, allow_pickle=False)
+        os.replace(tmp, memo)
+    except (OSError, csv.Error, DataFormatError):
+        # no memo rather than a stale one: the file does not parse (say, a NUL under
+        # Python 3.10's csv module) or the memo cannot be written
+        for stale in (tmp, memo):
+            try:
+                os.remove(stale)
+            except OSError:
+                pass
+
+
+def _memo_arrays(raw: bytes):
+    """The memo's arrays in file order: its key, then ``_cache_cells(raw)``, one id per run of rows."""
+    yield np.frombuffer(_MEMO_FORMAT + hashlib.sha256(raw).digest(), dtype=np.uint8)
+    ids, end_years = [], []
+    columns = [[] for _ in range(6)]  # each row's index into ids, then ages, years, codes, months, costs
+    for block in _line_blocks(raw):
+        (pids, *cells), end_year = _cache_cells(block)
+        new_id = np.append(True, pids[1:] != pids[:-1])[:len(pids)]
+        if ids and len(pids) and pids[0] == ids[-1]:
+            new_id[0] = False  # the run goes on from the block before
+        for column, part in zip(columns, (np.cumsum(new_id, dtype=np.int64) + (len(ids) - 1), *cells)):
+            column.append(part)
+        ids += pids[new_id].tolist()
+        end_years += [] if end_year is None else [end_year]
+    yield np.array([max(end_years)] if end_years else [], dtype=np.int64)
+    yield np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8)
+    yield np.cumsum([len(i) for i in ids], dtype=np.int64)
+    while columns:
+        yield np.concatenate(columns.pop(0))  # a column's blocks are let go once it is joined
+
+
+#: Bytes of rows in each block _line_blocks cuts.
+_MEMO_BLOCK = 1 << 20
+
+
+def _line_blocks(raw: bytes):
+    """Cache files of about _MEMO_BLOCK bytes of rows each whose cells, joined, are those of ``raw``.
+
+    So the parse's temporaries stay the size of a block.  A file with no
+    quote holds one record per line and is cut at line ends, each block
+    behind the header; a quote may open a field that spans lines, so a file
+    with one stays whole.
+    """
+    head = raw.find(b"\n") + 1
+    if not head or b'"' in raw:
+        yield raw
+        return
+    start = head
+    while True:
+        end = raw.find(b"\n", start + _MEMO_BLOCK) + 1 or len(raw)
+        yield raw[:head] + raw[start:end]
+        if end == len(raw):
+            return
+        start = end
+
+
+def _memo_cells(path, digest: bytes):
+    """_cache_cells of the CSV whose SHA-256 is ``digest``, from its memo; None if the memo is not it."""
+    try:
+        with open(_memo_path(path), "rb") as fh:
+            if _load(fh, np.uint8).tobytes() != _MEMO_FORMAT + digest:
+                return None
+            end_year, text, ends, person, *columns = (_load(fh, dtype) for dtype in _MEMO_DTYPES)
+        if len(end_year) > 1 or len({len(a) for a in (person, *columns)}) != 1:
+            return None
+        text = text.tobytes().decode("utf-8")
+        starts = np.append(0, ends[:-1]).tolist()
+        pids = np.array([text[a:b] for a, b in zip(starts, ends.tolist())], dtype=object)[person]
+    except (OSError, ValueError, IndexError):
+        return None
+    return (pids, *columns), (int(end_year[0]) if len(end_year) else None)
+
+
+def _load(fh, dtype) -> np.ndarray:
+    """The next array saved in ``fh``; ValueError unless it is 1-D of ``dtype``."""
+    array = np.lib.format.read_array(fh, allow_pickle=False)
+    if array.dtype != dtype or array.ndim != 1:
+        raise ValueError("memo array of an unexpected type")
+    return array
 
 
 # -- panel-cache parsing -----------------------------------------------------
@@ -323,14 +462,30 @@ def _int_or_none(s):
 _to_int = np.frompyfunc(_int_or_none, 1, 1)
 
 
-def _csv_cells(text: str):
+#: A byte that is not UTF-8, as ``errors="surrogateescape"`` decodes it.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+_NOT_UTF8 = "row holds bytes that are not UTF-8"
+
+
+def _csv_cells(raw: bytes):
     """Cache cells under the csv module's rules; DataFormatError at the first bad line.
 
     Record splitting, quoting and line numbers are exactly those of
     ``csv.reader``; the field checks are vectorized over the records before
-    the first one with a wrong field count.
+    the first one with a wrong field count or a byte that is not UTF-8.
     """
+    try:
+        text, utf8 = raw.decode("utf-8"), True
+    except UnicodeDecodeError:
+        text, utf8 = raw.decode("utf-8", "surrogateescape"), False
     records = list(csv.reader(io.StringIO(text, newline="")))
+    if not utf8:
+        # only the records before the first undecodable one are checked; then it is refused
+        undecodable = next(i for i, record in enumerate(records) if _UNDECODABLE.search("".join(record)))
+        if undecodable == 0:
+            raise DataFormatError(_NOT_UTF8, line=1)
+        del records[undecodable:]
     if not records or tuple(h.strip() for h in records[0]) != PANEL_CACHE_COLUMNS:
         raise DataFormatError(f"panel cache must start with header {_CACHE_HEADER}", line=1)
     n_fields = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
@@ -346,10 +501,12 @@ def _csv_cells(text: str):
     months, costs = _to_int(months_s), _to_int(cost_s)
     codes = _label_codes(state_s)
     observed = codes != MISSING_CODE
+    no_cost = np.equal(costs, None)
     bad_age_year = np.equal(ages, None) | np.equal(years, None)
     bad_state = codes == _UNKNOWN_LABEL
-    bad_amount = observed & (np.equal(months, None) | np.equal(costs, None))
-    bad = np.flatnonzero(bad_age_year | bad_state | bad_amount)
+    bad_amount = observed & (np.equal(months, None) | no_cost)
+    negative = observed & (np.where(no_cost, 0, costs) < 0)
+    bad = np.flatnonzero(bad_age_year | bad_state | bad_amount | negative)
     if len(bad):
         r = bad[0]
         line = int(lines[r]) + 1
@@ -357,9 +514,13 @@ def _csv_cells(text: str):
             raise DataFormatError(f"bad age/year {age_s[r]!r}/{year_s[r]!r}", line=line)
         if bad_state[r]:
             raise DataFormatError(f"unknown state {state_s[r]!r}", line=line)
-        raise DataFormatError(f"bad months/cost {months_s[r]!r}/{cost_s[r]!r}", line=line)
+        if bad_amount[r]:
+            raise DataFormatError(f"bad months/cost {months_s[r]!r}/{cost_s[r]!r}", line=line)
+        raise DataFormatError(f"negative cost {costs[r]}", line=line)
     if len(ragged):
         raise DataFormatError(f"expected {n_columns} fields", line=int(stop) + 1)
+    if not utf8:
+        raise DataFormatError(_NOT_UTF8, line=len(records) + 1)
     months[~observed] = 0
     costs[~observed] = 0
     return (

@@ -1,9 +1,11 @@
 """Row-by-row panel-cache reader and panel builder, kept as a test reference.
 
 These are the implementations ``Panel.read_cache`` and ``build_panel`` had
-before the columnar rewrite, unchanged apart from their names, with a
-copy of the ``MissingMarker`` record the reader collected, which the
-package no longer has.  The
+before the columnar rewrite, unchanged apart from their names and two
+rules the reader took on since (a row holding bytes that are not UTF-8
+and a negative cost are refused at their line), with a copy of the
+``MissingMarker`` record the reader collected, which the package no
+longer has.  The
 differential tests in test_panel_differential.py hold the columnar code to
 them: the same panel for every valid file, and the same error class and
 line for every malformed one.
@@ -44,14 +46,19 @@ def reference_read_cache(path) -> Panel:
     """Rebuild a panel from its cache file."""
     person_years = []
     markers = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, refused at its line before any other check
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
+        if header is not None and not _utf8(header):
+            raise DataFormatError("row holds bytes that are not UTF-8", line=1)
         if header is None or tuple(h.strip() for h in header) != PANEL_CACHE_COLUMNS:
             raise DataFormatError(
                 f"panel cache must start with header {','.join(PANEL_CACHE_COLUMNS)}", line=1
             )
         for lineno, row in enumerate(reader, start=2):
+            if not _utf8(row):
+                raise DataFormatError("row holds bytes that are not UTF-8", line=lineno)
             if not row:
                 continue
             if len(row) != len(PANEL_CACHE_COLUMNS):
@@ -72,12 +79,22 @@ def reference_read_cache(path) -> Panel:
                 months, cost = int(months_s), int(cost_s)
             except ValueError:
                 raise DataFormatError(f"bad months/cost {months_s!r}/{cost_s!r}", line=lineno) from None
+            if cost < 0:
+                raise DataFormatError(f"negative cost {cost}", line=lineno)
             person_years.append(PersonYear(pid, age, year, months, cost, state))
     end_year = None
     all_years = [py.year for py in person_years] + [m.year for m in markers]
     if all_years:
         end_year = max(all_years)
     return reference_build_panel(person_years, end_year=end_year)
+
+
+def _utf8(row) -> bool:
+    try:
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def reference_build_panel(

@@ -184,6 +184,36 @@ class TestReport:
             for cell in row:
                 assert cell.lower() not in ("nan", "none", "inf", "-inf")
 
+    @pytest.mark.parametrize("row, message", [
+        (b"p\xff1,20,2000,12,100,Q1", "row holds bytes that are not UTF-8"),
+        (b"p1,20,2000,12,-5,Q1", "negative cost -5"),
+    ], ids=["not utf-8", "negative cost"])
+    def test_bad_cache_row_is_data_error_at_its_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"person_id,age,year,months_observed,annual_cost,state\n" + row + b"\n")
+        assert run("--output-dir", str(tmp_path), "--set", f"input.panel={path}", "report", "k09") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: line 2: {message}") and "Traceback" not in err
+
+    def test_reads_a_read_only_cache_directory_without_writing_there(self, pipeline, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for name in ("panel.csv", "panel.csv.npy"):
+            (cache / name).write_bytes((pipeline / name).read_bytes())
+        before = {p.name: p.read_bytes() for p in cache.iterdir()}
+        for p in (*cache.iterdir(), cache):
+            p.chmod(0o555 if p.is_dir() else 0o444)
+        try:
+            code = run("--output-dir", str(tmp_path / "report"),
+                       "--set", f"input.panel={cache / 'panel.csv'}", "report", "k09")
+        finally:
+            cache.chmod(0o755)
+        assert code == 0
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+        assert run("--output-dir", str(pipeline), "--set", f"input.panel={pipeline / 'panel.csv'}",
+                   "report", "k09") == 0
+        assert (tmp_path / "report" / "k09.csv").read_bytes() == (pipeline / "k09.csv").read_bytes()
+
     def test_degenerate_ar_age_is_a_marked_row(self, tmp_path):
         collinear_cost_panel().write_cache(tmp_path / "panel.csv")
         code = run(
@@ -427,7 +457,7 @@ class TestCrossProcess:
                                       env=env, capture_output=True, text=True)
                 assert proc.returncode == 0, proc.stderr
             outputs[hash_seed] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert sorted(outputs["1"]) == ["claims.csv", "f02.csv", "panel.csv", "truth.json"]
+        assert sorted(outputs["1"]) == ["claims.csv", "f02.csv", "panel.csv", "panel.csv.npy", "truth.json"]
         assert outputs["1"] == outputs["2"]
 
 

@@ -3,7 +3,7 @@
 Generated cache files cover quoted person ids with commas and quotes,
 blank lines, whitespace-padded fields, integers that only ``int()``
 accepts, MISSING rows, several birth cohorts, both line endings and single
-mutations.  A valid file must give the same panel as
+mutations, among them negative costs and bytes that are not UTF-8.  A valid file must give the same panel as
 reference_panel.reference_read_cache; a malformed one the same error class,
 line and message (the message only for the package's own errors).
 """
@@ -66,7 +66,11 @@ def _pad(draw, s: str, varied: bool) -> str:
 
 
 MUTATIONS = ["none", "none", "none", "field_count", "label", "age", "year", "months", "cost",
-             "duplicate", "birth", "header", "blank_first"]
+             "negative_cost", "duplicate", "birth", "header", "blank_first", "not_utf8"]
+
+#: Bytes that are not UTF-8 (a stray lead byte, a lone continuation byte, an encoded
+#: surrogate), spelled as the lone surrogates that ``errors="surrogateescape"`` writes them from.
+NOT_UTF8 = ["\udcff", "\udcc3", "\udc80", "\udced\udca0\udc80"]
 
 
 @st.composite
@@ -116,11 +120,13 @@ def cache_files(draw):
             row[3] = draw(st.sampled_from(["m", "", "1.0"]))
         elif mutation == "cost":
             row[4] = draw(st.sampled_from(["c", "", "1k", "-"]))
+        elif mutation == "negative_cost":
+            row[4] = draw(st.sampled_from(["-1", "-2500", " -7"]))
         elif mutation == "birth":
             row[2] = str(year + draw(st.sampled_from([-1, 1])))
         if mutation == "duplicate":
             lines.insert(draw(st.integers(0, len(lines))), lines[i])
-        elif mutation not in ("header", "blank_first"):
+        elif mutation not in ("header", "blank_first", "not_utf8"):
             lines[i] = ",".join(row)
 
     for _ in range(draw(st.integers(0, 2 if varied else 0))):
@@ -133,7 +139,10 @@ def cache_files(draw):
     text = end.join([header] + lines) + draw(st.sampled_from([end, ""]))
     if mutation == "blank_first":
         text = end + text
-    return text
+    if mutation == "not_utf8":
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(NOT_UTF8)) + text[k:]
+    return text.encode("utf-8", "surrogateescape")
 
 
 def _csv_field(value: str) -> str:
@@ -173,10 +182,10 @@ def assert_same_outcome(path):
 
 @settings(max_examples=400, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(text=cache_files())
-def test_columnar_reader_matches_reference(tmp_path, text):
+@given(raw=cache_files())
+def test_columnar_reader_matches_reference(tmp_path, raw):
     path = tmp_path / "panel.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(raw)
     assert_same_outcome(path)
 
 
@@ -192,6 +201,12 @@ def test_columnar_reader_matches_reference(tmp_path, text):
         'a,30,2000,300,1000,Q1\n',                           # months beyond int8
         'a,30,2000,12,99999999999999999999,Q1\n',            # cost beyond int64
         'a,30,2000,12,-5,Q1\n',                              # negative cost
+        'a,30,2000,12,-5,Q1\nb,31,2001,0,-5,MISSING\n',      # a MISSING row's cost goes unchecked
+        'p\udcff1,20,2000,12,100,Q1\n',                      # a byte that is not UTF-8
+        'a,30,2000,12,oops,Q1\nb\udcff,30,2000,12,1,Q1\n',    # an earlier bad line wins
+        'b\udcff,30,2000,12,1,Q1\na,30,2000,12,oops,Q1\n',    # the undecodable line is the earlier one
+        '"a\nb\udcff",30,2000,12,1,Q1\n',                    # in a record of two physical lines
+        'a,30\n"\udce9",30,2000,12,1,Q1\n',                  # after a short row
         'a,30,2000,12,1000,Q1\0\n',                          # trailing NUL in a label
         'a,30,2000,12,1000\0,Q1\n',                          # trailing NUL in a cost
         'a,30,2000,12,1000,Q1\na,31,2001,7,,MISSING\nb,20,2003,0,,MISSING\n',
@@ -202,7 +217,7 @@ def test_columnar_reader_matches_reference(tmp_path, text):
 )
 def test_edge_files_match_reference(tmp_path, body):
     path = tmp_path / "panel.csv"
-    path.write_bytes((",".join(PANEL_CACHE_COLUMNS) + "\n" + body).encode("utf-8"))
+    path.write_bytes((",".join(PANEL_CACHE_COLUMNS) + "\n" + body).encode("utf-8", "surrogateescape"))
     assert_same_outcome(path)
 
 
