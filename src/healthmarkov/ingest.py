@@ -113,6 +113,8 @@ def _parse_stream(fh) -> Iterator[ClaimRecord]:
             pid = pid.strip()
             if not pid:
                 raise DataFormatError("empty person_id", line=lineno)
+            if "\0" in pid:  # as Python 3.10's csv module refuses the line; later ones read it
+                raise DataFormatError("person_id holds a NUL", line=lineno)
             if not pid.isascii():
                 try:
                     pid.encode("utf-8")

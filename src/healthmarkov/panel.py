@@ -29,23 +29,30 @@ with the same masks: numpy reports neither the line of a short row nor
 the blank lines it skips.  Both feed ``build_panel``, the one panel
 builder, which claims ingestion calls with its person-year table too.
 
-Parsed-cells memo.  ``write_cache`` also saves what parsing its own CSV
-gives (the observed rows as columns, and the last year) in one file
-beside it, ``<cache path>.npy``, keyed by the SHA-256 of the CSV bytes.
-``read_cache`` hashes the CSV it reads and takes the columns from the
-memo only when the memo's format and digest match those bytes and every
-array in it loads with its expected dtype and length; otherwise it
-parses the CSV.  So an edited, replaced or truncated CSV, a missing,
-stale or damaged memo, or a CSV copied without its memo reads exactly as
-the CSV alone, only slower, and a read never writes a file.  The memo is
-trusted exactly as far as the CSV beside it: it is checked against those
-bytes, not against tampering.  Either way the columns go through
-``build_panel`` and all its checks.
+Person ids.  ``write_cache`` writes ``str(id)`` and, before it opens a
+file, raises InvalidInputError naming the first person whose id a read
+would not give back: one with whitespace at an end (the readers strip
+it), holding a NUL (Python 3.10's csv module refuses it), not encodable
+as UTF-8, or longer than ``csv.field_size_limit()``.
+
+Parsed-cells memo.  ``write_cache`` also saves the columns it formats,
+which by the id rule are what a read parses from its CSV (the observed
+rows, and the last year), in one file beside it, ``<cache path>.npy``,
+keyed by the SHA-256 of the CSV bytes.  ``read_cache`` hashes the CSV it
+reads and takes the columns from the memo only when the memo's format
+and digest match those bytes and every array in it loads with its
+expected dtype and length; otherwise it parses the CSV.  So an edited,
+replaced or truncated CSV, a missing, stale or damaged memo, or a CSV
+copied without its memo reads exactly as the CSV alone, only slower, and
+a read never writes a file.  The memo is trusted exactly as far as the
+CSV beside it: it is checked against those bytes, not against tampering.
+Either way the columns go through ``build_panel`` and all its checks.
 
 Errors ``read_cache`` raises, in this order:
 
 - DataFormatError at the first offending line (1-based ``line``; blank
   lines are skipped but counted), for that line's first failing check:
+  a record the csv module cannot read (say, a field over its limit),
   bytes that are not UTF-8, header (line 1), field count, integer
   age/year, state label, integer months/cost, cost >= 0 (the last two
   not checked on MISSING rows);
@@ -217,27 +224,41 @@ class Panel:
         }
 
     def write_cache(self, path) -> int:
-        """Write the canonical one-row-per-cell CSV and its memo; returns rows written."""
+        """Write the canonical one-row-per-cell CSV and its memo; returns rows written.
+
+        InvalidInputError, before any file is opened, for an id a read would not give back.
+        """
+        ids = np.array([_cache_id(pid) for pid in self.person_ids.tolist()], dtype=object)
         rows, cols = np.nonzero(self.states != ABSENT_CODE)
         codes = self.states[rows, cols]
         observed = codes >= 0
         ages = self.age_min + cols
-        costs = self.costs[rows, cols].astype(object)
-        costs[~observed] = ""
-        table = zip(
-            map(str, self.person_ids[rows]),
-            ages.tolist(),
-            (self.birth_years[rows] + ages).tolist(),
-            np.where(observed, self.months[rows, cols], 0).tolist(),
-            costs.tolist(),
-            _CACHE_LABELS[codes].tolist(),
-        )
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+        years = self.birth_years[rows] + ages
+        months = np.where(observed, self.months[rows, cols], 0)
+        costs = self.costs[rows, cols]
+        with io.StringIO(newline="") as text:
+            writer = csv.writer(text)
             writer.writerow(PANEL_CACHE_COLUMNS)
-            writer.writerows(table)
-        del table, costs  # an exhausted zip still holds the lists it did not finish
-        _write_memo(path)
+            writer.writerows(zip(
+                ids[rows], ages.tolist(), years.tolist(), months.tolist(),
+                np.where(observed, costs.astype(object), "").tolist(),
+                map(_CACHE_LABELS.__getitem__, codes.tolist()),
+            ))
+            data = text.getvalue().encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        # the memo holds what _cache_cells parses from data: the observed rows, one id per run
+        pids = ids[rows[observed]]
+        new_id = np.append(True, pids[1:] != pids[:-1])[:len(pids)]
+        distinct = pids[new_id].tolist()
+        _write_memo(path, hashlib.sha256(data).digest(), (
+            np.array([years.max()] if len(years) else [], dtype=np.int64),
+            np.frombuffer("".join(distinct).encode("utf-8"), dtype=np.uint8),
+            np.cumsum([len(i) for i in distinct], dtype=np.int64),
+            np.cumsum(new_id, dtype=np.int64) - 1,
+            ages[observed], years[observed], codes[observed], months[observed].astype(np.int64),
+            costs[observed],
+        ))
         return len(codes)
 
     @classmethod
@@ -251,6 +272,23 @@ class Panel:
         del raw
         columns, end_year = cells
         return build_panel(*columns, end_year)
+
+
+def _cache_id(pid) -> str:
+    """``str(pid)``, as write_cache writes it; InvalidInputError if a read would not give it back."""
+    text = str(pid)
+    fault = (
+        "has whitespace at an end, which a read strips" if text != text.strip() else
+        "holds a NUL, which Python 3.10's csv module refuses" if "\0" in text else
+        "is longer than csv.field_size_limit()" if len(text) > csv.field_size_limit() else
+        "does not encode to UTF-8" if _SURROGATE.search(text) else None
+    )
+    if fault:
+        raise InvalidInputError(f"person id {pid!r} {fault}; a panel cache would not read it back")
+    return text
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the only characters UTF-8 cannot encode
 
 
 def _cache_cells(raw: bytes):
@@ -282,71 +320,21 @@ def _memo_path(path) -> str:
     return os.fsdecode(path) + ".npy"
 
 
-def _write_memo(path) -> None:
-    """Save the parse of the cache file at ``path`` beside it; on failure remove any old memo."""
+def _write_memo(path, digest: bytes, columns) -> None:
+    """Save ``columns`` as the memo of the cache at ``path`` (SHA-256 ``digest``); on failure leave none."""
     memo = _memo_path(path)
     tmp = f"{memo}.{os.getpid()}.tmp"
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
         with open(tmp, "wb") as fh:
-            for array in _memo_arrays(raw):
+            for array in (np.frombuffer(_MEMO_FORMAT + digest, dtype=np.uint8), *columns):
                 np.save(fh, array, allow_pickle=False)
         os.replace(tmp, memo)
-    except (OSError, csv.Error, DataFormatError):
-        # no memo rather than a stale one: the file does not parse (say, a NUL under
-        # Python 3.10's csv module) or the memo cannot be written
+    except OSError:
         for stale in (tmp, memo):
             try:
                 os.remove(stale)
             except OSError:
                 pass
-
-
-def _memo_arrays(raw: bytes):
-    """The memo's arrays in file order: its key, then ``_cache_cells(raw)``, one id per run of rows."""
-    yield np.frombuffer(_MEMO_FORMAT + hashlib.sha256(raw).digest(), dtype=np.uint8)
-    ids, end_years = [], []
-    columns = [[] for _ in range(6)]  # each row's index into ids, then ages, years, codes, months, costs
-    for block in _line_blocks(raw):
-        (pids, *cells), end_year = _cache_cells(block)
-        new_id = np.append(True, pids[1:] != pids[:-1])[:len(pids)]
-        if ids and len(pids) and pids[0] == ids[-1]:
-            new_id[0] = False  # the run goes on from the block before
-        for column, part in zip(columns, (np.cumsum(new_id, dtype=np.int64) + (len(ids) - 1), *cells)):
-            column.append(part)
-        ids += pids[new_id].tolist()
-        end_years += [] if end_year is None else [end_year]
-    yield np.array([max(end_years)] if end_years else [], dtype=np.int64)
-    yield np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8)
-    yield np.cumsum([len(i) for i in ids], dtype=np.int64)
-    while columns:
-        yield np.concatenate(columns.pop(0))  # a column's blocks are let go once it is joined
-
-
-#: Bytes of rows in each block _line_blocks cuts.
-_MEMO_BLOCK = 1 << 20
-
-
-def _line_blocks(raw: bytes):
-    """Cache files of about _MEMO_BLOCK bytes of rows each whose cells, joined, are those of ``raw``.
-
-    So the parse's temporaries stay the size of a block.  A file with no
-    quote holds one record per line and is cut at line ends, each block
-    behind the header; a quote may open a field that spans lines, so a file
-    with one stays whole.
-    """
-    head = raw.find(b"\n") + 1
-    if not head or b'"' in raw:
-        yield raw
-        return
-    start = head
-    while True:
-        end = raw.find(b"\n", start + _MEMO_BLOCK) + 1 or len(raw)
-        yield raw[:head] + raw[start:end]
-        if end == len(raw):
-            return
-        start = end
 
 
 def _memo_cells(path, digest: bytes):
@@ -380,7 +368,7 @@ _CACHE_HEADER = ",".join(PANEL_CACHE_COLUMNS)
 _CACHE_HEADER_LINES = tuple((_CACHE_HEADER + end).encode() for end in ("\n", "\r\n"))
 
 #: Cache label of each cell code; code -1 (MISSING_CODE) indexes the last one.
-_CACHE_LABELS = np.array(STATE_LABELS + (MISSING,))
+_CACHE_LABELS = STATE_LABELS + (MISSING,)
 
 #: Code _label_codes gives a label that is neither a state nor MISSING.
 _UNKNOWN_LABEL = -2
@@ -395,17 +383,21 @@ def _loadtxt_cells(raw: bytes):
     Takes files as write_cache writes them: the exact header, integer
     age/year/months that numpy parses, plain-digit costs on observed rows and
     bare state labels.  Anything else returns None, including every malformed
-    file, so that _csv_cells alone decides errors and their line numbers.
+    file, so that _csv_cells alone decides errors and their line numbers, and
+    any id or line longer than ``csv.field_size_limit()``, which numpy reads.
     """
     if not raw.startswith(_CACHE_HEADER_LINES) or b"\0" in raw:
         return None  # the fixed-width cost and state fields would drop trailing NULs
+    line_ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    if np.diff(line_ends, prepend=-1, append=len(raw) - 1).max() > csv.field_size_limit():
+        return None
     dtype = np.dtype([
         ("pid", object), ("age", "i8"), ("year", "i8"), ("months", "i8"),
         ("cost", f"S{_COST_DIGITS + 1}"), ("state", "S8"),
     ])
     table = _loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""), dtype, skiprows=1)
-    if table is None or not len(table):
-        return None
+    if table is None or not len(table) or max(map(len, table["pid"])) > csv.field_size_limit():
+        return None  # a quoted id may span lines, none of them long
     codes = _label_codes(table["state"])
     costs, plain = _plain_digits(table["cost"])
     if (codes == _UNKNOWN_LABEL).any() or not plain[codes >= 0].all():
@@ -473,19 +465,26 @@ def _csv_cells(raw: bytes):
 
     Record splitting, quoting and line numbers are exactly those of
     ``csv.reader``; the field checks are vectorized over the records before
-    the first one with a wrong field count or a byte that is not UTF-8.
+    the first one with a wrong field count, a byte that is not UTF-8 or a
+    ``csv.Error`` (refused at its line, as by parse_claims).
     """
     try:
         text, utf8 = raw.decode("utf-8"), True
     except UnicodeDecodeError:
         text, utf8 = raw.decode("utf-8", "surrogateescape"), False
-    records = list(csv.reader(io.StringIO(text, newline="")))
+    # the records before the first unreadable or undecodable one are checked; then it is refused
+    records, refusal = [], None
+    try:
+        records.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        refusal = f"unreadable CSV record: {exc}"
     if not utf8:
-        # only the records before the first undecodable one are checked; then it is refused
-        undecodable = next(i for i, record in enumerate(records) if _UNDECODABLE.search("".join(record)))
-        if undecodable == 0:
-            raise DataFormatError(_NOT_UTF8, line=1)
-        del records[undecodable:]
+        undecodable = next((i for i, r in enumerate(records) if _UNDECODABLE.search("".join(r))), None)
+        if undecodable is not None:
+            refusal = _NOT_UTF8
+            del records[undecodable:]
+    if refusal and not records:
+        raise DataFormatError(refusal, line=1)
     if not records or tuple(h.strip() for h in records[0]) != PANEL_CACHE_COLUMNS:
         raise DataFormatError(f"panel cache must start with header {_CACHE_HEADER}", line=1)
     n_fields = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
@@ -519,8 +518,8 @@ def _csv_cells(raw: bytes):
         raise DataFormatError(f"negative cost {costs[r]}", line=line)
     if len(ragged):
         raise DataFormatError(f"expected {n_columns} fields", line=int(stop) + 1)
-    if not utf8:
-        raise DataFormatError(_NOT_UTF8, line=len(records) + 1)
+    if refusal:
+        raise DataFormatError(refusal, line=len(records) + 1)
     months[~observed] = 0
     costs[~observed] = 0
     return (

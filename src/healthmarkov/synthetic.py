@@ -230,8 +230,8 @@ def _sample_costs(truth: GroundTruthChain, states: np.ndarray, rng) -> np.ndarra
     """Costs for observed cells; every draw classifies back to its state."""
     reps = _representative_ints(truth.thresholds, truth.q5_upper)
     if truth.cost_model == "midpoint":
-        # looked up by code + 2, so that the unobserved codes -2 and -1 cost 0
-        return np.append([0, 0], reps)[states + 2]
+        # looked up by code + 2, so the unobserved codes -2 and -1 cost 0; column-major, as Panel keeps it
+        return np.append([0, 0], reps)[states.T + 2].T
     costs = np.zeros(states.shape, dtype=np.int64, order="F")
     for code in range(N_STATES):
         cells = states == code
@@ -277,16 +277,14 @@ def generate_panel(truth: GroundTruthChain, n_persons: int) -> Panel:
     second = (pair_codes % N_STATES).astype(np.int8)
 
     if n_steps > 0:
-        u = rng.random((n_persons, n_steps))
         cdf = np.cumsum(truth.tensors.reshape(n_steps, 25, N_STATES), axis=2)
-        states = kernels.simulate_paths(first, second, cdf, u)
+        # the draws go when the kernel returns, before the dropout draws: one matrix at a time
+        states = kernels.simulate_paths(first, second, cdf, rng.random((n_persons, n_steps)))
     else:
-        u = rng.random((n_persons, 0))
         states = np.stack([first, second], axis=1)
 
     n_ages = truth.exit_age - truth.entry_age + 1
-    drop_u = rng.random((n_persons, n_ages - 1))
-    dropped = drop_u < truth.attrition[None, :]
+    dropped = rng.random((n_persons, n_ages - 1)) < truth.attrition[None, :]
     # first dropout age wins; everything from there on is a missing marker
     any_drop = dropped.any(axis=1)
     first_drop = np.where(any_drop, dropped.argmax(axis=1), n_ages - 1)

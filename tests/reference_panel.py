@@ -1,17 +1,24 @@
 """Row-by-row panel-cache reader and panel builder, kept as a test reference.
 
 These are the implementations ``Panel.read_cache`` and ``build_panel`` had
-before the columnar rewrite, unchanged apart from their names and two
-rules the reader took on since (a row holding bytes that are not UTF-8
-and a negative cost are refused at their line), with a copy of the
-``MissingMarker`` record the reader collected, which the package no
-longer has.  The
+before the columnar rewrite, unchanged apart from their names and three
+rules the reader took on since (a row holding bytes that are not UTF-8,
+a negative cost and a record the csv module cannot read, such as one
+with a field over its field limit, are refused at their line), with a
+copy of the ``MissingMarker`` record the reader collected, which the
+package no longer has.  The
 differential tests in test_panel_differential.py hold the columnar code to
 them: the same panel for every valid file, and the same error class and
 line for every malformed one.
+
+``reference_memo_arrays`` is how ``write_cache`` built its parsed-cells
+memo before it saved the columns it formats: it parsed the CSV bytes it
+had just written, a block of lines at a time.  test_panel_memo.py holds
+every memo ``write_cache`` saves byte-equal to it.
 """
 
 import csv
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,6 +35,8 @@ from healthmarkov.panel import (
     MISSING_CODE,
     PANEL_CACHE_COLUMNS,
     Panel,
+    _MEMO_FORMAT,
+    _cache_cells,
 )
 from healthmarkov.states import MISSING, HealthState
 from reference_ingest import PersonYear
@@ -49,39 +58,44 @@ def reference_read_cache(path) -> Panel:
     # a byte that is not UTF-8 reads as a lone surrogate, refused at its line before any other check
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and not _utf8(header):
-            raise DataFormatError("row holds bytes that are not UTF-8", line=1)
-        if header is None or tuple(h.strip() for h in header) != PANEL_CACHE_COLUMNS:
-            raise DataFormatError(
-                f"panel cache must start with header {','.join(PANEL_CACHE_COLUMNS)}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not _utf8(row):
-                raise DataFormatError("row holds bytes that are not UTF-8", line=lineno)
-            if not row:
-                continue
-            if len(row) != len(PANEL_CACHE_COLUMNS):
-                raise DataFormatError(f"expected {len(PANEL_CACHE_COLUMNS)} fields", line=lineno)
-            pid, age_s, year_s, months_s, cost_s, state_s = (f.strip() for f in row)
-            try:
-                age, year = int(age_s), int(year_s)
-            except ValueError:
-                raise DataFormatError(f"bad age/year {age_s!r}/{year_s!r}", line=lineno) from None
-            if state_s == MISSING:
-                markers.append(MissingMarker(pid, age, year))
-                continue
-            try:
-                state = HealthState[state_s]
-            except KeyError:
-                raise DataFormatError(f"unknown state {state_s!r}", line=lineno) from None
-            try:
-                months, cost = int(months_s), int(cost_s)
-            except ValueError:
-                raise DataFormatError(f"bad months/cost {months_s!r}/{cost_s!r}", line=lineno) from None
-            if cost < 0:
-                raise DataFormatError(f"negative cost {cost}", line=lineno)
-            person_years.append(PersonYear(pid, age, year, months, cost, state))
+        lineno = 0  # the last record read; a csv error belongs to the next one
+        try:
+            header = next(reader, None)
+            lineno = 1
+            if header is not None and not _utf8(header):
+                raise DataFormatError("row holds bytes that are not UTF-8", line=1)
+            if header is None or tuple(h.strip() for h in header) != PANEL_CACHE_COLUMNS:
+                raise DataFormatError(
+                    f"panel cache must start with header {','.join(PANEL_CACHE_COLUMNS)}", line=1
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not _utf8(row):
+                    raise DataFormatError("row holds bytes that are not UTF-8", line=lineno)
+                if not row:
+                    continue
+                if len(row) != len(PANEL_CACHE_COLUMNS):
+                    raise DataFormatError(f"expected {len(PANEL_CACHE_COLUMNS)} fields", line=lineno)
+                pid, age_s, year_s, months_s, cost_s, state_s = (f.strip() for f in row)
+                try:
+                    age, year = int(age_s), int(year_s)
+                except ValueError:
+                    raise DataFormatError(f"bad age/year {age_s!r}/{year_s!r}", line=lineno) from None
+                if state_s == MISSING:
+                    markers.append(MissingMarker(pid, age, year))
+                    continue
+                try:
+                    state = HealthState[state_s]
+                except KeyError:
+                    raise DataFormatError(f"unknown state {state_s!r}", line=lineno) from None
+                try:
+                    months, cost = int(months_s), int(cost_s)
+                except ValueError:
+                    raise DataFormatError(f"bad months/cost {months_s!r}/{cost_s!r}", line=lineno) from None
+                if cost < 0:
+                    raise DataFormatError(f"negative cost {cost}", line=lineno)
+                person_years.append(PersonYear(pid, age, year, months, cost, state))
+        except csv.Error as exc:
+            raise DataFormatError(f"unreadable CSV record: {exc}", line=lineno + 1) from None
     end_year = None
     all_years = [py.year for py in person_years] + [m.year for m in markers]
     if all_years:
@@ -165,3 +179,49 @@ def reference_build_panel(
             raise InvalidInputError(f"sex mapping is missing person {exc.args[0]!r}") from None
 
     return Panel(ids, births, age_min, states, costs, months, sex=sex_arr)
+
+
+def reference_memo_arrays(raw: bytes):
+    """The memo's arrays in file order: its key, then ``_cache_cells(raw)``, one id per run of rows."""
+    yield np.frombuffer(_MEMO_FORMAT + hashlib.sha256(raw).digest(), dtype=np.uint8)
+    ids, end_years = [], []
+    columns = [[] for _ in range(6)]  # each row's index into ids, then ages, years, codes, months, costs
+    for block in _line_blocks(raw):
+        (pids, *cells), end_year = _cache_cells(block)
+        new_id = np.append(True, pids[1:] != pids[:-1])[:len(pids)]
+        if ids and len(pids) and pids[0] == ids[-1]:
+            new_id[0] = False  # the run goes on from the block before
+        for column, part in zip(columns, (np.cumsum(new_id, dtype=np.int64) + (len(ids) - 1), *cells)):
+            column.append(part)
+        ids += pids[new_id].tolist()
+        end_years += [] if end_year is None else [end_year]
+    yield np.array([max(end_years)] if end_years else [], dtype=np.int64)
+    yield np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8)
+    yield np.cumsum([len(i) for i in ids], dtype=np.int64)
+    while columns:
+        yield np.concatenate(columns.pop(0))  # a column's blocks are let go once it is joined
+
+
+#: Bytes of rows in each block _line_blocks cuts.
+_MEMO_BLOCK = 1 << 20
+
+
+def _line_blocks(raw: bytes):
+    """Cache files of about _MEMO_BLOCK bytes of rows each whose cells, joined, are those of ``raw``.
+
+    So the parse's temporaries stay the size of a block.  A file with no
+    quote holds one record per line and is cut at line ends, each block
+    behind the header; a quote may open a field that spans lines, so a file
+    with one stays whole.
+    """
+    head = raw.find(b"\n") + 1
+    if not head or b'"' in raw:
+        yield raw
+        return
+    start = head
+    while True:
+        end = raw.find(b"\n", start + _MEMO_BLOCK) + 1 or len(raw)
+        yield raw[:head] + raw[start:end]
+        if end == len(raw):
+            return
+        start = end

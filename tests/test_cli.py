@@ -187,7 +187,9 @@ class TestReport:
     @pytest.mark.parametrize("row, message", [
         (b"p\xff1,20,2000,12,100,Q1", "row holds bytes that are not UTF-8"),
         (b"p1,20,2000,12,-5,Q1", "negative cost -5"),
-    ], ids=["not utf-8", "negative cost"])
+        (b"x" * 200_000 + b",20,2000,12,100,Q1", "unreadable CSV record: field larger than field limit"),
+        (b"x" * 200_000 + b",20,2000,12,100, Q1", "unreadable CSV record: field larger than field limit"),
+    ], ids=["not utf-8", "negative cost", "id over the csv field limit", "id over the limit, padded label"])
     def test_bad_cache_row_is_data_error_at_its_line(self, tmp_path, capsys, row, message):
         path = tmp_path / "panel.csv"
         path.write_bytes(b"person_id,age,year,months_observed,annual_cost,state\n" + row + b"\n")

@@ -122,6 +122,15 @@ class TestParse:
                 next(records)
         assert err.value.line == at_line
 
+    @pytest.mark.parametrize("pid", ["a\0b", "\0", " \0a "])
+    def test_nul_in_person_id_fails_at_its_line(self, pid):
+        # Python 3.10's csv module refuses the line; later versions read it and the row check refuses it
+        records = parse_claims(claims(f"a,M,40,2010,4,1000\n\n{pid},M,40,2010,5,1000\n"))
+        assert next(records) == ClaimRecord("a", "M", 40, 2010, 4, 1000)
+        with pytest.raises(DataFormatError) as err:
+            next(records)
+        assert err.value.line == 4
+
     def test_numbers_keep_every_separator_strip_removes(self):
         # int() alone refuses \x1c-\x1f around a number; str.strip removes them
         rows = list(parse_claims(claims(" a ,\x1cM, \x1c40\x1f,2010 ,\x1e4,\t1000\n")))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from healthmarkov.errors import HealthMarkovError
+from healthmarkov.errors import DataFormatError, HealthMarkovError
 from healthmarkov.panel import (
     PANEL_CACHE_COLUMNS,
     Panel,
@@ -218,6 +218,25 @@ def test_columnar_reader_matches_reference(tmp_path, raw):
 def test_edge_files_match_reference(tmp_path, body):
     path = tmp_path / "panel.csv"
     path.write_bytes((",".join(PANEL_CACHE_COLUMNS) + "\n" + body).encode("utf-8", "surrogateescape"))
+    assert_same_outcome(path)
+
+
+LONG_FIELD_ROWS = {
+    "as written": "x" * 200_000 + ",30,2000,12,1000,Q1",
+    "padded label": "x" * 200_000 + ",30,2000,12,1000, Q1",
+    "age with 200,000 leading zeros": "a," + "0" * 200_000 + "30,2000,12,1000,Q1",
+    "quoted across short lines": '"' + ("x" * 1000 + "\n") * 200 + '",30,2000,12,1000,Q1',
+}
+
+
+@pytest.mark.parametrize("row", LONG_FIELD_ROWS.values(), ids=LONG_FIELD_ROWS.keys())
+def test_a_field_over_the_csv_limit_fails_at_its_line(tmp_path, row):
+    # numpy would read all but the padded label; the csv module's limit holds for every one
+    path = tmp_path / "panel.csv"
+    path.write_text(",".join(PANEL_CACHE_COLUMNS) + "\n" + row + "\na,30,2000,12,oops,Q1\n")
+    with pytest.raises(DataFormatError, match="field larger than field limit") as err:
+        Panel.read_cache(path)
+    assert err.value.line == 2
     assert_same_outcome(path)
 
 

@@ -86,6 +86,18 @@ class TestGeneratePanel:
         codes = classify_costs(panel.costs[observed], truth.thresholds)
         np.testing.assert_array_equal(codes, panel.states[observed])
 
+    def test_holds_one_draw_matrix_at_a_time(self):
+        # the panel keeps 10 bytes a cell; the transition and the dropout draws are 8 each, and
+        # holding both at once, or a row-major copy of the costs, peaks near 33
+        truth = random_chain(5, entry_age=20, exit_age=59, attrition=0.05)
+        tracemalloc.start()
+        try:
+            panel = generate_panel(truth, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * panel.states.size
+
     def test_bad_inputs(self):
         truth = random_chain(1, entry_age=20, exit_age=25)
         with pytest.raises(InvalidInputError):
