@@ -7,17 +7,16 @@ spreadsheet programs write it, is skipped when reading from a path):
 
 with sex in {M, F}, month 1-12 and cost_yen a non-negative integer.
 ``parse_claims`` yields one ClaimRecord per data row, in input order, but
-parses the text a block of whole lines (about _BLOCK_CHARS characters) at
-a time.  A plain block, one as ``synthetic.write_claims`` writes it, is
-decoded by one ``np.loadtxt`` call and checked with whole-column masks:
-ASCII with no quote, NUL, bare carriage return or blank line, no line past
-the csv field limit, one row per line, and every field valid as written
-(ids non-empty and already stripped, sex exactly M or F).  Any other
-block goes, with the rest of the stream, to the row loop (``csv.reader``
-and ``int()``), which alone decides errors: their class, message and
-1-based line, and the records yielded before them, are those of a
-row-by-row parse.  The one difference: a strictly decoding text stream may
-raise its DataFormatError for undecodable bytes a block earlier.
+reads the text with ``panel._read_blocks``, the CSV reader the panel cache
+uses too.  A plain block (see ``panel._plain_block``), as
+``synthetic.write_claims`` writes one, is decoded by one ``np.loadtxt``
+call and taken when every field is valid as written (ids non-empty, sex
+exactly M or F).  Any other block goes, with the rest of the stream, to
+the row loop (``csv.reader`` and ``int()``), which alone decides errors:
+their class, message and 1-based line, and the records yielded before
+them, are those of a row-by-row parse.  The one difference: a strictly
+decoding text stream may raise its DataFormatError for undecodable bytes
+a block earlier.
 
 Aggregation into person-years keeps one small accumulator per (person,
 year) until the stream ends, because a duplicate (person, year, month) row
@@ -30,15 +29,14 @@ Annual cost is mean observed monthly cost times 12, rounded half-up to
 integer yen, so part-year enrollees are scaled to a full-year equivalent.
 """
 
-import csv
 import io
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DataFormatError, DuplicateRecordError, InvalidInputError
-from .panel import PANEL_CACHE_COLUMNS, Panel, _loadtxt, _strip, build_panel
+from .panel import PANEL_CACHE_COLUMNS, Panel, _read_blocks, build_panel
 from .states import DEFAULT_THRESHOLDS, StateThresholds, classify_costs
 
 CLAIMS_COLUMNS = ("person_id", "sex", "age", "year", "month", "cost_yen")
@@ -80,91 +78,65 @@ def parse_claims(source) -> Iterator[ClaimRecord]:
         raise InvalidInputError(f"cannot read claims from {type(source).__name__}")
 
 
-#: Characters of claims text read per block; a block ends at the first line end past it.
-_BLOCK_CHARS = 1 << 18
-
-_BLOCK_DTYPE = np.dtype(list(zip(ClaimRecord._fields, [object, object, "i8", "i8", "i8", "i8"])))
+#: A plain claims block as np.loadtxt reads it.
+_CLAIM_DTYPE = np.dtype(list(zip(ClaimRecord._fields, [object, object, "i8", "i8", "i8", "i8"])))
 
 
 def _parse_stream(fh) -> Iterator[ClaimRecord]:
-    n_fields = len(CLAIMS_COLUMNS)
-    lineno = 0  # the last record read; a csv error belongs to the next one
     try:
-        header = next(csv.reader(fh), None)
-        lineno = 1
-        if header is None or tuple(h.strip() for h in header) != CLAIMS_COLUMNS:
-            raise DataFormatError(
-                f"claims file must start with header {','.join(CLAIMS_COLUMNS)}", line=1
-            )
-        while lines := fh.readlines(_BLOCK_CHARS):
-            records = _block_records(lines)
-            if records is None:
-                break
-            lineno += len(lines)  # a plain block holds one record per line
-            del lines  # hold one block at a time
-            yield from records
-            del records  # an exhausted zip still holds all but its first column
-        for lineno, row in enumerate(csv.reader(chain(lines, fh)), start=lineno + 1):
-            if len(row) != n_fields:
-                if not row:
-                    continue
-                raise DataFormatError(f"expected {n_fields} fields, got {len(row)}", line=lineno)
-            pid, sex, age_s, year_s, month_s, cost_s = row
-            pid = pid.strip()
-            if not pid:
-                raise DataFormatError("empty person_id", line=lineno)
-            if "\0" in pid:  # as Python 3.10's csv module refuses the line; later ones read it
-                raise DataFormatError("person_id holds a NUL", line=lineno)
-            if not pid.isascii():
-                try:
-                    pid.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise DataFormatError(
-                        f"person_id {pid!r} holds bytes that are not UTF-8", line=lineno
-                    ) from None
-            if sex not in ("M", "F"):
-                sex = sex.strip()
-                if sex not in ("M", "F"):
-                    raise DataFormatError(f"sex must be M or F, got {sex!r}", line=lineno)
-            try:
-                age, year, month, cost = int(age_s), int(year_s), int(month_s), int(cost_s)
-            except ValueError:
-                try:  # str.strip also drops \x1c-\x1f, which int() refuses
-                    age, year, month, cost = (int(f.strip()) for f in row[2:])
-                except ValueError:
-                    raise DataFormatError(
-                        f"age/year/month/cost must be integers, got {row!r}", line=lineno
-                    ) from None
-            if not 0 <= age <= 120:
-                raise DataFormatError(f"age {age} outside 0..120", line=lineno)
-            if not 1 <= month <= 12:
-                raise DataFormatError(f"month {month} outside 1..12", line=lineno)
-            if cost < 0:
-                raise DataFormatError(f"negative cost {cost}", line=lineno)
-            yield ClaimRecord(pid, sex, age, year, month, cost)
-    except csv.Error as exc:
-        raise DataFormatError(f"unreadable CSV record: {exc}", line=lineno + 1) from None
+        for records, _ in _read_blocks(fh, _check_header, _CLAIM_DTYPE, _plain_claims, _claim):
+            yield from map(tuple.__new__, repeat(ClaimRecord), records)
+            del records  # hold one block at a time
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"claims stream holds bytes that are not {exc.encoding}") from None
 
 
-def _block_records(lines: list[str]) -> Iterator[ClaimRecord] | None:
-    """The records of a plain block of lines, or None if the row loop must parse it."""
-    text = "".join(lines)
-    if not (text.isascii() and '"' not in text and "\0" not in text
-            and text.count("\r") == text.count("\r\n") and "\n" not in lines and "\r\n" not in lines
-            and max(map(len, lines)) <= csv.field_size_limit()):
-        return None
-    table = _loadtxt(lines, _BLOCK_DTYPE)
-    if table is None or len(table) != len(lines):
-        return None
+def _check_header(row) -> None:
+    if row is None or tuple(h.strip() for h in row) != CLAIMS_COLUMNS:
+        raise DataFormatError(f"claims file must start with header {','.join(CLAIMS_COLUMNS)}", line=1)
+
+
+def _plain_claims(table):
+    """The records of a plain block whose every field is valid as written, else None."""
     pid, sex, age, year, month, cost = (table[name] for name in ClaimRecord._fields)
-    valid = ((pid != "") & (_strip(pid) == pid) & ((sex == "M") | (sex == "F"))
+    valid = ((pid != "") & ((sex == "M") | (sex == "F"))
              & (age >= 0) & (age <= 120) & (month >= 1) & (month <= 12) & (cost >= 0))
-    if not valid.all():
-        return None
-    columns = [table[name].tolist() for name in ClaimRecord._fields]
-    return map(tuple.__new__, repeat(ClaimRecord), zip(*columns))
+    return zip(*(table[name].tolist() for name in ClaimRecord._fields)) if valid.all() else None
+
+
+def _claim(row, line) -> tuple:
+    """A claims record's fields; DataFormatError at its line."""
+    if len(row) != len(CLAIMS_COLUMNS):
+        raise DataFormatError(f"expected {len(CLAIMS_COLUMNS)} fields, got {len(row)}", line=line)
+    pid, sex, age_s, year_s, month_s, cost_s = row
+    pid = pid.strip()
+    if not pid:
+        raise DataFormatError("empty person_id", line=line)
+    if "\0" in pid:  # as Python 3.10's csv module refuses the line; later ones read it
+        raise DataFormatError("person_id holds a NUL", line=line)
+    if not pid.isascii():
+        try:
+            pid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataFormatError(f"person_id {pid!r} holds bytes that are not UTF-8", line=line) from None
+    if sex not in ("M", "F"):
+        sex = sex.strip()
+        if sex not in ("M", "F"):
+            raise DataFormatError(f"sex must be M or F, got {sex!r}", line=line)
+    try:
+        age, year, month, cost = int(age_s), int(year_s), int(month_s), int(cost_s)
+    except ValueError:
+        try:  # str.strip also drops \x1c-\x1f, which int() refuses
+            age, year, month, cost = (int(f.strip()) for f in row[2:])
+        except ValueError:
+            raise DataFormatError(f"age/year/month/cost must be integers, got {row!r}", line=line) from None
+    if not 0 <= age <= 120:
+        raise DataFormatError(f"age {age} outside 0..120", line=line)
+    if not 1 <= month <= 12:
+        raise DataFormatError(f"month {month} outside 1..12", line=line)
+    if cost < 0:
+        raise DataFormatError(f"negative cost {cost}", line=line)
+    return pid, sex, age, year, month, cost
 
 
 def grouping_year(year: int, month: int, convention: str = "fiscal") -> int:

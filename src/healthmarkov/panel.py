@@ -19,21 +19,20 @@ category while years outside the data window stay invisible.
 Panel cache.  ``write_cache`` writes a CSV with the header
 ``person_id,age,year,months_observed,annual_cost,state`` and one row per
 in-span cell; a missing-marker row has state ``MISSING``, months 0 and an
-empty cost.  ``read_cache`` parses columns, not rows.  A file spelled as
-write_cache spells it is read by one ``np.loadtxt`` call with a structured
-dtype, its person_ids as Python strings of any length, and checked with
-vectorized masks.  Any other file (a malformed one, or one with fields
-that only ``int()`` or the csv module accept, such as ``1_000``, padded
-labels or bare carriage returns) is split by ``csv.reader`` and checked
-with the same masks: numpy reports neither the line of a short row nor
-the blank lines it skips.  Both feed ``build_panel``, the one panel
-builder, which claims ingestion calls with its person-year table too.
+empty cost.  ``read_cache`` parses it with ``_read_blocks``, the CSV
+reader claims ingestion uses too, and keeps the observed rows of each
+block for ``build_panel``, the one panel builder.  A cache goes to the
+reader's row loop from the first block with a quoted or non-ASCII field
+(an id with a comma, quote, line end or non-ASCII letter), a padded
+field, or a number only ``int()`` reads, such as ``1_000``.
 
 Person ids.  ``write_cache`` writes ``str(id)`` and, before it opens a
 file, raises InvalidInputError naming the first person whose id a read
-would not give back: one with whitespace at an end (the readers strip
+would not give back: one with whitespace at an end (the reader strips
 it), holding a NUL (Python 3.10's csv module refuses it), not encodable
-as UTF-8, or longer than ``csv.field_size_limit()``.
+as UTF-8, or longer than ``csv.field_size_limit()``; or naming two
+persons whose ids are the same text (``Decimal("0.1")`` and ``0.1``),
+which a read would give back as one.
 
 Parsed-cells memo.  ``write_cache`` also saves the columns it formats,
 which by the id rule are what a read parses from its CSV (the observed
@@ -62,7 +61,7 @@ Errors ``read_cache`` raises, in this order:
 
 Integer fields follow ``int()``: a sign, underscores, surrounding
 whitespace and non-ASCII digits are accepted.  A value too large for the
-panel's storage types raises OverflowError.
+panel's storage types raises OverflowError, once every line is checked.
 """
 
 import csv
@@ -72,6 +71,7 @@ import io
 import os
 import re
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -226,9 +226,17 @@ class Panel:
     def write_cache(self, path) -> int:
         """Write the canonical one-row-per-cell CSV and its memo; returns rows written.
 
-        InvalidInputError, before any file is opened, for an id a read would not give back.
+        InvalidInputError, before any file is opened, for an id a read would
+        not give back, or two ids written as the same text.
         """
-        ids = np.array([_cache_id(pid) for pid in self.person_ids.tolist()], dtype=object)
+        pids = self.person_ids.tolist()
+        ids = np.array([_cache_id(pid) for pid in pids], dtype=object)
+        first = {}
+        for k, text in enumerate(ids.tolist()):
+            j = first.setdefault(text, k)
+            if j != k:
+                raise InvalidInputError(f"person ids {pids[j]!r} and {pids[k]!r} both write as {text!r}; "
+                                        "a panel cache would read them back as one person")
         rows, cols = np.nonzero(self.states != ABSENT_CODE)
         codes = self.states[rows, cols]
         observed = codes >= 0
@@ -293,13 +301,23 @@ _SURROGATE = re.compile("[\ud800-\udfff]")  # the only characters UTF-8 cannot e
 
 def _cache_cells(raw: bytes):
     """The observed rows of a cache file as build_panel's columns, and the file's last year."""
-    cells = _loadtxt_cells(raw)
-    if cells is None:
-        cells = _csv_cells(raw)
-    pids, ages, years, codes, months, costs = cells
-    end_year = int(years.max()) if len(years) else None
-    obs = codes >= 0
-    return (pids[obs], ages[obs], years[obs], codes[obs], months[obs], costs[obs]), end_year
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape", newline="")
+    kept = [[np.empty(0, dtype)] for dtype in _CELL_TYPES]  # each column's observed rows, by block
+    last_years, overflow = [], None
+    for block, plain in _read_blocks(text, _check_cache_header, _CELL_DTYPE, _plain_cells, _cache_record):
+        try:
+            pids, ages, years, codes, months, costs = map(np.asarray, block if plain else zip(*block), _CELL_TYPES)
+        except OverflowError as exc:  # raised once every line is checked, so a later bad line wins
+            overflow = exc
+            continue
+        last_years.append(years.max())  # a block holds at least one record
+        observed = codes >= 0
+        for column, part in zip(kept, (pids, ages, years, codes, months, costs)):
+            column.append(part[observed])
+    if overflow:
+        raise overflow
+    columns = tuple(np.concatenate(kept.pop(0)) for _ in _CELL_TYPES)  # each column's blocks go once joined
+    return columns, (int(max(last_years)) if last_years else None)
 
 
 # -- parsed-cells memo -------------------------------------------------------
@@ -362,50 +380,76 @@ def _load(fh, dtype) -> np.ndarray:
     return array
 
 
-# -- panel-cache parsing -----------------------------------------------------
+# -- CSV block reader --------------------------------------------------------
 
-_CACHE_HEADER = ",".join(PANEL_CACHE_COLUMNS)
-_CACHE_HEADER_LINES = tuple((_CACHE_HEADER + end).encode() for end in ("\n", "\r\n"))
-
-#: Cache label of each cell code; code -1 (MISSING_CODE) indexes the last one.
-_CACHE_LABELS = STATE_LABELS + (MISSING,)
-
-#: Code _label_codes gives a label that is neither a state nor MISSING.
-_UNKNOWN_LABEL = -2
-
-#: Widest cost field the canonical reader converts itself: 18 digits fit int64.
-_COST_DIGITS = 18
+#: Characters read per block; a block ends at the first line end past it.
+_BLOCK_CHARS = 1 << 18
 
 
-def _loadtxt_cells(raw: bytes):
-    """Cache cells via one ``np.loadtxt`` call, or None if the file needs _csv_cells.
+def _read_blocks(fh, header, dtype, accept, record):
+    """The data records of a CSV text stream, checked, as (block, plain) pairs; both formats' reader.
 
-    Takes files as write_cache writes them: the exact header, integer
-    age/year/months that numpy parses, plain-digit costs on observed rows and
-    bare state labels.  Anything else returns None, including every malformed
-    file, so that _csv_cells alone decides errors and their line numbers, and
-    any id or line longer than ``csv.field_size_limit()``, which numpy reads.
+    ``header(row)`` checks the first record (None for an empty stream).
+    Each block of whole lines that _plain_block takes gives what
+    ``accept(table)`` returns, with plain True.  The first block it refuses,
+    and the rest of the stream, go to ``csv.reader``, which alone decides
+    errors: blank records are skipped, ``record(row, line)`` converts each
+    other record or raises DataFormatError at its 1-based line, and so does
+    a record the csv module cannot read.  The row loop yields lists of what
+    ``record`` returns, with plain False, each as long as the block that
+    began it, and before an error, the records ahead of it.
     """
-    if not raw.startswith(_CACHE_HEADER_LINES) or b"\0" in raw:
-        return None  # the fixed-width cost and state fields would drop trailing NULs
-    line_ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-    if np.diff(line_ends, prepend=-1, append=len(raw) - 1).max() > csv.field_size_limit():
-        return None
-    dtype = np.dtype([
-        ("pid", object), ("age", "i8"), ("year", "i8"), ("months", "i8"),
-        ("cost", f"S{_COST_DIGITS + 1}"), ("state", "S8"),
-    ])
-    table = _loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""), dtype, skiprows=1)
-    if table is None or not len(table) or max(map(len, table["pid"])) > csv.field_size_limit():
-        return None  # a quoted id may span lines, none of them long
-    codes = _label_codes(table["state"])
-    costs, plain = _plain_digits(table["cost"])
-    if (codes == _UNKNOWN_LABEL).any() or not plain[codes >= 0].all():
-        return None
-    return _strip(table["pid"]), table["age"], table["year"], codes, table["months"], costs
+    lineno = 0  # the last record read; a csv error belongs to the next one
+    try:
+        header(next(csv.reader(fh), None))
+        lineno = 1
+        while lines := fh.readlines(_BLOCK_CHARS):
+            block = _plain_block(lines, dtype, accept)
+            if block is None:
+                break
+            lineno += len(lines)  # a plain block holds one record per line
+            del lines  # hold one block at a time
+            yield block, True
+            del block
+        rows, size, failure = [], max(len(lines), 1), None
+        try:
+            for lineno, row in enumerate(csv.reader(chain(lines, fh)), start=lineno + 1):
+                if row:
+                    rows.append(record(row, lineno))
+                    if len(rows) == size:
+                        yield rows, False
+                        rows = []
+        except (DataFormatError, csv.Error, UnicodeDecodeError) as exc:
+            failure = exc  # raised once the records before it are out
+        if rows:
+            yield rows, False
+        if failure:
+            raise failure
+    except csv.Error as exc:
+        raise DataFormatError(f"unreadable CSV record: {exc}", line=lineno + 1) from None
 
 
-def _loadtxt(lines, dtype, skiprows=0):
+def _plain_block(lines, dtype, accept):
+    """What accept returns for the ``np.loadtxt`` table of a plain block of lines, or None.
+
+    Plain: ASCII with no quote, NUL, bare carriage return or blank line, no
+    line past the csv field limit, one table row per line, and ids (the
+    first field) already stripped, so that the table holds what
+    ``csv.reader`` and the row loop's stripping would give.
+    """
+    text = "".join(lines)
+    if not (text.isascii() and '"' not in text and "\0" not in text
+            and text.count("\r") == text.count("\r\n") and "\n" not in lines and "\r\n" not in lines
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        return None
+    table = _loadtxt(lines, dtype)
+    if table is None or len(table) != len(lines):
+        return None
+    ids = table[dtype.names[0]]
+    return accept(table) if (_strip(ids) == ids).all() else None
+
+
+def _loadtxt(lines, dtype):
     """Structured array of CSV lines via one ``np.loadtxt`` call, or None if numpy refuses them.
 
     A refusal sends the caller to its csv-module path, which decides every
@@ -414,8 +458,7 @@ def _loadtxt(lines, dtype, skiprows=0):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                              skiprows=skiprows, ndmin=1)
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
 
@@ -424,12 +467,77 @@ def _loadtxt(lines, dtype, skiprows=0):
 _strip = np.frompyfunc(str.strip, 1, 1)
 
 
+# -- panel-cache records -----------------------------------------------------
+
+_CACHE_HEADER = ",".join(PANEL_CACHE_COLUMNS)
+
+#: Cache label of each cell code; code -1 (MISSING_CODE) indexes the last one.
+_CACHE_LABELS = STATE_LABELS + (MISSING,)
+
+#: Code _label_codes gives a label that is neither a state nor MISSING.
+_UNKNOWN_LABEL = -2
+
+#: Widest cost field the plain-block path converts itself: 18 digits fit int64.
+_COST_DIGITS = 18
+
+#: A plain cache block as np.loadtxt reads it, and the type of each column _cache_cells keeps.
+_CELL_DTYPE = np.dtype([
+    ("pid", object), ("age", "i8"), ("year", "i8"), ("months", "i8"),
+    ("cost", f"S{_COST_DIGITS + 1}"), ("state", "S8"),
+])
+_CELL_TYPES = (object, np.int64, np.int64, np.int8, np.int64, np.int64)
+
+#: A byte that is not UTF-8, as ``errors="surrogateescape"`` decodes it.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+_NOT_UTF8 = "row holds bytes that are not UTF-8"
+
+
+def _check_cache_header(row) -> None:
+    if row and _UNDECODABLE.search("".join(row)):
+        raise DataFormatError(_NOT_UTF8, line=1)
+    if row is None or tuple(h.strip() for h in row) != PANEL_CACHE_COLUMNS:
+        raise DataFormatError(f"panel cache must start with header {_CACHE_HEADER}", line=1)
+
+
+def _plain_cells(table):
+    """The cells of a plain cache block: bare state labels, and plain-digit costs on observed rows."""
+    codes = _label_codes(table["state"])
+    costs, plain = _plain_digits(table["cost"])
+    if (codes == _UNKNOWN_LABEL).any() or not plain[codes >= 0].all():
+        return None
+    return table["pid"], table["age"], table["year"], codes, table["months"], costs
+
+
+def _cache_record(row, line):
+    """A cache record's cell (months and cost 0 on a MISSING row); DataFormatError at its line."""
+    if _UNDECODABLE.search("".join(row)):
+        raise DataFormatError(_NOT_UTF8, line=line)
+    if len(row) != len(PANEL_CACHE_COLUMNS):
+        raise DataFormatError(f"expected {len(PANEL_CACHE_COLUMNS)} fields", line=line)
+    pid, age_s, year_s, months_s, cost_s, state_s = map(str.strip, row)
+    try:
+        age, year = int(age_s), int(year_s)
+    except ValueError:
+        raise DataFormatError(f"bad age/year {age_s!r}/{year_s!r}", line=line) from None
+    if state_s == MISSING:
+        return pid, age, year, MISSING_CODE, 0, 0
+    if state_s not in STATE_LABELS:
+        raise DataFormatError(f"unknown state {state_s!r}", line=line)
+    try:
+        months, cost = int(months_s), int(cost_s)
+    except ValueError:
+        raise DataFormatError(f"bad months/cost {months_s!r}/{cost_s!r}", line=line) from None
+    if cost < 0:
+        raise DataFormatError(f"negative cost {cost}", line=line)
+    return pid, age, year, STATE_LABELS.index(state_s), months, cost
+
+
 def _label_codes(labels) -> np.ndarray:
-    """Cell code per state label (str or bytes): 0..4 for Q1..Q5, -1 for MISSING, else -2."""
-    labels = np.ascontiguousarray(labels)
+    """Cell code per state label (bytes): 0..4 for Q1..Q5, -1 for MISSING, else -2."""
     codes = np.full(len(labels), _UNKNOWN_LABEL, dtype=np.int8)
     for code, label in [*enumerate(STATE_LABELS), (MISSING_CODE, MISSING)]:
-        codes[labels == (label.encode() if labels.dtype.kind == "S" else label)] = code
+        codes[labels == label.encode()] = code
     return codes
 
 
@@ -442,90 +550,6 @@ def _plain_digits(fields) -> tuple[np.ndarray, np.ndarray]:
     for j in range(int(n[plain].max(initial=0))):
         values = np.where(j < n, values * 10 + (b[:, j] - ord("0")), values)
     return values, plain
-
-
-def _int_or_none(s):
-    try:
-        return int(s)
-    except ValueError:
-        return None
-
-
-_to_int = np.frompyfunc(_int_or_none, 1, 1)
-
-
-#: A byte that is not UTF-8, as ``errors="surrogateescape"`` decodes it.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
-_NOT_UTF8 = "row holds bytes that are not UTF-8"
-
-
-def _csv_cells(raw: bytes):
-    """Cache cells under the csv module's rules; DataFormatError at the first bad line.
-
-    Record splitting, quoting and line numbers are exactly those of
-    ``csv.reader``; the field checks are vectorized over the records before
-    the first one with a wrong field count, a byte that is not UTF-8 or a
-    ``csv.Error`` (refused at its line, as by parse_claims).
-    """
-    try:
-        text, utf8 = raw.decode("utf-8"), True
-    except UnicodeDecodeError:
-        text, utf8 = raw.decode("utf-8", "surrogateescape"), False
-    # the records before the first unreadable or undecodable one are checked; then it is refused
-    records, refusal = [], None
-    try:
-        records.extend(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        refusal = f"unreadable CSV record: {exc}"
-    if not utf8:
-        undecodable = next((i for i, r in enumerate(records) if _UNDECODABLE.search("".join(r))), None)
-        if undecodable is not None:
-            refusal = _NOT_UTF8
-            del records[undecodable:]
-    if refusal and not records:
-        raise DataFormatError(refusal, line=1)
-    if not records or tuple(h.strip() for h in records[0]) != PANEL_CACHE_COLUMNS:
-        raise DataFormatError(f"panel cache must start with header {_CACHE_HEADER}", line=1)
-    n_fields = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
-    n_fields[0] = 0  # the header
-    n_columns = len(PANEL_CACHE_COLUMNS)
-    ragged = np.flatnonzero((n_fields != 0) & (n_fields != n_columns))
-    stop = ragged[0] if len(ragged) else len(records)
-    lines = np.flatnonzero(n_fields[:stop])  # 0-based record index; blank records count
-    fields = _strip(np.array([records[i] for i in lines], dtype=object).reshape(len(lines), n_columns))
-    pids, age_s, year_s, months_s, cost_s, state_s = fields.T
-
-    ages, years = _to_int(age_s), _to_int(year_s)
-    months, costs = _to_int(months_s), _to_int(cost_s)
-    codes = _label_codes(state_s)
-    observed = codes != MISSING_CODE
-    no_cost = np.equal(costs, None)
-    bad_age_year = np.equal(ages, None) | np.equal(years, None)
-    bad_state = codes == _UNKNOWN_LABEL
-    bad_amount = observed & (np.equal(months, None) | no_cost)
-    negative = observed & (np.where(no_cost, 0, costs) < 0)
-    bad = np.flatnonzero(bad_age_year | bad_state | bad_amount | negative)
-    if len(bad):
-        r = bad[0]
-        line = int(lines[r]) + 1
-        if bad_age_year[r]:
-            raise DataFormatError(f"bad age/year {age_s[r]!r}/{year_s[r]!r}", line=line)
-        if bad_state[r]:
-            raise DataFormatError(f"unknown state {state_s[r]!r}", line=line)
-        if bad_amount[r]:
-            raise DataFormatError(f"bad months/cost {months_s[r]!r}/{cost_s[r]!r}", line=line)
-        raise DataFormatError(f"negative cost {costs[r]}", line=line)
-    if len(ragged):
-        raise DataFormatError(f"expected {n_columns} fields", line=int(stop) + 1)
-    if refusal:
-        raise DataFormatError(refusal, line=len(records) + 1)
-    months[~observed] = 0
-    costs[~observed] = 0
-    return (
-        pids, ages.astype(np.int64), years.astype(np.int64), codes,
-        months.astype(np.int64), costs.astype(np.int64),
-    )
 
 
 # -- panel assembly ----------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from healthmarkov import panel as panel_module
 from healthmarkov.panel import MISSING_CODE, Panel
 from healthmarkov.states import classify_costs
 
@@ -103,3 +104,18 @@ def sticky_top_chain(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
+
+
+@pytest.fixture
+def plain_blocks(monkeypatch):
+    """(lines, whether they took the plain path) of every block the CSV reader reads, in order."""
+    blocks = []
+    plain_block = panel_module._plain_block
+
+    def recorded(lines, dtype, accept):
+        columns = plain_block(lines, dtype, accept)
+        blocks.append((lines, columns is not None))
+        return columns
+
+    monkeypatch.setattr(panel_module, "_plain_block", recorded)
+    return blocks

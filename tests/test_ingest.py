@@ -6,7 +6,7 @@ import pytest
 
 import healthmarkov.ingest
 import healthmarkov.panel
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from healthmarkov.errors import DataFormatError, DuplicateRecordError, InvalidInputError
 from healthmarkov.ingest import (
@@ -18,7 +18,9 @@ from healthmarkov.ingest import (
     parse_claims,
     round_half_up_ratio,
 )
+from healthmarkov.panel import Panel
 from healthmarkov.states import HealthState
+from healthmarkov.synthetic import generate_panel, random_chain, write_claims
 
 from conftest import observed_ages
 
@@ -361,6 +363,44 @@ class TestAggregate:
         assert rows >= 50_000
         assert table["months_observed"].sum() == rows
         assert peak <= 120 * rows
+
+
+@st.composite
+def claims_orders(draw):
+    """A small generated panel with drawn sexes, a year convention and a row order."""
+    n_ages = draw(st.integers(2, 5))
+    truth = random_chain(draw(st.integers(0, 10**6)), entry_age=30, exit_age=30 + n_ages,
+                         attrition=draw(st.sampled_from([0.0, 0.3])))
+    panel = generate_panel(truth, draw(st.integers(1, 12)))
+    sex = draw(st.lists(st.sampled_from("MF"), min_size=panel.n_persons, max_size=panel.n_persons))
+    panel = Panel(panel.person_ids, panel.birth_years, panel.age_min, panel.states, panel.costs,
+                  panel.months, sex=sex)
+    return panel, draw(st.sampled_from(["fiscal", "calendar"])), draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=claims_orders())
+def test_the_order_of_claims_rows_does_not_matter(tmp_path_factory, plain_blocks, case):
+    panel, convention, order = case
+    path = tmp_path_factory.mktemp("order") / "claims.csv"
+    write_claims(panel, path, year_convention=convention)
+    header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+
+    def load(rows):
+        path.write_bytes(b"".join(row + b"\r\n" for row in [header, *rows]))
+        plain_blocks.clear()
+        got = load_claims_panel(path, year_convention=convention)
+        arrays = [(a.dtype, a.tolist()) for a in (got.birth_years, got.states, got.costs, got.months)]
+        return (got.person_ids.tolist(), got.sex.tolist(), got.age_min, arrays), all(t for _, t in plain_blocks)
+
+    want, plain = load(rows)
+    assert plain
+    order.shuffle(rows)
+    assert load(rows) == (want, True)
+    pid = rows[0].split(b",")[0]
+    rows[0] = b'"' + pid + b'"' + rows[0][len(pid):]  # one quoted id sends the file to the row loop
+    assert load(rows) == (want, False)
 
 
 class TestMillionRowStream:

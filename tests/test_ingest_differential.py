@@ -27,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from healthmarkov import ingest
+from healthmarkov import panel as panel_module
 from healthmarkov.errors import DataFormatError, DuplicateRecordError
 from healthmarkov.ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS, parse_claims
 from healthmarkov.states import DEFAULT_THRESHOLDS, StateThresholds
@@ -357,23 +358,11 @@ def current_rows(source):
     return records, None
 
 
-def recording_blocks(blocks):
-    """ingest._block_records, appending (lines, whether they took the plain path) to blocks."""
-    block_records = ingest._block_records
-
-    def recorded(lines):
-        records = block_records(lines)
-        blocks.append((lines, records is not None))
-        return records
-
-    return recorded
-
-
 BLOCK_CASES = [("none", None), *ODD_ROWS]
 
 
 @pytest.mark.parametrize("label,odd", BLOCK_CASES, ids=[label for label, _ in BLOCK_CASES])
-def test_parse_claims_matches_reference_across_block_boundaries(tmp_path, label, odd):
+def test_parse_claims_matches_reference_across_block_boundaries(tmp_path, plain_blocks, label, odd):
     seen = set()
     path = tmp_path / "claims.csv"
 
@@ -384,9 +373,8 @@ def test_parse_claims_matches_reference_across_block_boundaries(tmp_path, label,
         data, block_chars, labels = case
         path.write_bytes(data)
         want = reference_rows(path)
-        blocks = []
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
-                mock.patch.object(ingest, "_block_records", recording_blocks(blocks)):
+        plain_blocks.clear()
+        with mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars):
             got = current_rows(path)
             with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
                 from_stream = current_rows(io.StringIO(fh.read(), newline=""))
@@ -394,12 +382,12 @@ def test_parse_claims_matches_reference_across_block_boundaries(tmp_path, label,
         assert from_stream == want
         assert all(type(v) is (str if k < 2 else int) for rec in got[0] for k, v in enumerate(rec))
         seen.update(labels)
-        plain = [took for _, took in blocks]
+        plain = [took for _, took in plain_blocks]
         if plain[:1] == [True] and False in plain:
             seen.add("plain block before the row loop")
         if len(plain) > 1 and all(plain):
             seen.add("plain blocks only")
-        if any("".join(lines).count('"') % 2 for lines, _ in blocks):
+        if any("".join(lines).count('"') % 2 for lines, _ in plain_blocks):
             seen.add("quoted line break across a block end")
 
     check()
@@ -414,28 +402,26 @@ def test_parse_claims_matches_reference_across_block_boundaries(tmp_path, label,
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
-def test_write_claims_output_takes_the_plain_block_path(tmp_path, seed):
+def test_write_claims_output_takes_the_plain_block_path(tmp_path, plain_blocks, seed):
     panel = generate_panel(random_chain(seed, entry_age=20, exit_age=30, attrition=0.1), 30)
     path = tmp_path / "claims.csv"
     rows = write_claims(panel, path)
     crlf = path.read_bytes()
     assert crlf.count(b"\r\n") == rows + 1
-    blocks = []
-    with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), \
-            mock.patch.object(ingest, "_block_records", recording_blocks(blocks)):
+    with mock.patch.object(panel_module, "_BLOCK_CHARS", 4096):
         for data in (crlf, crlf.replace(b"\r\n", b"\n")):
             path.write_bytes(data)
-            blocks.clear()
+            plain_blocks.clear()
             assert sum(1 for _ in parse_claims(path)) == rows
-            assert len(blocks) > 10 and all(took for _, took in blocks)
+            assert len(plain_blocks) > 10 and all(took for _, took in plain_blocks)
 
         # a quoted id in the second row sends the first block, and the rest, to the row loop
         lines = crlf.split(b"\r\n")
         pid = lines[2].split(b",")[0]
         lines[2] = b'"' + pid + b'"' + lines[2][len(pid):]
         path.write_bytes(b"\r\n".join(lines))
-        blocks.clear()
+        plain_blocks.clear()
         got = current_rows(path)
-        assert [took for _, took in blocks] == [False]
+        assert [took for _, took in plain_blocks] == [False]
     assert got == reference_rows(path)
     assert got[1] is None and len(got[0]) == rows

@@ -13,6 +13,8 @@ import csv
 import io
 import re
 import shutil
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -175,7 +177,7 @@ def test_a_memo_the_reference_parse_saved_is_read_without_a_parse(cache, parses)
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(panel=panels(WRITABLE_ID_LISTS), order=st.randoms(use_true_random=False))
-def test_the_order_of_cache_rows_does_not_matter(tmp_path_factory, panel, order):
+def test_the_order_of_cache_rows_does_not_matter(tmp_path_factory, plain_blocks, panel, order):
     path = tmp_path_factory.mktemp("order") / "panel.csv"
     panel.write_cache(path)
     want = outcome(path)
@@ -183,14 +185,17 @@ def test_the_order_of_cache_rows_does_not_matter(tmp_path_factory, panel, order)
     order.shuffle(records)
     for padded in (False, True):
         if padded and records:
-            records[0][-1] = " " + records[0][-1]  # a padded label sends the file to _csv_cells
+            records[0][-1] = " " + records[0][-1]  # a padded label sends the file to the row loop
         text = io.StringIO(newline="")
         csv.writer(text).writerows([header, *records])
         raw = text.getvalue().encode("utf-8")
         shuffled = path.with_name(f"shuffled-{padded}.csv")
         shuffled.write_bytes(raw)
-        assert (panel_module._loadtxt_cells(raw) is None) == (padded or not records)
+        plain_blocks.clear()
         assert_same_outcome(outcome(shuffled), want)
+        # so do quoted and non-ASCII ids; the file is one block
+        plain = not padded and raw.isascii() and b'"' not in raw
+        assert [took for _, took in plain_blocks] == ([plain] if records else [])
 
 
 def test_synthetic_cache_reads_through_its_memo(cache, parses):
@@ -344,6 +349,43 @@ def test_an_id_as_long_as_the_csv_field_limit_reads_back(tmp_path):
     assert Panel.read_cache(path).person_ids.tolist() == [pid]
     kind, alone = csv_alone(path)
     assert kind == "ok" and alone.person_ids.tolist() == [pid]
+
+
+@pytest.mark.parametrize("births", [[1970, 1970], [1970, 1971]], ids=["one year", "two years"])
+def test_write_cache_refuses_two_ids_written_as_one_text(cache, monkeypatch, births):
+    # a read would give their rows one person: merged, or a duplicate person-year
+    before = {p.name: p.read_bytes() for p in cache.parent.iterdir()}
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"write_cache opened {args[0]!r}")
+
+    panel = Panel([7, Decimal("0.1"), 0.1], [1970, *births], 30, [[0], [1], [2]], [[5], [6], [7]],
+                  [[12], [12], [12]])
+    with monkeypatch.context() as patch:
+        patch.setattr("builtins.open", no_open)
+        with pytest.raises(InvalidInputError, match=re.escape("Decimal('0.1') and 0.1 both write as '0.1'")):
+            panel.write_cache(cache)
+    assert {p.name: p.read_bytes() for p in cache.parent.iterdir()} == before
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["as written", "padded label"])
+def test_a_csv_read_holds_at_most_200_bytes_per_cache_row(tmp_path, padded):
+    path = tmp_path / "panel.csv"
+    rows = generate_panel(random_chain(seed=7, entry_age=20, exit_age=60, attrition=0.02), 2000).write_cache(path)
+    raw = path.read_bytes()
+    if padded:  # a padded state label on the first row sends every block to the row loop
+        head, first, rest = raw.split(b"\r\n", 2)
+        cut = first.rindex(b",") + 1
+        raw = b"\r\n".join([head, first[:cut] + b" " + first[cut:], rest])
+    tracemalloc.start()
+    try:
+        panel_module._cache_cells(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding every csv record at once took about 630 bytes per row with the padded label
+    assert rows >= 80_000
+    assert peak <= 200 * rows
 
 
 @pytest.mark.parametrize("ids", [[" a", "a"], [" a"]], ids=["colliding", "alone"])
