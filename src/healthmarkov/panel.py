@@ -26,13 +26,14 @@ reader's row loop from the first block with a quoted or non-ASCII field
 (an id with a comma, quote, line end or non-ASCII letter), a padded
 field, or a number only ``int()`` reads, such as ``1_000``.
 
-Person ids.  ``write_cache`` writes ``str(id)`` and, before it opens a
-file, raises InvalidInputError naming the first person whose id a read
-would not give back: one with whitespace at an end (the reader strips
-it), holding a NUL (Python 3.10's csv module refuses it), not encodable
-as UTF-8, or longer than ``csv.field_size_limit()``; or naming two
-persons whose ids are the same text (``Decimal("0.1")`` and ``0.1``),
-which a read would give back as one.
+Person ids.  Both CSV writers, ``write_cache`` here and
+``synthetic.write_claims``, write ``str(id)`` through ``_id_fields``, which,
+before either opens a file, raises InvalidInputError naming a person whose
+id a read would not give back: one with whitespace at an end (a read
+strips it), holding a NUL (Python 3.10's csv module refuses it), not
+encodable as UTF-8, longer than ``csv.field_size_limit()``, or empty (the
+claims reader refuses it); or naming two persons whose ids are the same
+text (``Decimal("0.1")`` and ``0.1``), which a read would give back as one.
 
 Parsed-cells memo.  ``write_cache`` also saves the columns it formats,
 which by the id rule are what a read parses from its CSV (the observed
@@ -71,7 +72,8 @@ import io
 import os
 import re
 import warnings
-from itertools import chain
+from itertools import chain, combinations, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -126,7 +128,15 @@ class Panel:
             if sex.shape[0] != n:
                 raise InvalidInputError("sex array length mismatch")
 
-        order = np.argsort(person_ids, kind="stable")
+        try:
+            order = np.argsort(person_ids, kind="stable")
+        except TypeError:  # name the first two ids, in order, that < cannot compare
+            for a, b in combinations(person_ids.tolist(), 2):
+                try:
+                    bool(a < b) + bool(b < a)
+                except TypeError:
+                    raise InvalidInputError(f"person ids {a!r} and {b!r} cannot be ordered") from None
+            raise
         if not np.array_equal(order, np.arange(n)):
             person_ids = person_ids[order]
             birth_years = birth_years[order]
@@ -224,19 +234,8 @@ class Panel:
         }
 
     def write_cache(self, path) -> int:
-        """Write the canonical one-row-per-cell CSV and its memo; returns rows written.
-
-        InvalidInputError, before any file is opened, for an id a read would
-        not give back, or two ids written as the same text.
-        """
-        pids = self.person_ids.tolist()
-        ids = np.array([_cache_id(pid) for pid in pids], dtype=object)
-        first = {}
-        for k, text in enumerate(ids.tolist()):
-            j = first.setdefault(text, k)
-            if j != k:
-                raise InvalidInputError(f"person ids {pids[j]!r} and {pids[k]!r} both write as {text!r}; "
-                                        "a panel cache would read them back as one person")
+        """Write the canonical one-row-per-cell CSV and its memo; returns rows written; ids as _id_fields allows."""
+        texts, fields = _id_fields(self.person_ids.tolist())
         rows, cols = np.nonzero(self.states != ABSENT_CODE)
         codes = self.states[rows, cols]
         observed = codes >= 0
@@ -244,26 +243,22 @@ class Panel:
         years = self.birth_years[rows] + ages
         months = np.where(observed, self.months[rows, cols], 0)
         costs = self.costs[rows, cols]
-        with io.StringIO(newline="") as text:
-            writer = csv.writer(text)
-            writer.writerow(PANEL_CACHE_COLUMNS)
-            writer.writerows(zip(
-                ids[rows], ages.tolist(), years.tolist(), months.tolist(),
-                np.where(observed, costs.astype(object), "").tolist(),
-                map(_CACHE_LABELS.__getitem__, codes.tolist()),
-            ))
-            data = text.getvalue().encode("utf-8")
+        data = "".join(chain([_CACHE_HEADER + "\r\n"], map(_CACHE_ROW.__mod__, zip(
+            np.array(fields, dtype=object)[rows].tolist(), ages.tolist(), years.tolist(), months.tolist(),
+            np.where(observed, costs.astype(object), "").tolist(),
+            map(_CACHE_LABELS.__getitem__, codes.tolist()),
+        )))).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(data)
-        # the memo holds what _cache_cells parses from data: the observed rows, one id per run
-        pids = ids[rows[observed]]
-        new_id = np.append(True, pids[1:] != pids[:-1])[:len(pids)]
-        distinct = pids[new_id].tolist()
+        # the memo holds what _cache_cells parses from data: the observed rows, and one id per run of
+        # them, which is one per person, as rows are person-major and _id_fields gave each its own text
+        persons, person = np.unique(rows[observed], return_inverse=True)
+        distinct = [texts[p] for p in persons.tolist()]
         _write_memo(path, hashlib.sha256(data).digest(), (
             np.array([years.max()] if len(years) else [], dtype=np.int64),
             np.frombuffer("".join(distinct).encode("utf-8"), dtype=np.uint8),
             np.cumsum([len(i) for i in distinct], dtype=np.int64),
-            np.cumsum(new_id, dtype=np.int64) - 1,
+            person.astype(np.int64),
             ages[observed], years[observed], codes[observed], months[observed].astype(np.int64),
             costs[observed],
         ))
@@ -282,18 +277,32 @@ class Panel:
         return build_panel(*columns, end_year)
 
 
-def _cache_id(pid) -> str:
-    """``str(pid)``, as write_cache writes it; InvalidInputError if a read would not give it back."""
-    text = str(pid)
-    fault = (
-        "has whitespace at an end, which a read strips" if text != text.strip() else
-        "holds a NUL, which Python 3.10's csv module refuses" if "\0" in text else
-        "is longer than csv.field_size_limit()" if len(text) > csv.field_size_limit() else
-        "does not encode to UTF-8" if _SURROGATE.search(text) else None
-    )
-    if fault:
-        raise InvalidInputError(f"person id {pid!r} {fault}; a panel cache would not read it back")
-    return text
+def _id_fields(person_ids) -> tuple[list, list]:
+    """Each id's text, ``str(pid)``, and its field as csv.writer writes it in a row; both writers' id rule.
+
+    InvalidInputError names the first person whose text a read would not
+    give back, else the first whose field is empty or an earlier person's.
+    """
+    texts, limit = list(map(str, person_ids)), csv.field_size_limit()
+    for pid, text in zip(person_ids, texts):  # before csv.writer sees a text: Python 3.10's raises on a NUL
+        fault = (
+            "has whitespace at an end, which readers strip" if text != text.strip() else
+            "holds a NUL, which Python 3.10's csv module refuses" if "\0" in text else
+            "is longer than csv.field_size_limit()" if len(text) > limit else
+            "does not encode to UTF-8" if _SURROGATE.search(text) else None
+        )
+        if fault:
+            raise InvalidInputError(f"person id {pid!r} {fault}; a read would not give it back")
+    lines, first = [], {}
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(zip(texts, repeat("")))
+    fields = [line[:-3] for line in lines]  # each line is the id's field, then ",\r\n"
+    for k, field in enumerate(fields):
+        if not field:
+            raise InvalidInputError(f"person id {person_ids[k]!r} writes an empty field, which a read refuses")
+        if (j := first.setdefault(field, k)) != k:
+            raise InvalidInputError(f"person ids {person_ids[j]!r} and {person_ids[k]!r} both write as "
+                                    f"{texts[k]!r}; a read would give them back as one person")
+    return texts, fields
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the only characters UTF-8 cannot encode
@@ -432,14 +441,14 @@ def _read_blocks(fh, header, dtype, accept, record):
 def _plain_block(lines, dtype, accept):
     """What accept returns for the ``np.loadtxt`` table of a plain block of lines, or None.
 
-    Plain: ASCII with no quote, NUL, bare carriage return or blank line, no
-    line past the csv field limit, one table row per line, and ids (the
-    first field) already stripped, so that the table holds what
-    ``csv.reader`` and the row loop's stripping would give.
+    Plain: ASCII with no quote or NUL, no line past the csv field limit, one
+    table row per line, and ids (the first field) already stripped, so that
+    the table holds what ``csv.reader`` and the row loop's stripping would
+    give.  ``np.loadtxt`` refuses a carriage return before a line's end; the
+    row count refuses a blank line, which it skips.
     """
     text = "".join(lines)
     if not (text.isascii() and '"' not in text and "\0" not in text
-            and text.count("\r") == text.count("\r\n") and "\n" not in lines and "\r\n" not in lines
             and max(map(len, lines)) <= csv.field_size_limit()):
         return None
     table = _loadtxt(lines, dtype)
@@ -470,6 +479,9 @@ _strip = np.frompyfunc(str.strip, 1, 1)
 # -- panel-cache records -----------------------------------------------------
 
 _CACHE_HEADER = ",".join(PANEL_CACHE_COLUMNS)
+
+#: One cache row as csv.writer writes it, from the id's field; the cost is empty on a MISSING row.
+_CACHE_ROW = "%s,%d,%d,%d,%s,%s\r\n"
 
 #: Cache label of each cell code; code -1 (MISSING_CODE) indexes the last one.
 _CACHE_LABELS = STATE_LABELS + (MISSING,)

@@ -13,11 +13,9 @@ Randomness is numpy's PCG64 via default_rng; the generator name is part of
 the serialized chain so test vectors stay stable.
 """
 
-import csv
 import itertools
 import json
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from . import kernels
 from .errors import ConfigError, HorizonError, InvalidInputError
 from .ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS, grouping_year
 from .lifted import LiftedMatrix, lift
-from .panel import Panel
+from .panel import Panel, _id_fields
 from .states import (
     DEFAULT_THRESHOLDS,
     N_STATES,
@@ -307,19 +305,6 @@ def generate_panel(truth: GroundTruthChain, n_persons: int) -> Panel:
 _CLAIMS_BLOCK_CELLS = 1 << 12
 
 
-def _claims_sexes(panel: Panel) -> list[str]:
-    """Each person's sex as written to claims, "M" without ``panel.sex``; rejects what ingest would."""
-    if panel.sex is None:
-        return ["M"] * panel.n_persons
-    sexes = [str(s) for s in panel.sex]
-    for p, text in enumerate(sexes):
-        if text not in ("M", "F"):
-            raise InvalidInputError(
-                f"person {str(panel.person_ids[p])!r} has sex {panel.sex[p]!r}; claims need 'M' or 'F'"
-            )
-    return sexes
-
-
 def _month_templates(year_convention: str) -> np.ndarray:
     """The 12 claims rows of one person-year, one template per cost remainder.
 
@@ -342,13 +327,6 @@ def _month_templates(year_convention: str) -> np.ndarray:
     )
 
 
-def _row_prefixes(person_ids, sexes) -> np.ndarray:
-    """``person_id,sex,`` per person, quoted exactly as csv.writer quotes them."""
-    lines = []
-    csv.writer(SimpleNamespace(write=lines.append)).writerows(zip(map(str, person_ids), sexes))
-    return np.array([line[:-2] + "," for line in lines], dtype=object)
-
-
 def write_claims(panel: Panel, path, year_convention: str = "fiscal") -> int:
     """Write the panel as monthly claims rows; returns rows written.
 
@@ -359,37 +337,45 @@ def write_claims(panel: Panel, path, year_convention: str = "fiscal") -> int:
     per person-year, whatever ``months_observed`` says, so a panel with
     fewer observed months comes back from ingest with 12.
 
-    A panel without ``panel.sex`` writes "M" for every person; otherwise
-    every sex value must be "M" or "F", or InvalidInputError is raised and no
-    file is created.  Rows are formatted from the panel's arrays, one block
-    of ``_CLAIMS_BLOCK_CELLS`` (person, age) cells at a time, so memory is
+    Before any file is opened, InvalidInputError names a person whose id
+    ``panel._id_fields`` refuses, as ``Panel.write_cache`` does: whitespace
+    at an end, a NUL, no characters, over ``csv.field_size_limit()``
+    characters, a lone surrogate, or the same text as another id.  A panel
+    without ``panel.sex`` writes "M" for every person; otherwise every sex
+    value must be "M" or "F", or InvalidInputError is raised and no file is
+    created.  Rows are formatted from the panel's arrays, one block of
+    ``_CLAIMS_BLOCK_CELLS`` (person, age) cells at a time, so memory is
     bounded by the block and not by the file.
     """
     if year_convention not in YEAR_CONVENTIONS:
         raise InvalidInputError(f"unknown year convention {year_convention!r}")
-    sexes = _claims_sexes(panel)
+    _, fields = _id_fields(panel.person_ids.tolist())
+    sexes = ["M"] * panel.n_persons if panel.sex is None else list(map(str, panel.sex))
+    bad = next((p for p, sex in enumerate(sexes) if sex not in ("M", "F")), None)
+    if bad is not None:
+        raise InvalidInputError(
+            f"person {str(panel.person_ids[bad])!r} has sex {panel.sex[bad]!r}; claims need 'M' or 'F'")
+    prefixes = np.array([f"{field},{sex}," for field, sex in zip(fields, sexes)], dtype=object)
     templates = _month_templates(year_convention)
     head = "{}{},{},".format  # person_id,sex, prefix, age and year -> head of a row
     cells = panel.states.reshape(-1)  # person-major: one int8 copy of the column-major matrix
     n_rows = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(CLAIMS_COLUMNS)
+        fh.write(",".join(CLAIMS_COLUMNS) + "\r\n")
         for start in range(0, cells.size, _CLAIMS_BLOCK_CELLS):
             flat = start + np.flatnonzero(cells[start : start + _CLAIMS_BLOCK_CELLS] >= 0)
             if flat.size == 0:
                 continue
             persons, cols = np.divmod(flat, panel.n_ages)
-            first, last = int(persons[0]), int(persons[-1]) + 1
-            prefixes = _row_prefixes(panel.person_ids[first:last], sexes[first:last])
-            prefixes = prefixes[persons - first].tolist()
+            row_prefixes = prefixes[persons].tolist()
             ages = panel.age_min + cols
             years = panel.birth_years[persons] + ages
             base, extra = np.divmod(panel.costs[persons, cols], 12)
             fh.writelines(map(
                 str.format,
                 templates[extra].tolist(),
-                map(head, prefixes, ages.tolist(), years.tolist()),
-                map(head, prefixes, ages.tolist(), (years + 1).tolist()),
+                map(head, row_prefixes, ages.tolist(), years.tolist()),
+                map(head, row_prefixes, ages.tolist(), (years + 1).tolist()),
                 base.tolist(),
                 (base + 1).tolist(),
             ))

@@ -1,4 +1,4 @@
-"""Mutation runner for the CSV reader and both formats' record checks.
+"""Mutation runner for the CSV reader, both formats' record checks and the writers' id rule.
 
     python3 tests/mutants.py [NAME ...]
 
@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CLAIMS = ("tests/test_ingest.py", "tests/test_ingest_differential.py")
 CACHE = ("tests/test_panel_differential.py", "tests/test_panel_memo.py")
+WRITERS = ("tests/test_synthetic.py", "tests/test_synthetic_differential.py")  # claims writer only
 
 
 class Mutant(NamedTuple):
@@ -46,14 +47,10 @@ MUTANTS = [
     Mutant("plain gate: ASCII", "panel.py", "if not (text.isascii() and ", "if not (", CLAIMS + CACHE),
     Mutant("plain gate: no quote", "panel.py", """'"' not in text and """, "", CLAIMS + CACHE),
     Mutant("plain gate: no NUL", "panel.py", r' and "\0" not in text', "", CACHE + CLAIMS),
-    Mutant("plain gate: no bare carriage return", "panel.py",
-           r'and text.count("\r") == text.count("\r\n") ', "", CACHE + CLAIMS, survives=True),
-    Mutant("plain gate: no blank line", "panel.py", r' and "\n" not in lines and "\r\n" not in lines', "",
-           CACHE + CLAIMS, survives=True),
     Mutant("plain gate: no line past the field limit", "panel.py",
            "\n            and max(map(len, lines)) <= csv.field_size_limit()):", "):", CACHE + CLAIMS),
     Mutant("plain gate: one row per line", "panel.py", "if table is None or len(table) != len(lines):",
-           "if table is None:", CACHE + CLAIMS, survives=True),
+           "if table is None:", ("tests/test_ingest_differential.py",)),
     Mutant("plain gate: ids already stripped", "panel.py",
            "return accept(table) if (_strip(ids) == ids).all() else None", "return accept(table)",
            CLAIMS + CACHE),
@@ -94,8 +91,16 @@ MUTANTS = [
            "column.append(part)", CACHE),
     Mutant("cache read raises an overflow after every line", "panel.py",
            "            overflow = exc\n            continue\n", "            raise\n", CACHE),
-    Mutant("write_cache refuses two ids written as one text", "panel.py", "            if j != k:",
-           "            if False:", ("tests/test_panel_memo.py",)),
+    # the id rule both writers share
+    Mutant("write_claims without the shared id rule", "panel.py",
+           "        if fault:\n            raise InvalidInputError(f\"person id {pid!r} {fault}",
+           "        if False:\n            raise InvalidInputError(f\"person id {pid!r} {fault}", WRITERS),
+    Mutant("id rule: two ids written as one text", "panel.py", "        if (j := first.setdefault(field, k)) != k:",
+           "        if False:", ("tests/test_synthetic.py", "tests/test_panel_memo.py")),
+    Mutant("id field quoted as a single-field row", "panel.py",
+           '.writerows(zip(texts, repeat("")))\n    fields = [line[:-3] for line in lines]',
+           ".writerows(zip(texts))\n    fields = [line[:-2] for line in lines]",
+           ("tests/test_synthetic.py", "tests/test_panel_memo.py")),
     # the claims format
     Mutant("claims header: column names", "ingest.py",
            "if row is None or tuple(h.strip() for h in row) != CLAIMS_COLUMNS:", "if row is None:", CLAIMS),

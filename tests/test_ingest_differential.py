@@ -14,7 +14,9 @@ that need quoting, padded fields, and costs and years past int64.
 numpy call; the block tests hold it to ``reference_parse_stream`` with
 blocks of a few lines, so odd rows, quoted line breaks and line endings
 fall on every side of a block boundary, and pin that files as
-``write_claims`` writes them never leave the plain-block path.
+``write_claims`` writes them never leave the plain-block path.  The gate
+test holds every block the plain path takes to what ``csv.reader`` reads
+from the same lines, one record per line.
 """
 
 import csv
@@ -425,3 +427,38 @@ def test_write_claims_output_takes_the_plain_block_path(tmp_path, plain_blocks, 
         assert [took for _, took in plain_blocks] == [False]
     assert got == reference_rows(path)
     assert got[1] is None and len(got[0]) == rows
+
+
+@st.composite
+def gate_lines(draw):
+    """The lines of a claims text as a stream gives them, with blank lines and carriage returns anywhere."""
+    bodies = []
+    for _ in range(draw(st.integers(1, 6))):
+        body = draw(st.sampled_from([f"p{draw(st.integers(0, 99))},M,30,2000,{draw(st.integers(1, 12))},5",
+                                     " p1,F,30,2000,4,5", "", " "]))
+        if draw(st.integers(0, 3)) == 0:
+            cut = draw(st.integers(0, len(body)))
+            body = body[:cut] + "\r" + body[cut:]
+        bodies.append(body + draw(st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"])))
+    return io.StringIO("".join(bodies), newline=draw(st.sampled_from(["", "\n"]))).readlines()
+
+
+def test_a_plain_block_holds_what_csv_reader_reads_one_record_per_line():
+    seen = set()
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(gate_lines())
+    def check(lines):
+        table = panel_module._plain_block(lines, ingest._CLAIM_DTYPE, lambda table: table)
+        blank = any(line.strip("\r\n") == "" for line in lines)
+        inner_cr = any("\r" in line.rstrip("\r\n") for line in lines)
+        if table is None:
+            seen.update(label for label, hit in (("blank refused", blank), ("inner \\r refused", inner_cr)) if hit)
+            return
+        records = list(csv.reader(lines))
+        assert len(table) == len(lines) == len(records)
+        assert table.tolist() == [(pid, sex, *map(int, rest)) for pid, sex, *rest in records]
+        seen.update(label for label, hit in (("taken", True), ("\\r ends a line", "\r" in "".join(lines))) if hit)
+
+    check()
+    assert {"taken", "\\r ends a line", "blank refused", "inner \\r refused"} <= seen, seen

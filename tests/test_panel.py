@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,17 @@ class TestCodes:
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(InvalidInputError):
             make_panel([[0, 7]])
+
+    @pytest.mark.parametrize("ids, clash", [
+        ([1, "1"], "1 and '1'"),
+        (["a", 2.5, 3, None], "'a' and 2.5"),
+        ([4, 2, 3j], "4 and 3j"),
+    ], ids=["int and str", "str first", "complex"])
+    def test_ids_that_cannot_be_ordered_are_refused_by_name(self, ids, clash):
+        # the sort that makes the person order canonical has no order for them
+        n = len(ids)
+        with pytest.raises(InvalidInputError, match=re.escape(f"person ids {clash} cannot be ordered")):
+            Panel(ids, [1970] * n, 30, [[0]] * n, [[100]] * n, [[12]] * n)
 
 
 class TestCache:

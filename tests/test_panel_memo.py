@@ -34,7 +34,7 @@ CELL = st.tuples(st.integers(-2, 4), st.integers(0, 3_000_000), st.integers(1, 1
 EDGE = 'ab7,"é日'
 INNER = EDGE + " \n\r"
 WRITABLE_IDS = st.one_of(
-    st.text(alphabet=st.sampled_from(EDGE), max_size=1),
+    st.sampled_from(EDGE),
     st.builds(lambda head, inner, tail: head + inner + tail, st.sampled_from(EDGE),
               st.text(alphabet=st.sampled_from(INNER), max_size=3), st.sampled_from(EDGE)),
 )
@@ -115,9 +115,10 @@ def assert_same_outcome(got, want):
         assert a.tolist() == b.tolist(), name
 
 
-def _refused(text: str) -> bool:
-    """Whether the id rule refuses ``text``, for the characters IDS draws."""
-    return text != text.strip() or "\0" in text
+def _refused(texts) -> list:
+    """The texts the id rule refuses, for the characters IDS draws, the ones it names first at the front."""
+    # the rules on the text run over every id before the empty field is looked at
+    return [text for text in texts if text != text.strip() or "\0" in text] + [text for text in texts if not text]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,
@@ -125,7 +126,7 @@ def _refused(text: str) -> bool:
 @given(panel=panels())
 def test_memo_read_equals_the_csv_read(tmp_path_factory, parses, panel):
     path = tmp_path_factory.mktemp("memo") / "panel.csv"
-    refused = [text for text in map(str, panel.person_ids) if _refused(text)]
+    refused = _refused(list(map(str, panel.person_ids)))
     if refused:
         with pytest.raises(InvalidInputError, match=re.escape(repr(refused[0]))):
             panel.write_cache(path)
@@ -316,6 +317,7 @@ def test_a_write_that_cannot_save_its_memo_leaves_none(cache, monkeypatch):
 
 
 REFUSED = {
+    "empty": "",
     "leading space": " a",
     "trailing line end": "a\r\n",
     "file separator": "\x1ca",

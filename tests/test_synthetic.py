@@ -1,5 +1,8 @@
+import csv
 import io
+import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -175,6 +178,19 @@ class TestClaimsRoundTrip:
         with pytest.raises(InvalidInputError, match=f"person id {ids[0]!r} appears in more than one row"):
             write_claims(Panel(ids, template.birth_years, template.age_min, template.states,
                                template.costs, template.months, sex=sex), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("ids", [
+        [" a", "b"], ["a\0b", "b"], ["", "b"], ["x" * (csv.field_size_limit() + 1), "b"], ["a\udc80", "b"],
+        [Decimal("0.1"), 0.1],
+    ], ids=["outer whitespace", "NUL", "empty", "over the csv field limit", "lone surrogate", "same text"])
+    def test_ids_ingest_would_not_give_back_are_refused_before_writing(self, tmp_path, ids):
+        template = generate_panel(random_chain(84, entry_age=25, exit_age=27), len(ids))
+        panel = Panel(ids, template.birth_years, template.age_min, template.states, template.costs,
+                      template.months)
+        path = tmp_path / "claims.csv"
+        with pytest.raises(InvalidInputError, match=re.escape(repr(ids[0]))):
+            write_claims(panel, path)
         assert not path.exists()
 
     def test_memory_is_bounded_by_the_block_not_the_file(self, tmp_path):

@@ -1,15 +1,24 @@
 """Differential test: the array-based claims writer against the row writer it replaced.
 
 ``synthetic.write_claims`` must write the bytes that reference_synthetic's
-``reference_write_claims`` writes, and return the same row count.
-Generated panels carry ids that csv must quote (comma, quote, line breaks,
-outer spaces, non-ASCII) or that are not strings, per-person or default
-sexes, every remainder of cost mod 12 and costs up to 10**15, missing and
-absent cells and single-age panels.  They span one block or several, with
-block boundaries inside a person, at the module's block size and at small
-ones patched in.
+``reference_write_claims`` writes, and return the same row count, for every
+panel whose ids ingest gives back; for any other it must raise
+InvalidInputError and leave no file.  Generated panels carry ids that csv
+must quote (comma, quote, line breaks, non-ASCII), that have whitespace at
+an end, or that are not strings, per-person or default sexes, every
+remainder of cost mod 12 and costs up to 10**15, missing and absent cells
+and single-age panels.  They span one block or several, with block
+boundaries inside a person, at the module's block size and at small ones
+patched in.
+
+The round-trip relation: ``load_claims_panel`` gives back ``str`` of every
+id of a person with an observed cell, with the same cells, or
+``write_claims`` refuses the panel and leaves no file.
 """
 
+import csv
+import re
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -17,8 +26,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from healthmarkov import synthetic
-from healthmarkov.errors import InvalidInputError
+from healthmarkov.errors import EmptyCohortError, InvalidInputError
+from healthmarkov.ingest import load_claims_panel
 from healthmarkov.panel import Panel
+from healthmarkov.states import DEFAULT_THRESHOLDS, HealthState
 from healthmarkov.synthetic import write_claims
 
 from reference_synthetic import reference_write_claims
@@ -85,6 +96,23 @@ def panels(draw):
     }
 
 
+def refused_ids(ids) -> list:
+    """The ids the writers' id rule refuses, in order: those ingest would not give back as written."""
+    texts = list(map(str, ids))
+    return [pid for pid, text in zip(ids, texts)
+            if text != text.strip() or "\0" in text or not text or len(text) > csv.field_size_limit()
+            or re.search("[\ud800-\udfff]", text) or texts.count(text) > 1]
+
+
+def assert_refused(refused, path, write):
+    """``write()`` raises InvalidInputError naming one of ``refused`` and leaves no file at ``path``."""
+    path.unlink(missing_ok=True)
+    with pytest.raises(InvalidInputError) as err:
+        write()
+    assert any(repr(pid) in str(err.value) for pid in refused), (str(err.value), refused)
+    assert not path.exists()
+
+
 def split_persons(states, block) -> int:
     """Block boundaries that fall between two observed cells of one person."""
     n_ages = states.shape[1]
@@ -128,6 +156,11 @@ def test_claims_bytes_match_reference(tmp_path):
     def check(case):
         seen.update(features(case))
         kwargs = {"year_convention": case["convention"]}
+        if refused := refused_ids(case["panel"].person_ids):
+            seen.add("refused")
+            assert_refused(refused, got_path, lambda: write_claims(case["panel"], got_path, **kwargs))
+            return
+        seen.add("written")
         with mock.patch.object(synthetic, "_CLAIMS_BLOCK_CELLS", case["block"]):
             got = write_claims(case["panel"], got_path, **kwargs)
         want = reference_write_claims(case["panel"], want_path, **kwargs)
@@ -137,7 +170,7 @@ def test_claims_bytes_match_reference(tmp_path):
     check()
     assert {"fiscal", "calendar", "comma", "quote", "line feed", "carriage return",
             "outer space", "non-ASCII", "both sexes", "cost 1e14+", "missing", "absent",
-            "one age", "split person", "split person, small block"} <= seen
+            "one age", "split person", "split person, small block", "refused", "written"} <= seen
     assert {("ids", kind) for kind in ("plain", "quoted", "int", "numpy int", "float")} <= seen
     assert {("sex", kind) for kind in ("none", "mixed", "numpy")} <= seen
     assert {("remainder", r) for r in range(12)} <= seen
@@ -152,3 +185,71 @@ def test_bad_year_convention_fails_as_before(tmp_path, convention):
         write_claims(panel, tmp_path / "got.csv", year_convention=convention)
     assert str(got.value) == str(want.value)
     assert not (tmp_path / "got.csv").exists()
+
+
+#: Ids the quoted alphabet does not draw, put in place of a drawn one: each is refused.
+UNWRITABLE = {"NUL": "a\0b", "empty": "", "lone surrogate": "a\udc80"}
+
+
+@st.composite
+def round_trip_panels(draw):
+    """A small panel whose costs classify to its states, with ids as ``id_lists`` draws them or refused ones."""
+    n, n_ages = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    kind, ids = draw(id_lists(n))
+    extra = draw(st.sampled_from(["none", "none", "same text", *UNWRITABLE]))
+    if extra == "same text":  # unequal, so the panel takes both, but one text
+        kind, ids = "numbers", [k / 4 for k in range(n - 1)] + [Decimal("0.1"), 0.1]
+    elif extra != "none":
+        ids = list(map(str, ids))
+        ids[draw(st.integers(0, n - 1))] = UNWRITABLE[extra]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = rng.integers(-2, 5, size=(len(ids), n_ages)).astype(np.int8)
+    bands = [DEFAULT_THRESHOLDS.interval(state) for state in HealthState]
+    costs = np.array([[rng.integers(lo, (hi or 10**7) + 1) for lo, hi in (bands[max(c, 0)] for c in row)]
+                      for row in states], dtype=np.int64)
+    sex = rng.choice(["M", "F"], size=len(ids)).astype(object) if draw(st.booleans()) else None
+    births = rng.integers(1950, 2001, size=len(ids))
+    panel = Panel(ids, births, draw(st.integers(0, 60)), states, costs, np.full(states.shape, 12), sex=sex)
+    return panel, (kind, extra), draw(st.sampled_from(["fiscal", "calendar"]))
+
+
+def observed_cells(panel) -> dict:
+    """str(id) -> (sex, birth year, {age: (state, cost)}) for every person with an observed cell."""
+    cells = {}
+    for p, pid in enumerate(panel.person_ids):
+        ages = np.flatnonzero(panel.states[p] >= 0)
+        if ages.size:
+            sex = "M" if panel.sex is None else panel.sex[p]
+            cells[str(pid)] = (sex, int(panel.birth_years[p]), {
+                panel.age_min + int(c): (int(panel.states[p, c]), int(panel.costs[p, c])) for c in ages})
+    return cells
+
+
+def test_claims_read_back_every_id_write_claims_takes(tmp_path):
+    seen = set()
+    path = tmp_path / "claims.csv"
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(case=round_trip_panels())
+    def check(case):
+        panel, labels, convention = case
+        seen.update(labels)
+        if refused := refused_ids(panel.person_ids):
+            seen.add("refused")
+            assert_refused(refused, path, lambda: write_claims(panel, path, year_convention=convention))
+            return
+        write_claims(panel, path, year_convention=convention)
+        want = observed_cells(panel)
+        if not want:
+            with pytest.raises(EmptyCohortError):
+                load_claims_panel(path, year_convention=convention)
+            return
+        got = load_claims_panel(path, year_convention=convention)
+        assert all(type(pid) is str for pid in got.person_ids)
+        assert observed_cells(got) == want
+        seen.add("read back")
+
+    check()
+    assert {"refused", "read back", "same text", *UNWRITABLE} <= seen
+    assert {"plain", "quoted", "int", "numpy int", "float"} <= seen
