@@ -6,17 +6,23 @@ spreadsheet programs write it, is skipped when reading from a path):
     person_id,sex,age,year,month,cost_yen
 
 with sex in {M, F}, month 1-12 and cost_yen a non-negative integer.
+Each person_id is stripped and must pass the id rule both readers and
+both writers share (``panel._id_fault``): a record whose id is empty,
+holds a NUL or holds bytes that are not UTF-8 raises DataFormatError at
+its line, so every id ingest gives back, ``write_claims`` and
+``Panel.write_cache`` write back.
+
 ``parse_claims`` yields one ClaimRecord per data row, in input order, but
 reads the text with ``panel._read_blocks``, the CSV reader the panel cache
-uses too.  A plain block (see ``panel._plain_block``), as
-``synthetic.write_claims`` writes one, is decoded by one ``np.loadtxt``
-call and taken when every field is valid as written (ids non-empty, sex
-exactly M or F).  Any other block goes, with the rest of the stream, to
-the row loop (``csv.reader`` and ``int()``), which alone decides errors:
-their class, message and 1-based line, and the records yielded before
-them, are those of a row-by-row parse.  The one difference: a strictly
-decoding text stream may raise its DataFormatError for undecodable bytes
-a block earlier.
+uses too.  A plain block (see ``panel._plain_block``, which has already
+seen to the ids), as ``synthetic.write_claims`` writes one, is decoded by
+one ``np.loadtxt`` call and taken when every other field is valid as
+written (sex exactly M or F).  Any other block goes, with the rest of the
+stream, to the row loop (``csv.reader`` and ``int()``), which alone
+decides errors: their class, message and 1-based line, and the records
+yielded before them, are those of a row-by-row parse.  The one
+difference: a strictly decoding text stream may raise its
+DataFormatError for undecodable bytes a block earlier.
 
 Aggregation into person-years keeps one small accumulator per (person,
 year) until the stream ends, because a duplicate (person, year, month) row
@@ -36,7 +42,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataFormatError, DuplicateRecordError, InvalidInputError
-from .panel import PANEL_CACHE_COLUMNS, Panel, _read_blocks, build_panel
+from .panel import PANEL_CACHE_COLUMNS, Panel, _id_fault, _read_blocks, build_panel
 from .states import DEFAULT_THRESHOLDS, StateThresholds, classify_costs
 
 CLAIMS_COLUMNS = ("person_id", "sex", "age", "year", "month", "cost_yen")
@@ -98,8 +104,8 @@ def _check_header(row) -> None:
 
 def _plain_claims(table):
     """The records of a plain block whose every field is valid as written, else None."""
-    pid, sex, age, year, month, cost = (table[name] for name in ClaimRecord._fields)
-    valid = ((pid != "") & ((sex == "M") | (sex == "F"))
+    _, sex, age, _, month, cost = (table[name] for name in ClaimRecord._fields)
+    valid = (((sex == "M") | (sex == "F"))
              & (age >= 0) & (age <= 120) & (month >= 1) & (month <= 12) & (cost >= 0))
     return zip(*(table[name].tolist() for name in ClaimRecord._fields)) if valid.all() else None
 
@@ -110,15 +116,8 @@ def _claim(row, line) -> tuple:
         raise DataFormatError(f"expected {len(CLAIMS_COLUMNS)} fields, got {len(row)}", line=line)
     pid, sex, age_s, year_s, month_s, cost_s = row
     pid = pid.strip()
-    if not pid:
-        raise DataFormatError("empty person_id", line=line)
-    if "\0" in pid:  # as Python 3.10's csv module refuses the line; later ones read it
-        raise DataFormatError("person_id holds a NUL", line=line)
-    if not pid.isascii():
-        try:
-            pid.encode("utf-8")
-        except UnicodeEncodeError:
-            raise DataFormatError(f"person_id {pid!r} holds bytes that are not UTF-8", line=line) from None
+    if fault := _id_fault(pid):
+        raise DataFormatError(f"person_id {pid!r} {fault}", line=line)
     if sex not in ("M", "F"):
         sex = sex.strip()
         if sex not in ("M", "F"):

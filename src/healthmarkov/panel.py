@@ -26,14 +26,20 @@ reader's row loop from the first block with a quoted or non-ASCII field
 (an id with a comma, quote, line end or non-ASCII letter), a padded
 field, or a number only ``int()`` reads, such as ``1_000``.
 
-Person ids.  Both CSV writers, ``write_cache`` here and
-``synthetic.write_claims``, write ``str(id)`` through ``_id_fields``, which,
-before either opens a file, raises InvalidInputError naming a person whose
-id a read would not give back: one with whitespace at an end (a read
-strips it), holding a NUL (Python 3.10's csv module refuses it), not
-encodable as UTF-8, longer than ``csv.field_size_limit()``, or empty (the
-claims reader refuses it); or naming two persons whose ids are the same
-text (``Decimal("0.1")`` and ``0.1``), which a read would give back as one.
+Person ids.  One rule, ``_id_fault``, decides which ids the CSV files
+carry: an id is refused when it is empty, has whitespace at an end (the
+readers strip it), holds a NUL (Python 3.10's csv module refuses it),
+holds a lone surrogate (how ``errors="surrogateescape"`` spells a byte
+that is not UTF-8), or is longer than ``csv.field_size_limit()``.  Both
+writers, ``write_cache`` here and ``synthetic.write_claims``, write
+``str(id)`` through ``_id_fields``, which, before either opens a file,
+raises InvalidInputError naming the first person whose text the rule
+refuses, or two persons whose ids are the same text (``Decimal("0.1")``
+and ``0.1``), which a read would give back as one.  Both readers,
+``read_cache`` here and ``ingest.parse_claims``, apply the rule to each
+record's stripped id and raise DataFormatError at the record's line.  So
+every id a reader gives back, a writer writes back, and every id a
+writer refuses, a reader refuses.
 
 Parsed-cells memo.  ``write_cache`` also saves the columns it formats,
 which by the id rule are what a read parses from its CSV (the observed
@@ -53,9 +59,10 @@ Errors ``read_cache`` raises, in this order:
 - DataFormatError at the first offending line (1-based ``line``; blank
   lines are skipped but counted), for that line's first failing check:
   a record the csv module cannot read (say, a field over its limit),
-  bytes that are not UTF-8, header (line 1), field count, integer
-  age/year, state label, integer months/cost, cost >= 0 (the last two
-  not checked on MISSING rows);
+  bytes that are not UTF-8, header (line 1), field count, an id the id
+  rule refuses (empty, or holding a NUL), integer age/year, state label,
+  integer months/cost, cost >= 0 (the last two not checked on MISSING
+  rows);
 - DuplicateRecordError for a repeated (person, year), EmptyCohortError
   when no observed row is left, DataFormatError (no line) for a person
   whose rows imply two birth years.
@@ -127,6 +134,9 @@ class Panel:
             sex = np.asarray(sex, dtype=object)
             if sex.shape[0] != n:
                 raise InvalidInputError("sex array length mismatch")
+        unequal = np.flatnonzero(person_ids != person_ids)  # such as nan, which no sort or match can place
+        if unequal.size:
+            raise InvalidInputError(f"person id {person_ids[unequal[0]]!r} is not equal to itself")
 
         try:
             order = np.argsort(person_ids, kind="stable")
@@ -277,35 +287,43 @@ class Panel:
         return build_panel(*columns, end_year)
 
 
-def _id_fields(person_ids) -> tuple[list, list]:
-    """Each id's text, ``str(pid)``, and its field as csv.writer writes it in a row; both writers' id rule.
+#: The only characters UTF-8 cannot encode; ``errors="surrogateescape"`` decodes each undecodable byte to one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
-    InvalidInputError names the first person whose text a read would not
-    give back, else the first whose field is empty or an earlier person's.
+
+def _id_fault(text: str) -> str | None:
+    """Why a read would not give back a person id written as ``text``, or None: the one id rule.
+
+    Both writers apply it to ``str(id)``, both readers to each record's
+    stripped id, where only the empty, NUL and surrogate clauses can fire.
     """
-    texts, limit = list(map(str, person_ids)), csv.field_size_limit()
+    return (
+        "is empty" if not text else
+        "has whitespace at an end, which readers strip" if text != text.strip() else
+        "holds a NUL, which Python 3.10's csv module refuses" if "\0" in text else
+        "is longer than csv.field_size_limit()" if len(text) > csv.field_size_limit() else
+        "holds bytes that are not UTF-8" if not text.isascii() and _SURROGATE.search(text) else None
+    )
+
+
+def _id_fields(person_ids) -> tuple[list, list]:
+    """Each id's text, ``str(pid)``, and its field as csv.writer writes it in a row, for both writers.
+
+    InvalidInputError names the first person whose text _id_fault refuses,
+    else the first whose field is an earlier person's.
+    """
+    texts = list(map(str, person_ids))
     for pid, text in zip(person_ids, texts):  # before csv.writer sees a text: Python 3.10's raises on a NUL
-        fault = (
-            "has whitespace at an end, which readers strip" if text != text.strip() else
-            "holds a NUL, which Python 3.10's csv module refuses" if "\0" in text else
-            "is longer than csv.field_size_limit()" if len(text) > limit else
-            "does not encode to UTF-8" if _SURROGATE.search(text) else None
-        )
-        if fault:
+        if fault := _id_fault(text):
             raise InvalidInputError(f"person id {pid!r} {fault}; a read would not give it back")
     lines, first = [], {}
     csv.writer(SimpleNamespace(write=lines.append)).writerows(zip(texts, repeat("")))
     fields = [line[:-3] for line in lines]  # each line is the id's field, then ",\r\n"
     for k, field in enumerate(fields):
-        if not field:
-            raise InvalidInputError(f"person id {person_ids[k]!r} writes an empty field, which a read refuses")
         if (j := first.setdefault(field, k)) != k:
             raise InvalidInputError(f"person ids {person_ids[j]!r} and {person_ids[k]!r} both write as "
                                     f"{texts[k]!r}; a read would give them back as one person")
     return texts, fields
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")  # the only characters UTF-8 cannot encode
 
 
 def _cache_cells(raw: bytes):
@@ -444,8 +462,9 @@ def _plain_block(lines, dtype, accept):
     Plain: ASCII with no quote or NUL, no line past the csv field limit, one
     table row per line, and ids (the first field) already stripped, so that
     the table holds what ``csv.reader`` and the row loop's stripping would
-    give.  ``np.loadtxt`` refuses a carriage return before a line's end; the
-    row count refuses a blank line, which it skips.
+    give, and none empty, so that every id passes the id rule (_id_fault).
+    ``np.loadtxt`` refuses a carriage return before a line's end; the row
+    count refuses a blank line, which it skips.
     """
     text = "".join(lines)
     if not (text.isascii() and '"' not in text and "\0" not in text
@@ -455,7 +474,7 @@ def _plain_block(lines, dtype, accept):
     if table is None or len(table) != len(lines):
         return None
     ids = table[dtype.names[0]]
-    return accept(table) if (_strip(ids) == ids).all() else None
+    return accept(table) if (ids != "").all() and (_strip(ids) == ids).all() else None
 
 
 def _loadtxt(lines, dtype):
@@ -499,14 +518,11 @@ _CELL_DTYPE = np.dtype([
 ])
 _CELL_TYPES = (object, np.int64, np.int64, np.int8, np.int64, np.int64)
 
-#: A byte that is not UTF-8, as ``errors="surrogateescape"`` decodes it.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
 _NOT_UTF8 = "row holds bytes that are not UTF-8"
 
 
 def _check_cache_header(row) -> None:
-    if row and _UNDECODABLE.search("".join(row)):
+    if row and _SURROGATE.search("".join(row)):
         raise DataFormatError(_NOT_UTF8, line=1)
     if row is None or tuple(h.strip() for h in row) != PANEL_CACHE_COLUMNS:
         raise DataFormatError(f"panel cache must start with header {_CACHE_HEADER}", line=1)
@@ -523,11 +539,13 @@ def _plain_cells(table):
 
 def _cache_record(row, line):
     """A cache record's cell (months and cost 0 on a MISSING row); DataFormatError at its line."""
-    if _UNDECODABLE.search("".join(row)):
+    if _SURROGATE.search("".join(row)):
         raise DataFormatError(_NOT_UTF8, line=line)
     if len(row) != len(PANEL_CACHE_COLUMNS):
         raise DataFormatError(f"expected {len(PANEL_CACHE_COLUMNS)} fields", line=line)
     pid, age_s, year_s, months_s, cost_s, state_s = map(str.strip, row)
+    if fault := _id_fault(pid):
+        raise DataFormatError(f"person_id {pid!r} {fault}", line=line)
     try:
         age, year = int(age_s), int(year_s)
     except ValueError:

@@ -1,4 +1,4 @@
-"""Mutation runner for the CSV reader, both formats' record checks and the writers' id rule.
+"""Mutation runner for the CSV reader, both formats' record checks, the shared id rule and the report relations.
 
     python3 tests/mutants.py [NAME ...]
 
@@ -52,7 +52,9 @@ MUTANTS = [
     Mutant("plain gate: one row per line", "panel.py", "if table is None or len(table) != len(lines):",
            "if table is None:", ("tests/test_ingest_differential.py",)),
     Mutant("plain gate: ids already stripped", "panel.py",
-           "return accept(table) if (_strip(ids) == ids).all() else None", "return accept(table)",
+           'if (ids != "").all() and (_strip(ids) == ids).all() else None', 'if (ids != "").all() else None',
+           CLAIMS + CACHE),
+    Mutant("plain gate: no empty id", "panel.py", 'if (ids != "").all() and (_strip(ids)', "if (_strip(ids)",
            CLAIMS + CACHE),
     # the reader's line accounting and row loop
     Mutant("plain block counts its lines", "panel.py", "lineno += len(lines)  #", "lineno += 1  #",
@@ -66,8 +68,8 @@ MUTANTS = [
     Mutant("csv error at the next line", "panel.py", '"unreadable CSV record: {exc}", line=lineno + 1)',
            '"unreadable CSV record: {exc}", line=lineno)', CACHE + CLAIMS),
     # the cache format
-    Mutant("cache header: bytes that are not UTF-8", "panel.py", "if row and _UNDECODABLE.search(",
-           "if False and _UNDECODABLE.search(", CACHE),
+    Mutant("cache header: bytes that are not UTF-8", "panel.py", "if row and _SURROGATE.search(",
+           "if False and _SURROGATE.search(", CACHE),
     Mutant("cache header: column names", "panel.py",
            "if row is None or tuple(h.strip() for h in row) != PANEL_CACHE_COLUMNS:", "if row is None:", CACHE),
     Mutant("cache plain block: state labels", "panel.py",
@@ -76,10 +78,11 @@ MUTANTS = [
     Mutant("cache plain block: plain-digit costs", "panel.py",
            "if (codes == _UNKNOWN_LABEL).any() or not plain[codes >= 0].all():",
            "if (codes == _UNKNOWN_LABEL).any():", CACHE),
-    Mutant("cache record: bytes that are not UTF-8", "panel.py", "    if _UNDECODABLE.search(",
-           "    if False and _UNDECODABLE.search(", CACHE),
+    Mutant("cache record: bytes that are not UTF-8", "panel.py", "    if _SURROGATE.search(",
+           "    if False and _SURROGATE.search(", CACHE),
     Mutant("cache record: field count", "panel.py", "    if len(row) != len(PANEL_CACHE_COLUMNS):",
            "    if False:", CACHE),
+    Mutant("cache record: the id rule", "panel.py", "    if fault := _id_fault(pid):", "    if False:", CACHE),
     Mutant("cache record: integer age/year", "panel.py", "age, year = int(age_s), int(year_s)",
            "age, year = int(age_s or 0), int(year_s or 0)", CACHE),
     Mutant("cache record: MISSING rows skip the amount checks", "panel.py", "    if state_s == MISSING:",
@@ -91,30 +94,25 @@ MUTANTS = [
            "column.append(part)", CACHE),
     Mutant("cache read raises an overflow after every line", "panel.py",
            "            overflow = exc\n            continue\n", "            raise\n", CACHE),
-    # the id rule both writers share
+    # the id rule both readers and both writers share
+    Mutant("id rule: empty", "panel.py", '"is empty" if not text else', '"is empty" if False else', CLAIMS + CACHE),
+    Mutant("id rule: NUL", "panel.py", r'refuses" if "\0" in text else', 'refuses" if False else', CACHE + CLAIMS),
+    Mutant("id rule: lone surrogate", "panel.py", "if not text.isascii() and _SURROGATE.search(text) else None",
+           "if False else None", CLAIMS),
     Mutant("write_claims without the shared id rule", "panel.py",
-           "        if fault:\n            raise InvalidInputError(f\"person id {pid!r} {fault}",
-           "        if False:\n            raise InvalidInputError(f\"person id {pid!r} {fault}", WRITERS),
+           "        if fault := _id_fault(text):\n", "        if False:\n", WRITERS),
     Mutant("id rule: two ids written as one text", "panel.py", "        if (j := first.setdefault(field, k)) != k:",
            "        if False:", ("tests/test_synthetic.py", "tests/test_panel_memo.py")),
-    Mutant("id field quoted as a single-field row", "panel.py",
-           '.writerows(zip(texts, repeat("")))\n    fields = [line[:-3] for line in lines]',
-           ".writerows(zip(texts))\n    fields = [line[:-2] for line in lines]",
-           ("tests/test_synthetic.py", "tests/test_panel_memo.py")),
     # the claims format
     Mutant("claims header: column names", "ingest.py",
            "if row is None or tuple(h.strip() for h in row) != CLAIMS_COLUMNS:", "if row is None:", CLAIMS),
-    Mutant("claims plain block: non-empty id", "ingest.py", 'valid = ((pid != "") & ', "valid = (", CLAIMS),
     Mutant("claims plain block: sex", "ingest.py", '((sex == "M") | (sex == "F"))', "(sex == sex)", CLAIMS),
     Mutant("claims plain block: age range", "ingest.py", "& (age >= 0) & (age <= 120)", "", CLAIMS),
     Mutant("claims plain block: month range", "ingest.py", "& (month >= 1) & (month <= 12)", "", CLAIMS),
     Mutant("claims plain block: cost >= 0", "ingest.py", "& (cost >= 0))", ")", CLAIMS),
     Mutant("claims record: field count", "ingest.py", "    if len(row) != len(CLAIMS_COLUMNS):",
            "    if False:", CLAIMS),
-    Mutant("claims record: empty id", "ingest.py", "    if not pid:\n", "    if False:\n", CLAIMS),
-    Mutant("claims record: NUL in the id", "ingest.py", r'    if "\0" in pid:', "    if False:", CLAIMS),
-    Mutant("claims record: id bytes that are not UTF-8", "ingest.py", "    if not pid.isascii():",
-           "    if False:", CLAIMS),
+    Mutant("claims record: the id rule", "ingest.py", "    if fault := _id_fault(pid):", "    if False:", CLAIMS),
     Mutant("claims record: sex", "ingest.py", '        if sex not in ("M", "F"):\n            raise',
            "        if False:\n            raise", CLAIMS),
     Mutant("claims record: numbers padded with what strip removes", "ingest.py",
@@ -123,6 +121,9 @@ MUTANTS = [
     Mutant("claims record: month range", "ingest.py", "if not 1 <= month <= 12:", "if not 1 <= month <= 13:",
            CLAIMS),
     Mutant("claims record: cost >= 0", "ingest.py", "    if cost < 0:", "    if False:", CLAIMS),
+    # metamorphic relations over the report tables
+    Mutant("k03 minimum taken from the first person in row order", "estimate.py", "minimum=int(costs.min()),",
+           "minimum=int(costs[0]),", ("tests/test_metamorphic.py",)),
 ]
 
 

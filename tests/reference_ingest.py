@@ -1,9 +1,11 @@
 """Claims ingestion as it was before aggregation stopped holding records.
 
 ``reference_parse_stream`` is ``ingest._parse_stream`` from before the
-row loop unpacked rows directly, with one rule added since: a person_id
-holding a NUL is refused at its line, on every Python as on 3.10, whose
-csv module refuses the line; ``reference_annualize``,
+row loop unpacked rows directly, with the person-id rule both readers now
+share in place of its own id checks: a stripped person_id that is empty,
+holds a NUL (refused on every Python as on 3.10, whose csv module refuses
+the line) or holds bytes that are not UTF-8 is refused at its line;
+``reference_annualize``,
 ``reference_aggregate_person_years`` and ``reference_round_half_up_ratio``
 are ``annualize``, ``aggregate_person_years`` and ``round_half_up_ratio``
 from before aggregation kept one compact accumulator per person-year
@@ -62,9 +64,14 @@ def reference_parse_stream(fh) -> Iterator[ClaimRecord]:
             )
         pid, sex, age_s, year_s, month_s, cost_s = (f.strip() for f in row)
         if not pid:
-            raise DataFormatError("empty person_id", line=lineno)
+            raise DataFormatError(f"person_id {pid!r} is empty", line=lineno)
         if "\0" in pid:
-            raise DataFormatError("person_id holds a NUL", line=lineno)
+            raise DataFormatError(f"person_id {pid!r} holds a NUL, which Python 3.10's csv module refuses",
+                                  line=lineno)
+        try:
+            pid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataFormatError(f"person_id {pid!r} holds bytes that are not UTF-8", line=lineno) from None
         if sex not in ("M", "F"):
             raise DataFormatError(f"sex must be M or F, got {sex!r}", line=lineno)
         try:

@@ -1,10 +1,11 @@
 """Row-by-row panel-cache reader and panel builder, kept as a test reference.
 
 These are the implementations ``Panel.read_cache`` and ``build_panel`` had
-before the columnar rewrite, unchanged apart from their names and three
+before the columnar rewrite, unchanged apart from their names and four
 rules the reader took on since (a row holding bytes that are not UTF-8,
-a negative cost and a record the csv module cannot read, such as one
-with a field over its field limit, are refused at their line), with a
+a person_id that is empty or holds a NUL once stripped, a negative cost
+and a record the csv module cannot read, such as one with a field over
+its field limit, are refused at their line), with a
 copy of the ``MissingMarker`` record the reader collected, which the
 package no longer has.  The
 differential tests in test_panel_differential.py hold the columnar code to
@@ -76,6 +77,11 @@ def reference_read_cache(path) -> Panel:
                 if len(row) != len(PANEL_CACHE_COLUMNS):
                     raise DataFormatError(f"expected {len(PANEL_CACHE_COLUMNS)} fields", line=lineno)
                 pid, age_s, year_s, months_s, cost_s, state_s = (f.strip() for f in row)
+                if not pid:
+                    raise DataFormatError(f"person_id {pid!r} is empty", line=lineno)
+                if "\0" in pid:
+                    raise DataFormatError(
+                        f"person_id {pid!r} holds a NUL, which Python 3.10's csv module refuses", line=lineno)
                 try:
                     age, year = int(age_s), int(year_s)
                 except ValueError:

@@ -317,30 +317,21 @@ def error_of(exc):
 def reference_rows(path):
     """(records, error) of reference_parse_stream over the text parse_claims reads from path.
 
-    The reference predates two rules of the row loop, which this adds: a
-    record the csv module cannot split, and a person_id holding bytes that
-    are not UTF-8, raise DataFormatError at the 1-based index of their
-    record in a plain ``csv.reader`` pass.
+    The reference predates one rule of the row loop, which this adds: a
+    record the csv module cannot split raises DataFormatError at the
+    1-based index of that record in a plain ``csv.reader`` pass.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         text = fh.read()
-    read, data_lines = 0, []  # records csv.reader splits; the index of each data record
+    read = 0  # records csv.reader splits
     try:
-        for row in csv.reader(io.StringIO(text, newline="")):
+        for _ in csv.reader(io.StringIO(text, newline="")):
             read += 1
-            if row and read > 1:
-                data_lines.append(read)
     except csv.Error:
         pass
     records = []
     try:
         for rec in reference_parse_stream(io.StringIO(text, newline="")):
-            try:
-                rec.person_id.encode("utf-8")
-            except UnicodeEncodeError:
-                return records, error_of(DataFormatError(
-                    f"person_id {rec.person_id!r} holds bytes that are not UTF-8",
-                    line=data_lines[len(records)]))
             records.append(rec)
     except csv.Error as exc:
         return records, error_of(DataFormatError(f"unreadable CSV record: {exc}", line=read + 1))

@@ -1,5 +1,6 @@
 import ast
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,18 @@ class TestCodes:
         with pytest.raises(InvalidInputError, match=re.escape(f"person ids {clash} cannot be ordered")):
             Panel(ids, [1970] * n, 30, [[0]] * n, [[100]] * n, [[12]] * n)
 
+    @pytest.mark.parametrize("ids", [
+        [float("nan"), float("nan"), 1.0],
+        [2.0, np.float64("nan")],
+        ["a", Decimal("NaN")],
+    ], ids=["two nans", "numpy nan", "Decimal NaN"])
+    def test_an_id_not_equal_to_itself_is_refused_by_name(self, ids):
+        # the repeated-id check compares sorted neighbours, and nan == nan is false
+        n = len(ids)
+        nan = next(pid for pid in ids if pid != pid)
+        with pytest.raises(InvalidInputError, match=re.escape(f"person id {nan!r} is not equal to itself")):
+            Panel(ids, [1970] * n, 30, [[0]] * n, [[100]] * n, [[12]] * n)
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):
@@ -174,6 +187,15 @@ class TestCache:
     def test_first_offending_line_wins(self, tmp_path):
         err = self._read_error(tmp_path, "a,30,2000,12,oops,Q1\na,31,2001\n")
         assert err.line == 2
+
+    @pytest.mark.parametrize("field, pid", [("", ""), ('""', ""), ("  ", ""), ('" \t"', ""), ("a\0", "a\0"),
+                                            ("\0", "\0")],
+                             ids=["empty", "quoted empty", "blank", "quoted blank", "NUL", "only a NUL"])
+    def test_an_id_the_writers_refuse_fails_at_its_line(self, tmp_path, field, pid):
+        # write_cache would refuse to write this id back, so the read refuses it too
+        err = self._read_error(tmp_path, f"{field},30,2000,12,100,Q1\n" + self.GOOD)
+        assert err.line == 2
+        assert str(err).startswith(f"line 2: person_id {pid!r} ")
 
     def test_checks_run_in_order_within_a_line(self, tmp_path):
         err = self._read_error(tmp_path, "a,x,2000,12,oops,Q9\n")

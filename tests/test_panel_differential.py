@@ -25,7 +25,10 @@ from healthmarkov.synthetic import generate_panel, random_chain
 from reference_ingest import PersonYear
 from reference_panel import reference_build_panel, reference_read_cache
 
-PIDS = st.text(alphabet=st.sampled_from('ab7 ,"é日\0'), max_size=4)
+#: Three draws in four hold no NUL and a character; the fourth may be empty or hold a NUL.
+NONEMPTY_PIDS = st.text(alphabet=st.sampled_from('ab7 ,"é日'), min_size=1, max_size=4)
+PIDS = st.one_of(NONEMPTY_PIDS, NONEMPTY_PIDS, NONEMPTY_PIDS,
+                 st.text(alphabet=st.sampled_from('ab7 ,"é日\0'), max_size=4))
 OBSERVED = st.tuples(st.just("obs"), st.sampled_from(STATE_LABELS), st.integers(1, 12),
                      st.integers(0, 3_000_000))
 MISSING_CELL = st.tuples(st.just("missing"), st.just("MISSING"), st.just(0), st.none())
@@ -216,6 +219,16 @@ def test_columnar_reader_matches_reference(tmp_path, raw):
 def test_edge_files_match_reference(tmp_path, body):
     path = tmp_path / "panel.csv"
     path.write_bytes((",".join(PANEL_CACHE_COLUMNS) + "\n" + body).encode("utf-8", "surrogateescape"))
+    assert_same_outcome(path)
+
+
+def test_a_header_that_is_not_utf8_fails_at_line_1(tmp_path):
+    # the names check refuses it too, with another message: bytes are checked first, as on every line
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"\xff" + ",".join(PANEL_CACHE_COLUMNS).encode() + b"\na,30,2000,12,1000,Q1\n")
+    with pytest.raises(DataFormatError, match="row holds bytes that are not UTF-8") as err:
+        Panel.read_cache(path)
+    assert err.value.line == 1
     assert_same_outcome(path)
 
 

@@ -13,7 +13,13 @@ patched in.
 
 The round-trip relation: ``load_claims_panel`` gives back ``str`` of every
 id of a person with an observed cell, with the same cells, or
-``write_claims`` refuses the panel and leaves no file.
+``write_claims`` refuses the panel and leaves no file.  Its converses, for
+files whose id fields are empty, blank, quoted, padded with what
+``str.strip`` removes, hold a NUL, non-ASCII letters or bytes that are
+not UTF-8: every panel ``Panel.read_cache`` reads, ``write_cache`` writes
+back and it reads again as the same panel, through the memo and through
+the CSV; every panel ``load_claims_panel`` loads, ``write_claims`` writes
+back and it loads again with the same ids and cells.
 """
 
 import csv
@@ -25,11 +31,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from healthmarkov import synthetic
-from healthmarkov.errors import EmptyCohortError, InvalidInputError
-from healthmarkov.ingest import load_claims_panel
-from healthmarkov.panel import Panel
-from healthmarkov.states import DEFAULT_THRESHOLDS, HealthState
+from healthmarkov import panel as panel_module, synthetic
+from healthmarkov.errors import DataFormatError, EmptyCohortError, InvalidInputError
+from healthmarkov.ingest import CLAIMS_COLUMNS, load_claims_panel
+from healthmarkov.panel import PANEL_CACHE_COLUMNS, Panel
+from healthmarkov.states import DEFAULT_THRESHOLDS, MISSING, STATE_LABELS, HealthState
 from healthmarkov.synthetic import write_claims
 
 from reference_synthetic import reference_write_claims
@@ -253,3 +259,124 @@ def test_claims_read_back_every_id_write_claims_takes(tmp_path):
     check()
     assert {"refused", "read back", "same text", *UNWRITABLE} <= seen
     assert {"plain", "quoted", "int", "numpy int", "float"} <= seen
+
+
+#: Id fields of a hand-written CSV row, by kind: ids a reader takes as written, strips, or refuses.
+ID_FIELDS = {
+    "plain": ["a", "p07", "B"],
+    "empty": [""],
+    "blank": ["  ", "\t"],
+    "quoted": ['""', '" \t"', '"a,b"', '" c "', '"x\ny"', '"say ""hi"""'],
+    "separator-padded": ["\x1ca\x1c", "\x1fd"],
+    "NUL": ["a\0", "\0"],
+    "non-ASCII": ["é", "語x"],
+    "undecodable bytes": ["b\udcff", "\udce9"],  # as errors="surrogateescape" decodes them
+}
+#: (kind, outcome) pairs each converse test must reach, from files whose ids are all of one kind.
+CONVERSE_REACHED = {(kind, "read back") for kind in ("plain", "quoted", "separator-padded", "non-ASCII")} | {
+    (kind, "refused") for kind in ("empty", "blank", "NUL", "undecodable bytes")}
+
+
+@st.composite
+def id_field_lists(draw):
+    """One to three id fields from ID_FIELDS, of one kind in half the lists, and the kinds drawn."""
+    one = draw(st.sampled_from([None, *sorted(ID_FIELDS)]))
+    kinds = [one or draw(st.sampled_from(sorted(ID_FIELDS))) for _ in range(draw(st.integers(1, 3)))]
+    return [draw(st.sampled_from(ID_FIELDS[kind])) for kind in kinds], set(kinds)
+
+
+@st.composite
+def cache_files(draw):
+    """Panel-cache bytes of one to three persons with ID_FIELDS ids, and the id kinds drawn."""
+    fields, kinds = draw(id_field_lists())
+    lines = []
+    for field in fields:
+        birth, entry = draw(st.sampled_from([1950, 1965])), draw(st.integers(20, 24))
+        for age in range(entry, entry + draw(st.integers(1, 3))):
+            label = draw(st.sampled_from(STATE_LABELS + (MISSING,)))
+            months, cost = (0, "") if label == MISSING else (12, draw(st.integers(0, 3_000_000)))
+            lines.append(f"{field},{age},{birth + age},{months},{cost},{label}")
+    text = "\r\n".join([",".join(PANEL_CACHE_COLUMNS), *lines, ""])
+    return text.encode("utf-8", "surrogateescape"), kinds
+
+
+@st.composite
+def claims_files(draw):
+    """Claims bytes of one to three persons with ID_FIELDS ids, the id kinds drawn, and a year convention.
+
+    Ages run from 19 to 73.  At age 0 the fiscal convention can stamp a
+    person-year with age -1, which ingest refuses once written back: the
+    open fiscal-age defect, not the id rule this relation is about.
+    """
+    fields, kinds = draw(id_field_lists())
+    lines = []
+    for field in fields:
+        sex, born, birth_month = draw(st.sampled_from("MF")), draw(st.integers(1940, 1990)), draw(st.integers(1, 12))
+        start = draw(st.integers(2010, 2012)) * 12
+        for k in draw(st.lists(st.integers(0, 23), min_size=1, max_size=4, unique=True)):
+            year, month = divmod(start + k, 12)
+            age = year - born - (month + 1 < birth_month)
+            lines.append(f"{field},{sex},{age},{year},{month + 1},{draw(st.integers(0, 10**6))}")
+    text = "\n".join([",".join(CLAIMS_COLUMNS), *lines, ""])
+    return text.encode("utf-8", "surrogateescape"), kinds, draw(st.sampled_from(["fiscal", "calendar"]))
+
+
+def assert_same_panel(got, want):
+    assert got.person_ids.tolist() == want.person_ids.tolist()
+    assert got.age_min == want.age_min
+    for name in ("birth_years", "states", "costs", "months"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+def test_write_cache_writes_back_every_cache_read_cache_takes(tmp_path):
+    seen = set()
+    read, written = tmp_path / "read.csv", tmp_path / "written.csv"
+
+    @settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=cache_files())
+    def check(case):
+        raw, kinds = case
+        read.write_bytes(raw)
+        try:
+            panel = Panel.read_cache(read)
+        except (DataFormatError, EmptyCohortError):
+            outcome = "refused"
+        else:
+            panel.write_cache(written)
+            with mock.patch.object(panel_module, "_cache_cells", side_effect=AssertionError("parsed the CSV")):
+                assert_same_panel(Panel.read_cache(written), panel)
+            written.with_name(written.name + ".npy").unlink()
+            assert_same_panel(Panel.read_cache(written), panel)
+            outcome = "read back"
+        if len(kinds) == 1:
+            seen.add((*kinds, outcome))
+
+    check()
+    assert CONVERSE_REACHED <= seen, CONVERSE_REACHED - seen
+
+
+def test_write_claims_writes_back_every_claims_file_load_claims_panel_takes(tmp_path):
+    seen = set()
+    read, written = tmp_path / "read.csv", tmp_path / "written.csv"
+
+    @settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=claims_files())
+    def check(case):
+        raw, kinds, convention = case
+        read.write_bytes(raw)
+        try:
+            panel = load_claims_panel(read, year_convention=convention)
+        except (DataFormatError, EmptyCohortError):
+            outcome = "refused"
+        else:
+            write_claims(panel, written, year_convention=convention)
+            again = load_claims_panel(written, year_convention=convention)
+            assert again.person_ids.tolist() == panel.person_ids.tolist()
+            assert observed_cells(again) == observed_cells(panel)
+            outcome = "read back"
+        if len(kinds) == 1:
+            seen.add((*kinds, outcome))
+
+    check()
+    assert CONVERSE_REACHED <= seen, CONVERSE_REACHED - seen
