@@ -13,14 +13,14 @@ its line, so every id ingest gives back, ``write_claims`` and
 ``Panel.write_cache`` write back.
 
 ``parse_claims`` yields one ClaimRecord per data row, in input order, but
-reads the text with ``panel._read_blocks``, the CSV reader the panel cache
-uses too.  A plain block (see ``panel._plain_block``, which has already
-seen to the ids), as ``synthetic.write_claims`` writes one, is decoded by
-one ``np.loadtxt`` call and taken when every other field is valid as
-written (sex exactly M or F).  Any other block goes, with the rest of the
-stream, to the row loop (``csv.reader`` and ``int()``), which alone
-decides errors: their class, message and 1-based line, and the records
-yielded before them, are those of a row-by-row parse.  The one
+reads the text a block of lines at a time.  Claims are the one format
+decoded by ``np.loadtxt``: a plain block (see ``_plain_block``), as
+``synthetic.write_claims`` writes one, is decoded by one call and taken
+when every field is valid as written (sex exactly M or F).  Any other
+block goes, with the rest of the stream, to ``panel._read_rows``, the row
+loop the panel cache is read by too (``csv.reader`` and ``int()``), which
+alone decides errors: their class, message and 1-based line, and the
+records yielded before them, are those of a row-by-row parse.  The one
 difference: a strictly decoding text stream may raise its
 DataFormatError for undecodable bytes a block earlier.
 
@@ -35,14 +35,16 @@ Annual cost is mean observed monthly cost times 12, rounded half-up to
 integer yen, so part-year enrollees are scaled to a full-year equivalent.
 """
 
+import csv
 import io
-from itertools import repeat
+import warnings
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DataFormatError, DuplicateRecordError, InvalidInputError
-from .panel import PANEL_CACHE_COLUMNS, Panel, _id_fault, _read_blocks, build_panel
+from .panel import PANEL_CACHE_COLUMNS, Panel, _id_fault, _read_header, _read_rows, build_panel
 from .states import DEFAULT_THRESHOLDS, StateThresholds, classify_costs
 
 CLAIMS_COLUMNS = ("person_id", "sex", "age", "year", "month", "cost_yen")
@@ -84,15 +86,29 @@ def parse_claims(source) -> Iterator[ClaimRecord]:
         raise InvalidInputError(f"cannot read claims from {type(source).__name__}")
 
 
+#: Characters read per block; a block ends at the first line end past it.
+_BLOCK_CHARS = 1 << 18
+
 #: A plain claims block as np.loadtxt reads it.
 _CLAIM_DTYPE = np.dtype(list(zip(ClaimRecord._fields, [object, object, "i8", "i8", "i8", "i8"])))
 
 
 def _parse_stream(fh) -> Iterator[ClaimRecord]:
     try:
-        for records, _ in _read_blocks(fh, _check_header, _CLAIM_DTYPE, _plain_claims, _claim):
+        _read_header(fh, _check_header)
+        lineno = 1  # the last line read
+        while lines := fh.readlines(_BLOCK_CHARS):
+            records = _plain_block(lines)
+            if records is None:
+                break
+            lineno += len(lines)  # a plain block holds one record per line
+            del lines  # hold one block at a time
             yield from map(tuple.__new__, repeat(ClaimRecord), records)
-            del records  # hold one block at a time
+            del records
+        # the first block _plain_block refuses, and the rest of the stream
+        for records in _read_rows(chain(lines, fh), _claim, lineno):
+            yield from map(tuple.__new__, repeat(ClaimRecord), records)
+            del records
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"claims stream holds bytes that are not {exc.encoding}") from None
 
@@ -102,12 +118,47 @@ def _check_header(row) -> None:
         raise DataFormatError(f"claims file must start with header {','.join(CLAIMS_COLUMNS)}", line=1)
 
 
-def _plain_claims(table):
-    """The records of a plain block whose every field is valid as written, else None."""
-    _, sex, age, _, month, cost = (table[name] for name in ClaimRecord._fields)
+def _plain_block(lines):
+    """The records of a plain block of lines, by one ``np.loadtxt`` call, or None.
+
+    Plain: ASCII with no quote or NUL, no line past the csv field limit, one
+    table row per line, and ids (the first field) already stripped, so that
+    the table holds what ``csv.reader`` and the row loop's stripping would
+    give, and none empty, so that every id passes the id rule (_id_fault);
+    then every other field must be valid as written (sex exactly M or F).
+    ``np.loadtxt`` refuses a carriage return before a line's end; the row
+    count refuses a blank line, which it skips.
+    """
+    text = "".join(lines)
+    if not (text.isascii() and '"' not in text and "\0" not in text
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        return None
+    table = _loadtxt(lines)
+    if table is None or len(table) != len(lines):
+        return None
+    ids, sex, age, _, month, cost = (table[name] for name in ClaimRecord._fields)
     valid = (((sex == "M") | (sex == "F"))
              & (age >= 0) & (age <= 120) & (month >= 1) & (month <= 12) & (cost >= 0))
-    return zip(*(table[name].tolist() for name in ClaimRecord._fields)) if valid.all() else None
+    plain = (ids != "").all() and (_strip(ids) == ids).all() and valid.all()
+    return zip(*(table[name].tolist() for name in ClaimRecord._fields)) if plain else None
+
+
+def _loadtxt(lines):
+    """Structured array of claims lines via one ``np.loadtxt`` call, or None if numpy refuses them.
+
+    A refusal sends the block to the row loop, which decides every error;
+    numpy < 2 parsing "1.0" as an int, with a warning, is one.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype=_CLAIM_DTYPE, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
+#: str.strip over an object array: the rule the row loop applies to the ids it keeps.
+_strip = np.frompyfunc(str.strip, 1, 1)
 
 
 def _claim(row, line) -> tuple:

@@ -19,12 +19,12 @@ category while years outside the data window stay invisible.
 Panel cache.  ``write_cache`` writes a CSV with the header
 ``person_id,age,year,months_observed,annual_cost,state`` and one row per
 in-span cell; a missing-marker row has state ``MISSING``, months 0 and an
-empty cost.  ``read_cache`` parses it with ``_read_blocks``, the CSV
-reader claims ingestion uses too, and keeps the observed rows of each
-block for ``build_panel``, the one panel builder.  A cache goes to the
-reader's row loop from the first block with a quoted or non-ASCII field
-(an id with a comma, quote, line end or non-ASCII letter), a padded
-field, or a number only ``int()`` reads, such as ``1_000``.
+empty cost.  ``read_cache`` parses it with ``_read_rows``, the row loop
+claims ingestion uses too: ``csv.reader``, then ``_cache_record`` on each
+record.  It keeps the observed rows of each list of records for
+``build_panel``, the one panel builder.  No cache read decodes blocks
+with ``np.loadtxt``, as claims ingestion does: a read through the memo
+below parses nothing.
 
 Person ids.  One rule, ``_id_fault``, decides which ids the CSV files
 carry: an id is refused when it is empty, has whitespace at an end (the
@@ -78,7 +78,6 @@ import hashlib
 import io
 import os
 import re
-import warnings
 from itertools import chain, combinations, repeat
 from types import SimpleNamespace
 
@@ -134,7 +133,10 @@ class Panel:
             sex = np.asarray(sex, dtype=object)
             if sex.shape[0] != n:
                 raise InvalidInputError("sex array length mismatch")
-        unequal = np.flatnonzero(person_ids != person_ids)  # such as nan, which no sort or match can place
+        try:
+            unequal = np.flatnonzero(person_ids != person_ids)  # such as nan, which no sort or match can place
+        except ArithmeticError:  # such as Decimal("sNaN"), whose every comparison raises
+            unequal = np.flatnonzero([_unequal_to_itself(pid) for pid in person_ids.tolist()])
         if unequal.size:
             raise InvalidInputError(f"person id {person_ids[unequal[0]]!r} is not equal to itself")
 
@@ -287,6 +289,14 @@ class Panel:
         return build_panel(*columns, end_year)
 
 
+def _unequal_to_itself(pid) -> bool:
+    """Whether ``pid != pid``, or comparing it raises, as a signalling NaN's comparison does."""
+    try:
+        return bool(pid != pid)
+    except ArithmeticError:
+        return True
+
+
 #: The only characters UTF-8 cannot encode; ``errors="surrogateescape"`` decodes each undecodable byte to one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -329,21 +339,22 @@ def _id_fields(person_ids) -> tuple[list, list]:
 def _cache_cells(raw: bytes):
     """The observed rows of a cache file as build_panel's columns, and the file's last year."""
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape", newline="")
-    kept = [[np.empty(0, dtype)] for dtype in _CELL_TYPES]  # each column's observed rows, by block
+    kept = [[np.empty(0, dtype)] for dtype in _CELL_TYPES]  # each column's observed rows, by list of records
     last_years, overflow = [], None
-    for block, plain in _read_blocks(text, _check_cache_header, _CELL_DTYPE, _plain_cells, _cache_record):
+    _read_header(text, _check_cache_header)
+    for records in _read_rows(text, _cache_record, 1):
         try:
-            pids, ages, years, codes, months, costs = map(np.asarray, block if plain else zip(*block), _CELL_TYPES)
+            pids, ages, years, codes, months, costs = map(np.asarray, zip(*records), _CELL_TYPES)
         except OverflowError as exc:  # raised once every line is checked, so a later bad line wins
             overflow = exc
             continue
-        last_years.append(years.max())  # a block holds at least one record
+        last_years.append(years.max())  # a list holds at least one record
         observed = codes >= 0
         for column, part in zip(kept, (pids, ages, years, codes, months, costs)):
             column.append(part[observed])
     if overflow:
         raise overflow
-    columns = tuple(np.concatenate(kept.pop(0)) for _ in _CELL_TYPES)  # each column's blocks go once joined
+    columns = tuple(np.concatenate(kept.pop(0)) for _ in _CELL_TYPES)  # each column's lists go once joined
     return columns, (int(max(last_years)) if last_years else None)
 
 
@@ -407,92 +418,46 @@ def _load(fh, dtype) -> np.ndarray:
     return array
 
 
-# -- CSV block reader --------------------------------------------------------
+# -- CSV row loop ------------------------------------------------------------
 
-#: Characters read per block; a block ends at the first line end past it.
-_BLOCK_CHARS = 1 << 18
+#: Records per list the row loop yields.
+_BLOCK_ROWS = 1 << 13
 
 
-def _read_blocks(fh, header, dtype, accept, record):
-    """The data records of a CSV text stream, checked, as (block, plain) pairs; both formats' reader.
-
-    ``header(row)`` checks the first record (None for an empty stream).
-    Each block of whole lines that _plain_block takes gives what
-    ``accept(table)`` returns, with plain True.  The first block it refuses,
-    and the rest of the stream, go to ``csv.reader``, which alone decides
-    errors: blank records are skipped, ``record(row, line)`` converts each
-    other record or raises DataFormatError at its 1-based line, and so does
-    a record the csv module cannot read.  The row loop yields lists of what
-    ``record`` returns, with plain False, each as long as the block that
-    began it, and before an error, the records ahead of it.
-    """
-    lineno = 0  # the last record read; a csv error belongs to the next one
+def _read_header(fh, check) -> None:
+    """Read the first record of a CSV text stream and ``check(row)`` it (None for an empty stream)."""
     try:
-        header(next(csv.reader(fh), None))
-        lineno = 1
-        while lines := fh.readlines(_BLOCK_CHARS):
-            block = _plain_block(lines, dtype, accept)
-            if block is None:
-                break
-            lineno += len(lines)  # a plain block holds one record per line
-            del lines  # hold one block at a time
-            yield block, True
-            del block
-        rows, size, failure = [], max(len(lines), 1), None
-        try:
-            for lineno, row in enumerate(csv.reader(chain(lines, fh)), start=lineno + 1):
-                if row:
-                    rows.append(record(row, lineno))
-                    if len(rows) == size:
-                        yield rows, False
-                        rows = []
-        except (DataFormatError, csv.Error, UnicodeDecodeError) as exc:
-            failure = exc  # raised once the records before it are out
-        if rows:
-            yield rows, False
-        if failure:
-            raise failure
+        row = next(csv.reader(fh), None)
     except csv.Error as exc:
-        raise DataFormatError(f"unreadable CSV record: {exc}", line=lineno + 1) from None
+        raise DataFormatError(f"unreadable CSV record: {exc}", line=1) from None
+    check(row)
 
 
-def _plain_block(lines, dtype, accept):
-    """What accept returns for the ``np.loadtxt`` table of a plain block of lines, or None.
+def _read_rows(lines, record, lineno):
+    """The data records of CSV text ``lines`` after line ``lineno``, checked; both formats' row loop.
 
-    Plain: ASCII with no quote or NUL, no line past the csv field limit, one
-    table row per line, and ids (the first field) already stripped, so that
-    the table holds what ``csv.reader`` and the row loop's stripping would
-    give, and none empty, so that every id passes the id rule (_id_fault).
-    ``np.loadtxt`` refuses a carriage return before a line's end; the row
-    count refuses a blank line, which it skips.
+    Blank records are skipped; ``record(row, line)`` converts each other
+    record or raises DataFormatError at its 1-based line, and so does a
+    record the csv module cannot read.  Yields lists of at most
+    _BLOCK_ROWS converted records, and before an error, the records ahead
+    of it.
     """
-    text = "".join(lines)
-    if not (text.isascii() and '"' not in text and "\0" not in text
-            and max(map(len, lines)) <= csv.field_size_limit()):
-        return None
-    table = _loadtxt(lines, dtype)
-    if table is None or len(table) != len(lines):
-        return None
-    ids = table[dtype.names[0]]
-    return accept(table) if (ids != "").all() and (_strip(ids) == ids).all() else None
-
-
-def _loadtxt(lines, dtype):
-    """Structured array of CSV lines via one ``np.loadtxt`` call, or None if numpy refuses them.
-
-    A refusal sends the caller to its csv-module path, which decides every
-    error; numpy < 2 parsing "1.0" as an int, with a warning, is one.
-    """
+    rows, failure = [], None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return None
-
-
-#: str.strip over an object array: the rule every CSV reader applies to the fields it keeps.
-_strip = np.frompyfunc(str.strip, 1, 1)
+        for lineno, row in enumerate(csv.reader(lines), start=lineno + 1):
+            if row:
+                rows.append(record(row, lineno))
+                if len(rows) == _BLOCK_ROWS:
+                    yield rows
+                    rows = []
+    except csv.Error as exc:  # it belongs to the record after the last one read
+        failure = DataFormatError(f"unreadable CSV record: {exc}", line=lineno + 1)
+    except (DataFormatError, UnicodeDecodeError) as exc:
+        failure = exc  # raised once the records before it are out
+    if rows:
+        yield rows
+    if failure:
+        raise failure
 
 
 # -- panel-cache records -----------------------------------------------------
@@ -505,17 +470,7 @@ _CACHE_ROW = "%s,%d,%d,%d,%s,%s\r\n"
 #: Cache label of each cell code; code -1 (MISSING_CODE) indexes the last one.
 _CACHE_LABELS = STATE_LABELS + (MISSING,)
 
-#: Code _label_codes gives a label that is neither a state nor MISSING.
-_UNKNOWN_LABEL = -2
-
-#: Widest cost field the plain-block path converts itself: 18 digits fit int64.
-_COST_DIGITS = 18
-
-#: A plain cache block as np.loadtxt reads it, and the type of each column _cache_cells keeps.
-_CELL_DTYPE = np.dtype([
-    ("pid", object), ("age", "i8"), ("year", "i8"), ("months", "i8"),
-    ("cost", f"S{_COST_DIGITS + 1}"), ("state", "S8"),
-])
+#: The type of each column _cache_cells keeps.
 _CELL_TYPES = (object, np.int64, np.int64, np.int8, np.int64, np.int64)
 
 _NOT_UTF8 = "row holds bytes that are not UTF-8"
@@ -526,15 +481,6 @@ def _check_cache_header(row) -> None:
         raise DataFormatError(_NOT_UTF8, line=1)
     if row is None or tuple(h.strip() for h in row) != PANEL_CACHE_COLUMNS:
         raise DataFormatError(f"panel cache must start with header {_CACHE_HEADER}", line=1)
-
-
-def _plain_cells(table):
-    """The cells of a plain cache block: bare state labels, and plain-digit costs on observed rows."""
-    codes = _label_codes(table["state"])
-    costs, plain = _plain_digits(table["cost"])
-    if (codes == _UNKNOWN_LABEL).any() or not plain[codes >= 0].all():
-        return None
-    return table["pid"], table["age"], table["year"], codes, table["months"], costs
 
 
 def _cache_record(row, line):
@@ -561,25 +507,6 @@ def _cache_record(row, line):
     if cost < 0:
         raise DataFormatError(f"negative cost {cost}", line=line)
     return pid, age, year, STATE_LABELS.index(state_s), months, cost
-
-
-def _label_codes(labels) -> np.ndarray:
-    """Cell code per state label (bytes): 0..4 for Q1..Q5, -1 for MISSING, else -2."""
-    codes = np.full(len(labels), _UNKNOWN_LABEL, dtype=np.int8)
-    for code, label in [*enumerate(STATE_LABELS), (MISSING_CODE, MISSING)]:
-        codes[labels == label.encode()] = code
-    return codes
-
-
-def _plain_digits(fields) -> tuple[np.ndarray, np.ndarray]:
-    """Values of byte strings of 1 to _COST_DIGITS ASCII digits, and which fields are such."""
-    n = np.char.str_len(fields)
-    plain = np.char.isdigit(fields) & (n <= _COST_DIGITS)
-    b = np.ascontiguousarray(fields).view(np.uint8).reshape(len(fields), -1)
-    values = np.zeros(len(fields), dtype=np.int64)
-    for j in range(int(n[plain].max(initial=0))):
-        values = np.where(j < n, values * 10 + (b[:, j] - ord("0")), values)
-    return values, plain
 
 
 # -- panel assembly ----------------------------------------------------------

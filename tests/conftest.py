@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from healthmarkov import panel as panel_module
+from healthmarkov import ingest
 from healthmarkov.panel import MISSING_CODE, Panel
 from healthmarkov.states import classify_costs
 
@@ -108,14 +108,14 @@ def rng():
 
 @pytest.fixture
 def plain_blocks(monkeypatch):
-    """(lines, whether they took the plain path) of every block the CSV reader reads, in order."""
+    """(lines, whether they took the plain path) of every block the claims reader reads, in order."""
     blocks = []
-    plain_block = panel_module._plain_block
+    plain_block = ingest._plain_block
 
-    def recorded(lines, dtype, accept):
-        columns = plain_block(lines, dtype, accept)
-        blocks.append((lines, columns is not None))
-        return columns
+    def recorded(lines):
+        records = plain_block(lines)
+        blocks.append((lines, records is not None))
+        return records
 
-    monkeypatch.setattr(panel_module, "_plain_block", recorded)
+    monkeypatch.setattr(ingest, "_plain_block", recorded)
     return blocks

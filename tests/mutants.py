@@ -43,27 +43,26 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # the plain-block gate, shared by both formats
-    Mutant("plain gate: ASCII", "panel.py", "if not (text.isascii() and ", "if not (", CLAIMS + CACHE),
-    Mutant("plain gate: no quote", "panel.py", """'"' not in text and """, "", CLAIMS + CACHE),
-    Mutant("plain gate: no NUL", "panel.py", r' and "\0" not in text', "", CACHE + CLAIMS),
-    Mutant("plain gate: no line past the field limit", "panel.py",
-           "\n            and max(map(len, lines)) <= csv.field_size_limit()):", "):", CACHE + CLAIMS),
-    Mutant("plain gate: one row per line", "panel.py", "if table is None or len(table) != len(lines):",
+    # the claims reader's plain-block gate
+    Mutant("plain gate: ASCII", "ingest.py", "if not (text.isascii() and ", "if not (", CLAIMS),
+    Mutant("plain gate: no quote", "ingest.py", """'"' not in text and """, "", CLAIMS),
+    Mutant("plain gate: no NUL", "ingest.py", r' and "\0" not in text', "", CLAIMS),
+    Mutant("plain gate: no line past the field limit", "ingest.py",
+           "\n            and max(map(len, lines)) <= csv.field_size_limit()):", "):", CLAIMS),
+    Mutant("plain gate: one row per line", "ingest.py", "if table is None or len(table) != len(lines):",
            "if table is None:", ("tests/test_ingest_differential.py",)),
-    Mutant("plain gate: ids already stripped", "panel.py",
-           'if (ids != "").all() and (_strip(ids) == ids).all() else None', 'if (ids != "").all() else None',
-           CLAIMS + CACHE),
-    Mutant("plain gate: no empty id", "panel.py", 'if (ids != "").all() and (_strip(ids)', "if (_strip(ids)",
-           CLAIMS + CACHE),
-    # the reader's line accounting and row loop
-    Mutant("plain block counts its lines", "panel.py", "lineno += len(lines)  #", "lineno += 1  #",
-           CLAIMS + CACHE),
-    Mutant("row loop skips blank records", "panel.py", "                if row:\n", "                if True:\n",
+    Mutant("plain gate: ids already stripped", "ingest.py",
+           '(ids != "").all() and (_strip(ids) == ids).all() and valid', '(ids != "").all() and valid',
+           CLAIMS),
+    Mutant("plain gate: no empty id", "ingest.py", 'plain = (ids != "").all() and (_strip(ids)', "plain = (_strip(ids)",
+           CLAIMS),
+    Mutant("plain block counts its lines", "ingest.py", "lineno += len(lines)  #", "lineno += 1  #", CLAIMS),
+    # the row loop both formats share
+    Mutant("row loop skips blank records", "panel.py", "            if row:\n", "            if True:\n",
            CACHE + CLAIMS),
     Mutant("row loop yields the records before an error", "panel.py",
-           "        if rows:\n            yield rows, False\n        if failure:\n            raise failure\n",
-           "        if failure:\n            raise failure\n        if rows:\n            yield rows, False\n",
+           "    if rows:\n        yield rows\n    if failure:\n        raise failure\n",
+           "    if failure:\n        raise failure\n    if rows:\n        yield rows\n",
            ("tests/test_ingest_differential.py",)),
     Mutant("csv error at the next line", "panel.py", '"unreadable CSV record: {exc}", line=lineno + 1)',
            '"unreadable CSV record: {exc}", line=lineno)', CACHE + CLAIMS),
@@ -72,12 +71,6 @@ MUTANTS = [
            "if False and _SURROGATE.search(", CACHE),
     Mutant("cache header: column names", "panel.py",
            "if row is None or tuple(h.strip() for h in row) != PANEL_CACHE_COLUMNS:", "if row is None:", CACHE),
-    Mutant("cache plain block: state labels", "panel.py",
-           "if (codes == _UNKNOWN_LABEL).any() or not plain[codes >= 0].all():",
-           "if not plain[codes >= 0].all():", CACHE),
-    Mutant("cache plain block: plain-digit costs", "panel.py",
-           "if (codes == _UNKNOWN_LABEL).any() or not plain[codes >= 0].all():",
-           "if (codes == _UNKNOWN_LABEL).any():", CACHE),
     Mutant("cache record: bytes that are not UTF-8", "panel.py", "    if _SURROGATE.search(",
            "    if False and _SURROGATE.search(", CACHE),
     Mutant("cache record: field count", "panel.py", "    if len(row) != len(PANEL_CACHE_COLUMNS):",
@@ -90,6 +83,8 @@ MUTANTS = [
     Mutant("cache record: integer months/cost", "panel.py", "months, cost = int(months_s), int(cost_s)",
            "months, cost = int(months_s or 0), int(cost_s or 0)", CACHE),
     Mutant("cache record: cost >= 0", "panel.py", "    if cost < 0:", "    if False:", CACHE),
+    Mutant("read_cache without its memo", "panel.py", "cells = _memo_cells(path, hashlib.sha256(raw).digest())",
+           "cells = None", ("tests/test_cli.py",)),
     Mutant("cache read keeps the observed rows", "panel.py", "column.append(part[observed])",
            "column.append(part)", CACHE),
     Mutant("cache read raises an overflow after every line", "panel.py",
@@ -124,6 +119,8 @@ MUTANTS = [
     # metamorphic relations over the report tables
     Mutant("k03 minimum taken from the first person in row order", "estimate.py", "minimum=int(costs.min()),",
            "minimum=int(costs[0]),", ("tests/test_metamorphic.py",)),
+    Mutant("sample sd divides by n", "estimate.py", "sd=float(costs.std(ddof=1))", "sd=float(costs.std(ddof=0))",
+           ("tests/test_metamorphic.py",)),
 ]
 
 

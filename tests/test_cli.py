@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from healthmarkov import panel as panel_module
 from healthmarkov.cli import REPORTS, main
 from healthmarkov.panel import Panel
 
@@ -435,6 +436,33 @@ class TestSelftest:
         taken = tmp_path / "taken"
         taken.write_text("")
         assert run("--output-dir", str(taken), "selftest", "--chains", "1") == 0
+
+
+class TestCacheTraffic:
+    def test_every_cache_read_of_a_session_takes_the_memo(self, tmp_path, monkeypatch):
+        # the CSV parse behind the memo is the slow path; a session that sends a read there fails here
+        def session(out):
+            panel_args = ["--output-dir", str(out), "--set", f"input.panel={out / 'panel.csv'}",
+                          "--set", "project.horizon=4", "--set", "project.start_ages=[25]"]
+            for argv in (
+                synth_args(out, n=200, seed=11),
+                ["--output-dir", str(out), "--set", f"input.claims={out / 'claims.csv'}", "ingest"],
+                [*panel_args, "estimate"],
+                *([*panel_args, "report", target] for target in REPORTS),
+                [*panel_args, "--set", "project.q5_values=[267000, 1000000]", "project"],
+            ):
+                assert run(*argv) == 0, argv
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        want = session(tmp_path / "parsing allowed")
+
+        def no_parse(raw):
+            raise AssertionError("a cache read parsed panel.csv")
+
+        monkeypatch.setattr(panel_module, "_cache_cells", no_parse)
+        got = session(tmp_path / "memo only")
+        assert len(want) == len(REPORTS) + 8  # claims, truth, cache and memo, 3 estimate tables, projections
+        assert got == want
 
 
 class TestCrossProcess:

@@ -29,7 +29,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from healthmarkov import ingest
-from healthmarkov import panel as panel_module
 from healthmarkov.errors import DataFormatError, DuplicateRecordError
 from healthmarkov.ingest import CLAIMS_COLUMNS, YEAR_CONVENTIONS, parse_claims
 from healthmarkov.states import DEFAULT_THRESHOLDS, StateThresholds
@@ -367,7 +366,7 @@ def test_parse_claims_matches_reference_across_block_boundaries(tmp_path, plain_
         path.write_bytes(data)
         want = reference_rows(path)
         plain_blocks.clear()
-        with mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
             got = current_rows(path)
             with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
                 from_stream = current_rows(io.StringIO(fh.read(), newline=""))
@@ -401,7 +400,7 @@ def test_write_claims_output_takes_the_plain_block_path(tmp_path, plain_blocks, 
     rows = write_claims(panel, path)
     crlf = path.read_bytes()
     assert crlf.count(b"\r\n") == rows + 1
-    with mock.patch.object(panel_module, "_BLOCK_CHARS", 4096):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 4096):
         for data in (crlf, crlf.replace(b"\r\n", b"\n")):
             path.write_bytes(data)
             plain_blocks.clear()
@@ -440,15 +439,15 @@ def test_a_plain_block_holds_what_csv_reader_reads_one_record_per_line():
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(gate_lines())
     def check(lines):
-        table = panel_module._plain_block(lines, ingest._CLAIM_DTYPE, lambda table: table)
+        taken = ingest._plain_block(lines)
         blank = any(line.strip("\r\n") == "" for line in lines)
         inner_cr = any("\r" in line.rstrip("\r\n") for line in lines)
-        if table is None:
+        if taken is None:
             seen.update(label for label, hit in (("blank refused", blank), ("inner \\r refused", inner_cr)) if hit)
             return
-        records = list(csv.reader(lines))
-        assert len(table) == len(lines) == len(records)
-        assert table.tolist() == [(pid, sex, *map(int, rest)) for pid, sex, *rest in records]
+        taken, records = list(taken), list(csv.reader(lines))
+        assert len(taken) == len(lines) == len(records)
+        assert taken == [(pid, sex, *map(int, rest)) for pid, sex, *rest in records]
         seen.update(label for label, hit in (("taken", True), ("\\r ends a line", "\r" in "".join(lines))) if hit)
 
     check()

@@ -130,6 +130,15 @@ class TestCodes:
         with pytest.raises(InvalidInputError, match=re.escape(f"person id {nan!r} is not equal to itself")):
             Panel(ids, [1970] * n, 30, [[0]] * n, [[100]] * n, [[12]] * n)
 
+    @pytest.mark.parametrize("ids", [
+        [Decimal("sNaN")], [Decimal("sNaN"), "a"], [1, Decimal("sNaN")],
+    ], ids=["alone", "before a str", "after an int"])
+    def test_a_signalling_nan_id_is_refused_by_name(self, ids):
+        # every comparison of a signalling NaN raises decimal.InvalidOperation, the self-equality test's too
+        n = len(ids)
+        with pytest.raises(InvalidInputError, match=re.escape("person id Decimal('sNaN') is not equal to itself")):
+            Panel(ids, [1970] * n, 30, [[0]] * n, [[100]] * n, [[12]] * n)
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):

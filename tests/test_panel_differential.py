@@ -20,7 +20,6 @@ from healthmarkov import panel as panel_module
 from healthmarkov.errors import DataFormatError, HealthMarkovError
 from healthmarkov.panel import PANEL_CACHE_COLUMNS, Panel, build_panel
 from healthmarkov.states import STATE_LABELS, HealthState
-from healthmarkov.synthetic import generate_panel, random_chain
 
 from reference_ingest import PersonYear
 from reference_panel import reference_build_panel, reference_read_cache
@@ -251,25 +250,7 @@ def test_a_field_over_the_csv_limit_fails_at_its_line(tmp_path, row):
     assert_same_outcome(path)
 
 
-def test_write_cache_output_takes_the_plain_block_path(tmp_path, plain_blocks):
-    panel = generate_panel(random_chain(seed=3, entry_age=20, exit_age=40, attrition=0.05), 300)
-    # ids of 1 to 300 characters with inner spaces, commas, quotes and non-ASCII letters
-    alphabet = 'a b,c"dé日'
-    ids = [(alphabet * 40)[:n - 1] + "z" for n in range(1, 301)]
-    wide = Panel(ids, panel.birth_years, panel.age_min, panel.states, panel.costs, panel.months)
-    # the quoted and non-ASCII ids send the first block, and the rest, to the row loop
-    for name, written, paths in (("panel.csv", panel, [True]), ("wide.csv", wide, [False])):
-        path = tmp_path / name
-        written.write_cache(path)
-        path.with_name(name + ".npy").unlink()
-        plain_blocks.clear()
-        read = Panel.read_cache(path)
-        assert [took for _, took in plain_blocks] == paths
-        assert_same_panel(read, reference_read_cache(path))
-        assert read.person_ids.tolist() == written.person_ids.tolist()
-
-
-# -- block boundaries --------------------------------------------------------
+# -- the row loop's list boundaries -------------------------------------------
 
 LIMIT = csv.field_size_limit()
 #: Rows to put among a cache file's data rows, as (label, row text without a line end).
@@ -284,7 +265,7 @@ ENDINGS = ["\n", "\r\n", "\r"]
 
 @st.composite
 def blocky_cache_files(draw):
-    """A cache_files file with one line end throughout and maybe one odd row, a block size and labels."""
+    """A cache_files file with one line end throughout and maybe one odd row, a row-loop list size and labels."""
     text = draw(cache_files()).decode("utf-8", "surrogateescape")
     ending = draw(st.sampled_from(ENDINGS))
     lines = text.replace("\r\n", "\n").split("\n")  # the generated ids hold no line end
@@ -292,10 +273,10 @@ def blocky_cache_files(draw):
     if odd is not None:
         lines.insert(draw(st.integers(1, len(lines))), odd)
     raw = ending.join(lines).encode("utf-8", "surrogateescape")
-    return raw, draw(st.sampled_from([1, 16, 64, 200])), {f"{ending!r} line ends", label}
+    return raw, draw(st.sampled_from([1, 2, 5, 200])), {f"{ending!r} line ends", label}
 
 
-def test_cache_reader_matches_reference_across_block_boundaries(tmp_path, plain_blocks):
+def test_cache_reader_matches_reference_across_block_boundaries(tmp_path):
     seen = set()
     path = tmp_path / "panel.csv"
 
@@ -303,11 +284,10 @@ def test_cache_reader_matches_reference_across_block_boundaries(tmp_path, plain_
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(blocky_cache_files())
     def check(case):
-        raw, block_chars, labels = case
+        raw, block_rows, labels = case
         path.write_bytes(raw)  # with no memo beside it
         want = _outcome(reference_read_cache, path)
-        plain_blocks.clear()
-        with mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(panel_module, "_BLOCK_ROWS", block_rows):
             got = _outcome(Panel.read_cache, path)
         assert got[0] == want[0], (got, want)
         if want[0] == "error":
@@ -316,16 +296,13 @@ def test_cache_reader_matches_reference_across_block_boundaries(tmp_path, plain_
                 seen.add("csv.Error record")
         else:
             assert_same_panel(got[1], want[1])
+            if (want[1].states >= 0).sum() > block_rows:  # each observed cell is one record
+                seen.add("records over more than one list")
         seen.update(labels)
-        plain = [took for _, took in plain_blocks]
-        if plain[:1] == [True] and False in plain:
-            seen.add("plain block before the row loop")
-        if any("".join(lines).count('"') % 2 for lines, _ in plain_blocks):
-            seen.add("quoted line break across a block end")
 
     check()
     reached = {f"{end!r} line ends" for end in ENDINGS} | {label for label, _ in ODD_ROWS} | {
-        "csv.Error record", "plain block before the row loop", "quoted line break across a block end"}
+        "csv.Error record", "records over more than one list"}
     assert reached <= seen, reached - seen
 
 

@@ -70,7 +70,7 @@ def test_read_cache(tmp_path, canonical):
     path = tmp_path / "panel.csv"
     small_panel().write_cache(path)
     if not canonical:
-        # a padded label is read by the csv-module path, not by np.loadtxt
+        # a padded label, which the record check strips
         text = path.read_text(encoding="utf-8")
         padded = text.replace(",Q1\n", ", Q1\n", 1)
         assert padded != text

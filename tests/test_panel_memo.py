@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference_panel
+from healthmarkov import ingest
 from healthmarkov import panel as panel_module
 from healthmarkov.errors import DataFormatError, InvalidInputError
 from healthmarkov.panel import Panel
@@ -177,7 +178,7 @@ def test_a_memo_the_reference_parse_saved_is_read_without_a_parse(cache, parses)
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(panel=panels(WRITABLE_ID_LISTS), order=st.randoms(use_true_random=False))
-def test_the_order_of_cache_rows_does_not_matter(tmp_path_factory, plain_blocks, panel, order):
+def test_the_order_of_cache_rows_does_not_matter(tmp_path_factory, panel, order):
     path = tmp_path_factory.mktemp("order") / "panel.csv"
     panel.write_cache(path)
     want = outcome(path)
@@ -185,23 +186,31 @@ def test_the_order_of_cache_rows_does_not_matter(tmp_path_factory, plain_blocks,
     order.shuffle(records)
     for padded in (False, True):
         if padded and records:
-            records[0][-1] = " " + records[0][-1]  # a padded label sends the file to the row loop
+            records[0][-1] = " " + records[0][-1]  # the record check strips it
         text = io.StringIO(newline="")
         csv.writer(text).writerows([header, *records])
         raw = text.getvalue().encode("utf-8")
         shuffled = path.with_name(f"shuffled-{padded}.csv")
         shuffled.write_bytes(raw)
-        plain_blocks.clear()
         assert_same_outcome(outcome(shuffled), want)
-        # so do quoted and non-ASCII ids; the file is one block
-        plain = not padded and raw.isascii() and b'"' not in raw
-        assert [took for _, took in plain_blocks] == ([plain] if records else [])
 
 
 def test_synthetic_cache_reads_through_its_memo(cache, parses):
     assert memo(cache).exists()
     assert_same_outcome(outcome(cache), csv_alone(cache))
     assert len(parses) == 1  # the copy without a memo
+
+
+def test_a_read_without_its_memo_decodes_no_block(cache, monkeypatch, parses):
+    # np.loadtxt decodes claims blocks only; the cache CSV goes to the row loop from line 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache read decoded a block")
+
+    want = outcome(cache)
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(ingest, "_plain_block", refuse)
+    assert_same_outcome(csv_alone(cache), want)
+    assert len(parses) == 1
 
 
 def _truncate(keep):
@@ -374,7 +383,7 @@ def test_a_csv_read_holds_at_most_200_bytes_per_cache_row(tmp_path, padded):
     path = tmp_path / "panel.csv"
     rows = generate_panel(random_chain(seed=7, entry_age=20, exit_age=60, attrition=0.02), 2000).write_cache(path)
     raw = path.read_bytes()
-    if padded:  # a padded state label on the first row sends every block to the row loop
+    if padded:  # a padded state label on the first row, which the record check strips
         head, first, rest = raw.split(b"\r\n", 2)
         cut = first.rindex(b",") + 1
         raw = b"\r\n".join([head, first[:cut] + b" " + first[cut:], rest])
